@@ -8,16 +8,15 @@ from repro.chord.ring import (
     optimal_policy,
     uniform_policy,
 )
-from repro.chord.routing import LookupResult, RingTable, route
+from repro.chord.routing import RingTable, next_hop
 
 __all__ = [
     "AuxiliaryPolicy",
     "ChordNode",
     "ChordRing",
-    "LookupResult",
     "RingTable",
+    "next_hop",
     "oblivious_policy",
     "optimal_policy",
-    "route",
     "uniform_policy",
 ]

@@ -116,6 +116,18 @@ class ChordNode:
         """All current neighbors: fingers, successors and auxiliaries."""
         return self.core | set(self.successors) | self.auxiliary
 
+    def pointer_class(self, target: int) -> str:
+        """Which pointer kind holds ``target``; an id living in several
+        sets is credited to the strongest claim (core > successor >
+        auxiliary)."""
+        if target in self.core:
+            return "core"
+        if target in self.successors:
+            return "successor"
+        if target in self.auxiliary:
+            return "auxiliary"
+        return "unknown"
+
     def successor_snapshot(self) -> tuple[int, ...]:
         """Read-only copy of the successor list (verification hook)."""
         return tuple(self.successors)

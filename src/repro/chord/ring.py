@@ -19,10 +19,12 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Iterable
 
 from repro.chord.node import ChordNode
-from repro.chord.routing import LookupResult, route
+from repro.chord.routing import next_hop
 from repro.core.chord_selection import select_chord
+from repro.core.frequency import ExactFrequencyTable
 from repro.core.oblivious import select_chord_oblivious, select_uniform_random
 from repro.core.types import SelectionProblem, SelectionResult
+from repro.routing import LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_non_negative_int, require_positive_int
@@ -163,7 +165,7 @@ class ChordRing:
         # becomes routable, so no lookup can traverse it half-built).
         for i in range(self.space.bits):
             target = self.space.add(node_id, 1 << i)
-            answer = route(self, bootstrap, target, record_access=False)
+            answer = route(self, bootstrap, target, next_hop, record_access=False)
             if answer.destination is None:
                 continue
             owner = self.nodes[answer.destination]
@@ -173,7 +175,7 @@ class ChordRing:
             if self.space.gap(target, finger) < (1 << i):
                 node.core.add(finger)
         # Successor list: the answer for our own id's successor.
-        answer = route(self, bootstrap, node_id, record_access=False)
+        answer = route(self, bootstrap, node_id, next_hop, record_access=False)
         if answer.destination is not None:
             predecessor = self.nodes[answer.destination]
             walker = self._successor_of(predecessor, self.space.add(node_id, 1))
@@ -339,7 +341,7 @@ class ChordRing:
         fingers: set[int] = set()
         for i in range(self.space.bits):
             target = self.space.add(node_id, 1 << i)
-            answer = route(self, node_id, target, record_access=False)
+            answer = route(self, node_id, target, next_hop, record_access=False)
             if answer.destination is None:
                 continue
             owner = self.nodes[answer.destination]
@@ -430,16 +432,13 @@ class ChordRing:
         faults=None,
         trace=None,
     ) -> LookupResult:
-        """Route a query for ``key`` from ``source``; see :func:`route`.
-
-        ``retry``/``faults`` forward to the router's fault-aware knobs
-        (:class:`~repro.faults.retry.RetryPolicy`,
-        :class:`~repro.faults.plane.FaultPlane`); ``trace`` attaches an
-        observe-only :class:`~repro.obs.recorder.TraceRecorder`."""
+        """Route a query for ``key`` from ``source`` with Chord's
+        forwarding rule; see :func:`repro.routing.route` for the knobs."""
         return route(
             self,
             source,
             key,
+            next_hop,
             record_access=record_access,
             retry=retry,
             faults=faults,
@@ -449,15 +448,4 @@ class ChordRing:
     def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
         """Pre-load a node's tracker (used by stable-mode experiments that
         hand each node its long-run destination distribution directly)."""
-        node = self.nodes[node_id]
-        node.tracker = _tracker_from(frequencies, node_id)
-
-
-def _tracker_from(frequencies: dict[int, float], owner: int):
-    from repro.core.frequency import ExactFrequencyTable
-
-    tracker = ExactFrequencyTable()
-    for peer, weight in frequencies.items():
-        if peer != owner and weight > 0:
-            tracker.observe(peer, weight)
-    return tracker
+        self.nodes[node_id].tracker = ExactFrequencyTable.seeded(frequencies, node_id)

@@ -1,4 +1,4 @@
-"""Chord ring routing: greedy clockwise forwarding over a sorted table.
+"""Chord's forwarding rule: greedy clockwise over a sorted table.
 
 The paper's Chord variant (Section II-B) forwards a query for key ``v`` at
 node ``x`` to the neighbor *closest to ``v`` without passing it* in the
@@ -6,41 +6,24 @@ clockwise direction. With every node's neighbors (core fingers, successor
 list and auxiliary pointers) merged into one id-sorted table, that neighbor
 is the table's ring-predecessor of ``v`` — found by a single ``bisect``.
 
-:func:`route` walks a query across the ring, modelling churn effects: a
-forward to a dead neighbor costs a timeout, evicts the stale entry from the
-forwarding node's table (the node learned the neighbor is gone) and retries
-with the next-best entry, exactly like a lookup timeout in a deployed DHT.
-
-Fault-aware routing: an optional :class:`~repro.faults.retry.RetryPolicy`
-re-attempts a timed-out forward with exponential backoff (accumulated as a
-hop penalty) before evicting, and an optional :class:`~repro.faults.plane.
-FaultPlane` can drop or block individual messages (loss, partitions). The
-defaults — single attempt, no fault plane — reproduce the pre-fault
-behaviour bit for bit. Failover after eviction is implicit in the merged
-table: the next ``next_hop`` query returns the next-best entry, which
-includes the successor list.
+:func:`next_hop` is that rule; :func:`repro.routing.route` wraps it with
+retries, fault delivery, eviction and tracing. Failover after an eviction
+is implicit in the merged table: the next ``next_hop`` call returns the
+next-best entry, which includes the successor list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.faults.retry import RetryPolicy
-from repro.obs.recorder import HopEvent
-from repro.util.errors import NodeAbsentError
 from repro.util.ids import IdSpace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.chord.node import ChordNode
     from repro.chord.ring import ChordRing
-    from repro.faults.plane import FaultPlane
-    from repro.obs.recorder import TraceRecorder
 
-__all__ = ["RingTable", "LookupResult", "route"]
-
-#: Default policy: one attempt, unit timeout penalty (legacy behaviour).
-_SINGLE_ATTEMPT = RetryPolicy.single()
+__all__ = ["RingTable", "next_hop"]
 
 
 class RingTable:
@@ -83,187 +66,50 @@ class RingTable:
     def clear(self) -> None:
         self._entries.clear()
 
-    def next_hop(self, key: int) -> int | None:
+    def next_hop(self, key: int, accept: Callable[[int], bool] | None = None) -> int | None:
         """The entry closest to ``key`` without passing it clockwise, or
         ``None`` when no entry lies in the clockwise interval
         ``(owner, key]`` (the owner is then the key's predecessor as far as
-        this table knows)."""
+        this table knows). With ``accept``, entries it rejects are passed
+        over in favour of the next-closest one."""
         entries = self._entries
-        if not entries:
-            return None
-        candidate = entries[bisect_right(entries, key) - 1]  # wraps via [-1]
         # Inlined IdSpace.gap: this runs once per forwarded hop and the
-        # two method calls were the routing loop's hottest frames.
+        # method calls were the routing loop's hottest frames.
         mask = self.space.mask
         owner = self.owner
-        gap = (candidate - owner) & mask
-        if 0 < gap <= (key - owner) & mask:
-            return candidate
+        key_gap = (key - owner) & mask
+        index = bisect_right(entries, key)
+        for _ in entries:
+            index -= 1
+            candidate = entries[index]  # wraps via negative indices
+            if not 0 < (candidate - owner) & mask <= key_gap:
+                return None
+            if accept is None or accept(candidate):
+                return candidate
         return None
 
 
-@dataclass
-class LookupResult:
-    """Outcome of one Chord lookup.
-
-    ``hops`` counts successful forwards; ``timeouts`` counts attempts that
-    failed (dead neighbor, dropped or partition-blocked message).
-    ``latency`` — the metric the paper plots — treats a timeout like a
-    wasted hop; ``penalty`` holds any *extra* backoff latency beyond the
-    one-hop-per-timeout baseline (0 under the single-attempt policy).
-    """
-
-    key: int
-    source: int
-    destination: int | None
-    hops: int
-    timeouts: int = 0
-    succeeded: bool = True
-    path: list[int] = field(default_factory=list)
-    penalty: float = 0.0
-
-    @property
-    def latency(self) -> int | float:
-        """Hop-count latency proxy: forwards plus timeout penalties."""
-        base = self.hops + self.timeouts
-        return base + self.penalty if self.penalty else base
-
-
-def _pointer_class(node, target: int) -> str:
-    """Which pointer kind resolved this hop; an id living in several sets
-    is credited to the strongest claim (core > successor > auxiliary)."""
-    if target in node.core:
-        return "core"
-    if target in node.successors:
-        return "successor"
-    if target in node.auxiliary:
-        return "auxiliary"
-    return "unknown"
-
-
-def route(
+def next_hop(
     ring: "ChordRing",
-    source: int,
+    node: "ChordNode",
     key: int,
-    max_hops: int | None = None,
-    record_access: bool = True,
-    retry: RetryPolicy | None = None,
-    faults: "FaultPlane | None" = None,
-    trace: "TraceRecorder | None" = None,
-) -> LookupResult:
-    """Route a query for ``key`` from node ``source`` across ``ring``.
+    auxiliary: bool = True,
+    skip_dead: bool = False,
+) -> tuple[int, None] | None:
+    """Chord's forwarding rule: the table's ring-predecessor of ``key``.
 
-    Terminates when the current node's table holds no entry in
-    ``(current, key]`` — the current node then believes it is the key's
-    predecessor (its owner). The lookup succeeds when that belief matches
-    the ring's ground truth; under churn, stale tables can strand a query
-    early, which is reported as a failure.
-
-    ``retry`` bounds delivery attempts per neighbor (default: one attempt,
-    evict on first timeout); ``faults`` lets a fault plane drop or block
-    individual forwards. A neighbor that exhausts its attempts is evicted
-    and the next-best table entry (successor-list failover included) is
-    tried on the next iteration.
-
-    When ``record_access`` is set, the source node's frequency tracker is
-    fed the true destination (the paper's "note the node containing the
-    queried item for every query", Section III).
-
-    ``trace`` attaches an observe-only recorder (see
-    :mod:`repro.obs.recorder`): one :class:`~repro.obs.recorder.HopEvent`
-    per attempted forwarding target, delivered to the recorder together
-    with the finished result. Disabled recorders are normalized to
-    ``None`` up front, so the default path pays only inert branch checks.
+    ``auxiliary=False`` passes over entries held only as auxiliary
+    pointers; ``skip_dead`` passes over entries whose node is down. The
+    hop's pointer class follows from plane membership (label ``None``).
     """
-    node = ring.node(source)
-    if not node.alive:
-        raise NodeAbsentError(f"source node {source} is not alive")
-    rec = trace if trace is not None and trace.enabled else None
-    events: list[HopEvent] | None = [] if rec is not None else None
-    policy = retry if retry is not None else _SINGLE_ATTEMPT
-    space = ring.space
-    limit = max_hops if max_hops is not None else 4 * space.bits
-    true_destination = ring.responsible(key)
-    if record_access and true_destination != source:
-        node.record_access(true_destination)
+    if auxiliary and not skip_dead:
+        target = node.table.next_hop(key)
+    else:
 
-    current = node
-    hops = 0
-    timeouts = 0
-    penalty = 0.0
-    path = [source]
-    while hops + timeouts <= limit:
-        next_id = current.table.next_hop(key)
-        if next_id is None:
-            succeeded = current.node_id == true_destination
-            result = LookupResult(
-                key=key,
-                source=source,
-                destination=current.node_id if succeeded else None,
-                hops=hops,
-                timeouts=timeouts,
-                succeeded=succeeded,
-                path=path,
-                penalty=penalty,
+        def accept(entry: int) -> bool:
+            return (auxiliary or entry in node.core or entry in node.successors) and (
+                not skip_dead or ring.node(entry).alive
             )
-            if rec is not None:
-                rec.record_lookup(result, events)
-            return result
-        next_node = ring.node(next_id)
-        if rec is None and faults is None and next_node.alive:
-            # Fault-free fast path: with a live target, no fault plane and
-            # no recorder, the first attempt always delivers, so the retry
-            # loop below reduces to this one branch.
-            delivered = True
-        else:
-            delivered = False
-            if rec is not None:
-                pointer_class = _pointer_class(current, next_id)
-                timeouts_before = timeouts
-                penalty_before = penalty
-                verdicts: list[str] = []
-            for attempt in range(policy.max_attempts):
-                if hops + timeouts > limit:
-                    break
-                if next_node.alive and (
-                    faults is None or faults.deliver(current.node_id, next_id)
-                ):
-                    delivered = True
-                    break
-                if rec is not None:
-                    verdicts.append("dead" if not next_node.alive else faults.last_verdict)
-                timeouts += 1
-                penalty += policy.attempt_penalty(attempt) - 1.0
-        if rec is not None:
-            failed = timeouts - timeouts_before
-            events.append(
-                HopEvent(
-                    forwarder=current.node_id,
-                    target=next_id,
-                    pointer_class=pointer_class,
-                    delivered=delivered,
-                    attempts=failed + (1 if delivered else 0),
-                    timeouts=failed,
-                    penalty=penalty - penalty_before,
-                    verdicts=tuple(verdicts),
-                )
-            )
-        if not delivered:
-            current.evict(next_id)
-            continue
-        hops += 1
-        path.append(next_id)
-        current = next_node
-    result = LookupResult(
-        key=key,
-        source=source,
-        destination=None,
-        hops=hops,
-        timeouts=timeouts,
-        succeeded=False,
-        path=path,
-        penalty=penalty,
-    )
-    if rec is not None:
-        rec.record_lookup(result, events)
-    return result
+
+        target = node.table.next_hop(key, accept)
+    return None if target is None else (target, None)

@@ -79,6 +79,7 @@ import sys
 
 from repro.experiments.figures import FIGURES, FigurePreset, run_figure
 from repro.experiments.report import render_detail, render_markdown, render_table
+from repro.util.errors import ConfigurationError
 from repro.util.timer import Stopwatch
 
 __all__ = ["main", "build_parser"]
@@ -1174,7 +1175,13 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "demo": _cmd_demo,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigurationError as error:
+        # Bad input (flag values, NAME:PARAM specs, trace files, config
+        # combinations) gets one diagnostic line, argparse-style.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

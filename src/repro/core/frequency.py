@@ -82,6 +82,18 @@ class ExactFrequencyTable:
         self._history: deque[tuple[int, float]] = deque()
         self._total = 0.0
 
+    @classmethod
+    def seeded(cls, weights: dict[int, float], owner: int) -> "ExactFrequencyTable":
+        """A table pre-loaded with a destination distribution: each peer
+        other than ``owner`` with positive weight, observed at that weight
+        (stable-mode experiments hand every node its long-run
+        distribution directly instead of learning it)."""
+        table = cls()
+        for peer, weight in weights.items():
+            if peer != owner and weight > 0:
+                table.observe(peer, weight)
+        return table
+
     def observe(self, peer: int, weight: float = 1.0) -> None:
         if weight < 0:
             raise ConfigurationError(f"weight must be non-negative, got {weight!r}")

@@ -11,7 +11,7 @@ ColumnarChord
                               the same array ``bisect_right`` walks.
     ``table_class``   (E,)    int8 pointer class per entry (strongest
                               claim: 0=core, 1=successor, 2=auxiliary,
-                              3=unknown), matching ``_pointer_class``.
+                              3=unknown), matching ``ChordNode.pointer_class``.
 
 ColumnarPastry
     ``ids``        (n,)          sorted live node ids.
@@ -26,7 +26,7 @@ ColumnarPastry
                                  exactly ``min(leaves ∪ {self})``).
     plus per-node leaf-arc geometry (``covers_all``, ``arc_start``,
     ``span``, ``radius_max``, ``no_leaves``) precomputed once — the
-    quantities ``_leaf_delivery_target`` re-derives per hop.
+    quantities the leaf stage of ``pastry.routing.next_hop`` reads.
 
 Snapshots are verbatim: they copy whatever the object tables hold right
 now, including (in verification scenarios) stale pointers to dead
@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 #: Pointer-class codes shared by both snapshots and the batch routers.
-#: Chord: core > successor > auxiliary (``chord.routing._pointer_class``);
-#: Pastry: core > leaf > auxiliary (``pastry.routing._pointer_class``).
+#: Chord: core > successor > auxiliary (``ChordNode.pointer_class``);
+#: Pastry: core > leaf > auxiliary (``PastryNode.pointer_class``).
 CHORD_CLASSES = ("core", "successor", "auxiliary", "unknown")
 PASTRY_CLASSES = ("core", "leaf", "auxiliary")
 
@@ -357,7 +357,7 @@ def snapshot_pastry(network) -> ColumnarPastry:
             total += len(entries)
             counts[row + 1] = total
 
-        # Leaf-arc geometry, exactly as _leaf_delivery_target derives it.
+        # Leaf-arc geometry, exactly as pastry.routing._leaf_geometry derives it.
         leaves = sorted(node.leaves)
         leaf_rows.append(leaves)
         if not leaves:

@@ -63,7 +63,16 @@ def sweep(
     if not values:
         raise ConfigurationError("values must not be empty")
     runner = run_churn if isinstance(base, ChurnConfig) else run_stable
-    configs = [replace(base, **{parameter: value}) for value in values]
+    configs = []
+    for value in values:
+        try:
+            configs.append(replace(base, **{parameter: value}))
+        except TypeError as error:
+            # A value of the wrong type (the CLI passes unparseable
+            # numbers through as strings) fails the config's comparisons.
+            raise ConfigurationError(
+                f"invalid {parameter} value {value!r}: {error}"
+            ) from error
     results = run_tasks(runner, configs, jobs)
     return [
         SweepRow(

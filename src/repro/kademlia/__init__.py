@@ -16,24 +16,18 @@ from repro.kademlia.network import (
     uniform_policy,
 )
 from repro.kademlia.node import KademliaNode, KBucket, RoutingTable
-from repro.kademlia.routing import (
-    FindNodeResult,
-    KademliaLookupResult,
-    iterative_find_node,
-    route,
-)
+from repro.kademlia.routing import FindNodeResult, iterative_find_node, next_hop
 
 __all__ = [
     "KADEMLIA_BITS",
     "FindNodeResult",
     "KBucket",
-    "KademliaLookupResult",
     "KademliaNetwork",
     "KademliaNode",
     "RoutingTable",
     "iterative_find_node",
+    "next_hop",
     "oblivious_policy",
     "optimal_policy",
-    "route",
     "uniform_policy",
 ]

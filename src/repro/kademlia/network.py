@@ -26,16 +26,13 @@ import random
 from bisect import bisect_left, insort
 from typing import Callable, Iterable
 
+from repro.core.frequency import ExactFrequencyTable
 from repro.core.kademlia_selection import select_kademlia
 from repro.core.oblivious import select_kademlia_oblivious, select_uniform_random
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.kademlia.node import KademliaNode, RoutingTable
-from repro.kademlia.routing import (
-    FindNodeResult,
-    KademliaLookupResult,
-    iterative_find_node,
-    route,
-)
+from repro.kademlia.routing import FindNodeResult, iterative_find_node, next_hop
+from repro.routing import LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_non_negative_int, require_positive_int
@@ -339,17 +336,14 @@ class KademliaNetwork:
         retry=None,
         faults=None,
         trace=None,
-    ) -> KademliaLookupResult:
-        """Route a query for ``key`` from ``source``; see :func:`route`.
-
-        ``retry``/``faults`` forward to the router's fault-aware knobs
-        (:class:`~repro.faults.retry.RetryPolicy`,
-        :class:`~repro.faults.plane.FaultPlane`); ``trace`` attaches an
-        observe-only :class:`~repro.obs.recorder.TraceRecorder`."""
+    ) -> LookupResult:
+        """Route a query for ``key`` from ``source`` with Kademlia's
+        forwarding rule; see :func:`repro.routing.route` for the knobs."""
         return route(
             self,
             source,
             key,
+            next_hop,
             record_access=record_access,
             retry=retry,
             faults=faults,
@@ -372,14 +366,7 @@ class KademliaNetwork:
 
     def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
         """Pre-load a node's tracker with a destination distribution."""
-        from repro.core.frequency import ExactFrequencyTable
-
-        node = self.nodes[node_id]
-        tracker = ExactFrequencyTable()
-        for peer, weight in frequencies.items():
-            if peer != node_id and weight > 0:
-                tracker.observe(peer, weight)
-        node.tracker = tracker
+        self.nodes[node_id].tracker = ExactFrequencyTable.seeded(frequencies, node_id)
 
     # ------------------------------------------------------------------
     # Internals

@@ -236,6 +236,15 @@ class KademliaNode:
         """Every currently-known contact."""
         return self.core | self.auxiliary
 
+    def pointer_class(self, target: int) -> str:
+        """Which pointer kind holds ``target``; an id living in both sets
+        is credited to the stronger claim (core > auxiliary)."""
+        if target in self.core:
+            return "core"
+        if target in self.auxiliary:
+            return "auxiliary"
+        return "unknown"
+
     def class_snapshot(self) -> dict[int, frozenset[int]]:
         """Read-only copy of the per-class index (verification hook)."""
         return {prefix: frozenset(members) for prefix, members in self.classes.items()}

@@ -1,20 +1,21 @@
-"""Kademlia XOR routing: greedy forwarding plus the iterative FIND_NODE.
+"""Kademlia XOR routing: the greedy forwarding rule plus FIND_NODE.
 
 Kademlia's metric is ``d(u, v) = u XOR v``; its *distance class* is
 ``bitlength(u XOR v)``. Two lookup styles are implemented:
 
-* :func:`route` — hop-accounted greedy forwarding with the same metric
-  semantics, retry/fault handling and trace hooks as the Chord and
-  Pastry substrates: each hop forwards to the known contact strictly
-  XOR-closest to the key; the lookup terminates when the current node
-  has no strictly closer contact. On a stabilized table that terminal
-  node *is* the global XOR minimizer: if any node ``m`` were closer,
-  the highest differing bit ``q`` of ``m XOR key`` vs ``current XOR key``
-  puts ``m`` in the current node's prefix class ``b - 1 - q``, every
-  member of which is strictly closer — and core maintenance keeps at
-  least one contact in every non-empty class (non-owner buckets evict
-  only past ``bucket_size`` entries of the *same* class; the owner-range
-  bucket splits instead of evicting).
+* :func:`next_hop` — the greedy forwarding rule that
+  :func:`repro.routing.route` wraps with the same hop accounting,
+  retry/fault handling and trace hooks as the Chord and Pastry rules:
+  each hop forwards to the known contact strictly XOR-closest to the
+  key; the lookup terminates when the current node has no strictly
+  closer contact. On a stabilized table that terminal node *is* the
+  global XOR minimizer: if any node ``m`` were closer, the highest
+  differing bit ``q`` of ``m XOR key`` vs ``current XOR key`` puts ``m``
+  in the current node's prefix class ``b - 1 - q``, every member of
+  which is strictly closer — and core maintenance keeps at least one
+  contact in every non-empty class (non-owner buckets evict only past
+  ``bucket_size`` entries of the *same* class; the owner-range bucket
+  splits instead of evicting).
 
 * :func:`iterative_find_node` — the protocol's α-parallel node lookup
   (Maymounkov & Mazières §2.3): keep a shortlist of the ``count``
@@ -23,53 +24,20 @@ Kademlia's metric is ``d(u, v) = u XOR v``; its *distance class* is
   shortlist has been queried. Fully deterministic given the network
   state (XOR injectivity leaves no ties to break), which the
   seeded-replay tests rely on.
-
-Dead candidates cost a timeout, are evicted from the forwarding node and
-the next-best contact is tried; an optional
-:class:`~repro.faults.retry.RetryPolicy` adds bounded retries with
-backoff-as-hop-penalty, and an optional
-:class:`~repro.faults.plane.FaultPlane` can drop or block messages —
-exactly as in the other two routing layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.faults.retry import RetryPolicy
-from repro.obs.recorder import HopEvent
 from repro.util.errors import NodeAbsentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.faults.plane import FaultPlane
     from repro.kademlia.network import KademliaNetwork
-    from repro.obs.recorder import TraceRecorder
+    from repro.kademlia.node import KademliaNode
 
-__all__ = ["KademliaLookupResult", "FindNodeResult", "route", "iterative_find_node"]
-
-#: Default policy: one attempt, unit timeout penalty (legacy behaviour).
-_SINGLE_ATTEMPT = RetryPolicy.single()
-
-
-@dataclass
-class KademliaLookupResult:
-    """Outcome of one Kademlia lookup (same metric semantics as Chord's)."""
-
-    key: int
-    source: int
-    destination: int | None
-    hops: int
-    timeouts: int = 0
-    succeeded: bool = True
-    path: list[int] = field(default_factory=list)
-    penalty: float = 0.0
-
-    @property
-    def latency(self) -> int | float:
-        """Hop-count latency proxy: forwards plus timeout penalties."""
-        base = self.hops + self.timeouts
-        return base + self.penalty if self.penalty else base
+__all__ = ["FindNodeResult", "iterative_find_node", "next_hop"]
 
 
 @dataclass(frozen=True)
@@ -87,156 +55,31 @@ class FindNodeResult:
     timeouts: int
 
 
-def _best_candidate(node, key: int) -> int | None:
-    """The known contact strictly XOR-closer to ``key`` than the node
-    itself, or ``None`` when no contact improves. XOR is injective for a
-    fixed key, so the minimizer is unique — no tie-break needed."""
+def next_hop(
+    network: "KademliaNetwork",
+    node: "KademliaNode",
+    key: int,
+    auxiliary: bool = True,
+    skip_dead: bool = False,
+) -> tuple[int, None] | None:
+    """Kademlia's forwarding rule: the known contact strictly XOR-closer
+    to ``key`` than the node itself, or ``None`` when no contact
+    improves. XOR is injective for a fixed key, so the minimizer is
+    unique — no tie-break needed.
+
+    ``auxiliary=False`` scans the k-bucket contacts only; ``skip_dead``
+    passes over contacts whose node is down. The hop's pointer class
+    follows from plane membership (label ``None``).
+    """
     best = None
     best_distance = node.node_id ^ key
-    for neighbor in node.core:
-        distance = neighbor ^ key
-        if distance < best_distance:
-            best = neighbor
-            best_distance = distance
-    for neighbor in node.auxiliary:
-        distance = neighbor ^ key
-        if distance < best_distance:
-            best = neighbor
-            best_distance = distance
-    return best
-
-
-def _pointer_class(node, target: int) -> str:
-    """Which pointer kind supplied this candidate; an id living in both
-    sets is credited to the stronger claim (core > auxiliary)."""
-    if target in node.core:
-        return "core"
-    if target in node.auxiliary:
-        return "auxiliary"
-    return "unknown"
-
-
-def route(
-    network: "KademliaNetwork",
-    source: int,
-    key: int,
-    max_hops: int | None = None,
-    record_access: bool = True,
-    retry: RetryPolicy | None = None,
-    faults: "FaultPlane | None" = None,
-    trace: "TraceRecorder | None" = None,
-) -> KademliaLookupResult:
-    """Route a query for ``key`` from ``source`` across ``network``.
-
-    ``retry`` bounds delivery attempts per contact (default: one attempt,
-    evict on first timeout); ``faults`` lets a fault plane drop or block
-    individual forwards. A contact that exhausts its attempts is evicted
-    and the next iteration re-ranks, failing over to the next-closest
-    contact.
-
-    ``trace`` attaches an observe-only recorder (see
-    :mod:`repro.obs.recorder`): one :class:`~repro.obs.recorder.HopEvent`
-    per attempted forwarding target. Disabled recorders are normalized to
-    ``None`` up front, so the default path pays only inert branch checks.
-    """
-    node = network.node(source)
-    if not node.alive:
-        raise NodeAbsentError(f"source node {source} is not alive")
-    rec = trace if trace is not None and trace.enabled else None
-    events: list[HopEvent] | None = [] if rec is not None else None
-    policy = retry if retry is not None else _SINGLE_ATTEMPT
-    limit = max_hops if max_hops is not None else 4 * network.space.bits
-    true_destination = network.responsible(key)
-    if record_access and true_destination != source:
-        node.record_access(true_destination)
-
-    current = node
-    hops = 0
-    timeouts = 0
-    penalty = 0.0
-    path = [source]
-
-    def attempt_forward(target_id: int, pointer_class: str) -> bool:
-        """Try to deliver to ``target_id`` under the retry policy; on
-        exhaustion evict it from ``current`` so the next iteration fails
-        over to the next-closest contact. ``pointer_class`` labels the
-        structure that nominated the target (trace attribution only)."""
-        nonlocal timeouts, penalty
-        target = network.node(target_id)
-        if rec is None and faults is None and target.alive:
-            # Fault-free fast path: with a live target, no fault plane and
-            # no recorder, the first attempt always delivers.
-            return True
-        delivered = False
-        if rec is not None:
-            timeouts_before = timeouts
-            penalty_before = penalty
-            verdicts: list[str] = []
-        for attempt in range(policy.max_attempts):
-            if hops + timeouts > limit:
-                break
-            if target.alive and (faults is None or faults.deliver(current.node_id, target_id)):
-                delivered = True
-                break
-            if rec is not None:
-                verdicts.append("dead" if not target.alive else faults.last_verdict)
-            timeouts += 1
-            penalty += policy.attempt_penalty(attempt) - 1.0
-        if rec is not None:
-            failed = timeouts - timeouts_before
-            events.append(
-                HopEvent(
-                    forwarder=current.node_id,
-                    target=target_id,
-                    pointer_class=pointer_class,
-                    delivered=delivered,
-                    attempts=failed + (1 if delivered else 0),
-                    timeouts=failed,
-                    penalty=penalty - penalty_before,
-                    verdicts=tuple(verdicts),
-                )
-            )
-        if delivered:
-            return True
-        current.evict(target_id)
-        return False
-
-    while hops + timeouts <= limit:
-        best = _best_candidate(current, key)
-        if best is None:
-            # No strictly closer contact: this node is (locally) the XOR
-            # minimizer; on coherent tables it is the global one.
-            succeeded = current.node_id == true_destination
-            result = KademliaLookupResult(
-                key=key,
-                source=source,
-                destination=current.node_id if succeeded else None,
-                hops=hops,
-                timeouts=timeouts,
-                succeeded=succeeded,
-                path=path,
-                penalty=penalty,
-            )
-            if rec is not None:
-                rec.record_lookup(result, events)
-            return result
-        if attempt_forward(best, _pointer_class(current, best) if rec is not None else "unknown"):
-            hops += 1
-            path.append(best)
-            current = network.node(best)
-    result = KademliaLookupResult(
-        key=key,
-        source=source,
-        destination=None,
-        hops=hops,
-        timeouts=timeouts,
-        succeeded=False,
-        path=path,
-        penalty=penalty,
-    )
-    if rec is not None:
-        rec.record_lookup(result, events)
-    return result
+    for plane in (node.core, node.auxiliary) if auxiliary else (node.core,):
+        for neighbor in plane:
+            distance = neighbor ^ key
+            if distance < best_distance and (not skip_dead or network.node(neighbor).alive):
+                best = neighbor
+                best_distance = distance
+    return None if best is None else (best, None)
 
 
 def iterative_find_node(

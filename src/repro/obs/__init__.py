@@ -32,7 +32,7 @@ from repro.obs.recorder import (
 # The driver pulls in the experiment runners, which pull in the routing
 # layers, which import ``repro.obs.recorder`` — importing it eagerly here
 # would close that loop. The attribution plane imports the routing
-# layers for its oblivious walkers, so it sits in the same cycle. PEP
+# layers for their forwarding rules, so it sits in the same cycle. PEP
 # 562 lazy exports break both while keeping ``from repro.obs import
 # trace_cell`` (and ``AttributionRecorder``) working.
 _DRIVER_EXPORTS = ("TRACE_SCHEMA", "trace_cell", "trace_cells")

@@ -19,11 +19,11 @@ Per lookup the :class:`AttributionRecorder` accounts:
   was stale when consulted), the churn-facing quality signal.
 * **hop-savings attribution** — each delivered hop ``x -> y`` is
   credited ``R(x) - R(y) - 1`` marginal hops, where ``R(v)`` is the hop
-  count of the *oblivious* route from ``v`` to the key: the same greedy
-  walk the overlay's router takes, restricted to core-plane pointers
-  (fingers / successor list / leaf set / k-buckets) with auxiliary
-  pointers masked out and discovered-dead targets skipped. The credits
-  telescope, so per lookup
+  count of the *oblivious* route from ``v`` to the key: the overlay's
+  own forwarding rule (the ``next_hop`` its lookups route with) called
+  with the auxiliary plane masked, so only core-plane pointers
+  (fingers / successor list / leaf set / k-buckets) remain, and with
+  discovered-dead targets skipped. The credits telescope, so per lookup
 
   ``sum(credits) == R(source) - R(terminal) - delivered_hops``
 
@@ -32,11 +32,10 @@ Per lookup the :class:`AttributionRecorder` accounts:
   ``sum(credited savings) == oblivious hops - observed hops``. The
   recorder machine-checks the telescoped identity on every lookup and
   keeps any violation message — a double-crediting bug cannot hide.
-  Because the oblivious next hop is, on every overlay, the argmin of the
-  same ranking the real router uses over a *subset* of its candidates,
-  a hop resolved by a core-plane pointer has the oblivious route take
-  the identical hop, so non-auxiliary hops earn exactly zero credit
-  without any special-casing.
+  Because the oblivious next hop is the same rule ranking a *subset* of
+  the router's candidates, a hop resolved by a core-plane pointer has
+  the oblivious route take the identical hop, so non-auxiliary hops earn
+  exactly zero credit without any special-casing.
 * **measured per-node query rates** — :meth:`measured_loads` exports
   add-one-smoothed, mean-1 load weights straight into
   :class:`~repro.core.budget.CostCurve` ``load=``, closing ROADMAP's
@@ -59,11 +58,15 @@ lets ``tests/obs`` pin object-graph vs columnar attribution equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
+from repro.chord import routing as chord_routing
+from repro.kademlia import routing as kademlia_routing
 from repro.obs.recorder import HopEvent
-from repro.pastry.routing import _leaf_geometry, circular_distance
+from repro.pastry import routing as pastry_routing
+from repro.routing import LookupResult, hop_limit
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -79,151 +82,58 @@ OVERLAY_KINDS = ("chord", "pastry", "kademlia")
 
 
 # ----------------------------------------------------------------------
-# Oblivious (auxiliary-masked) next-hop walkers
+# The oblivious (auxiliary-masked) walk
 # ----------------------------------------------------------------------
-#
-# Each walker answers "where would greedy routing forward from ``node``
-# for ``key`` if only core-plane pointers existed?" — the baseline the
-# marginal credit of every auxiliary pointer is measured against.
-# Targets the overlay already knows to be dead are skipped: the real
-# router discovers them at the cost of a timeout and retries with the
-# next-best entry, and the baseline counts hops, not timeouts.
 
 
-def _chord_next_hop(ring, node, key: int) -> int | None:
-    """Masked :meth:`RingTable.next_hop`: the ring-predecessor of ``key``
-    among the node's live core fingers and successor list — the entry
-    with the largest clockwise gap from the owner not passing the key."""
-    space = node.space
-    mask = space.mask
-    owner = node.node_id
-    key_gap = (key - owner) & mask
-    best = None
-    best_gap = 0
-    for entry in node.core:
-        gap = (entry - owner) & mask
-        if best_gap < gap <= key_gap and ring.node(entry).alive:
-            best = entry
-            best_gap = gap
-    for entry in node.successors:
-        gap = (entry - owner) & mask
-        if best_gap < gap <= key_gap and ring.node(entry).alive:
-            best = entry
-            best_gap = gap
-    return best
-
-
-def _kademlia_next_hop(network, node, key: int) -> int | None:
-    """Masked :func:`repro.kademlia.routing._best_candidate`: the live
-    k-bucket contact strictly XOR-closest to ``key`` (XOR is injective
-    for a fixed key, so no tie-break is needed)."""
-    best = None
-    best_distance = node.node_id ^ key
-    for neighbor in node.core:
-        distance = neighbor ^ key
-        if distance < best_distance and network.node(neighbor).alive:
-            best = neighbor
-            best_distance = distance
-    return best
-
-
-def _pastry_next_hop(network, node, key: int, mode: str) -> int | None:
-    """Masked Pastry stage loop: leaf delivery, then prefix repair over
-    the cell's core/leaf entries, then the numerically-closer fallback —
-    auxiliary pointers removed from stages two and three (the leaf set
-    is core plane and stays)."""
-    space = network.space
-    # Stage 1 — leaf-set delivery, over live known nodes. The coverage
-    # arc itself still spans the full leaf set (matching what the node
-    # believes before it discovers a leaf is dead).
-    if not node.leaves:
-        return None  # isolated node delivers locally: terminal
-    covers_all, arc_start, span, known, radius = _leaf_geometry(network, node)
-    if covers_all or space.gap(arc_start, key) <= span:
-        live = [
-            c
-            for c in known
-            if c == node.node_id or network.node(c).alive
-        ]
-        closest = min(live, key=lambda c: (circular_distance(space, c, key), c))
-        return None if closest == node.node_id else closest
-    # Stage 2 — prefix repair restricted to core/leaf cell entries.
-    pool = [
-        c
-        for c in node.candidates_for(key)
-        if (c in node.core or c in node.leaves) and network.node(c).alive
-    ]
-    if pool:
-        if mode == "greedy":
-            return min(
-                pool,
-                key=lambda c: (
-                    -space.common_prefix_length(c, key),
-                    circular_distance(space, c, key),
-                    c,
-                ),
-            )
-
-        def sort_key(candidate: int):
-            numeric = circular_distance(space, candidate, key)
-            if numeric <= radius:
-                return (0, float(numeric), candidate)
-            return (1, network.proximity.latency(node.node_id, candidate), candidate)
-
-        return min(pool, key=sort_key)
-    # Stage 3 — rare-case fallback: any live core/leaf neighbor strictly
-    # numerically closer to the key.
-    own = circular_distance(space, node.node_id, key)
-    best = None
-    best_distance = own
-    for neighbor in node.core | node.leaves:
-        if not network.node(neighbor).alive:
-            continue
-        distance = circular_distance(space, neighbor, key)
-        if distance < best_distance or (
-            distance == best_distance and best is not None and neighbor < best
-        ):
-            best = neighbor
-            best_distance = distance
-    return best
+def _forwarding_rule(kind: str, mode: str):
+    """The overlay's own forwarding rule (Pastry's bound to ``mode``)."""
+    if kind not in OVERLAY_KINDS:
+        raise ConfigurationError(
+            f"unknown overlay kind {kind!r}; expected one of {OVERLAY_KINDS}"
+        )
+    if kind == "chord":
+        return chord_routing.next_hop
+    if kind == "kademlia":
+        return kademlia_routing.next_hop
+    return partial(pastry_routing.next_hop, mode=mode)
 
 
 class _ObliviousWalker:
-    """Hop counts of the auxiliary-masked greedy route, with suffix
-    memoization: the masked next hop is a pure function of the overlay
-    state, so every node on a walk shares the walk's suffix lengths."""
+    """Hop counts of the oblivious route: the router's rule with the
+    auxiliary plane masked — the baseline every auxiliary pointer's
+    marginal credit is measured against. Targets the overlay already
+    knows to be dead are skipped: the real router discovers them at the
+    cost of a timeout and retries with the next-best entry, and the
+    baseline counts hops, not timeouts. The masked next hop is a pure
+    function of the overlay state, so every node on a walk shares the
+    walk's suffix lengths (memoized)."""
 
-    __slots__ = ("kind", "overlay", "mode", "limit")
+    __slots__ = ("overlay", "next_hop", "limit")
 
     def __init__(self, kind: str, overlay, mode: str) -> None:
-        self.kind = kind
         self.overlay = overlay
-        self.mode = mode
-        self.limit = 4 * overlay.space.bits
-
-    def next_hop(self, node_id: int, key: int) -> int | None:
-        node = self.overlay.node(node_id)
-        if self.kind == "chord":
-            return _chord_next_hop(self.overlay, node, key)
-        if self.kind == "kademlia":
-            return _kademlia_next_hop(self.overlay, node, key)
-        return _pastry_next_hop(self.overlay, node, key, self.mode)
+        self.next_hop = _forwarding_rule(kind, mode)
+        self.limit = hop_limit(overlay.space)
 
     def route_length(self, start: int, key: int, memo: dict[int, int | None]) -> int | None:
         """``R(start)`` for ``key``, or ``None`` past the hop limit
-        (the same ``4 * bits`` bound the real routers use)."""
+        (the same bound the real routers use)."""
+        overlay = self.overlay
         path = [start]
         current = start
         while current not in memo:
-            nxt = self.next_hop(current, key)
-            if nxt is None:
+            step = self.next_hop(
+                overlay, overlay.node(current), key, auxiliary=False, skip_dead=True
+            )
+            if step is None:
                 memo[current] = 0
                 break
             if len(path) > self.limit:
                 memo[current] = None
                 break
-            path.append(nxt)
-            current = nxt
+            current = step[0]
+            path.append(current)
         tail = memo[current]
         for depth, visited in enumerate(reversed(path)):
             memo[visited] = None if tail is None else tail + depth
@@ -243,12 +153,7 @@ def oblivious_route_length(
 ) -> int | None:
     """Hop count of the oblivious (auxiliary-masked) route from
     ``source`` to ``key``, or ``None`` when it exceeds the hop limit."""
-    if kind not in OVERLAY_KINDS:
-        raise ConfigurationError(
-            f"unknown overlay kind {kind!r}; expected one of {OVERLAY_KINDS}"
-        )
-    walker = _ObliviousWalker(kind, overlay, mode)
-    return walker.route_length(source, key, {})
+    return _ObliviousWalker(kind, overlay, mode).route_length(source, key, {})
 
 
 # ----------------------------------------------------------------------
@@ -332,10 +237,7 @@ class AttributionRecorder:
         attribute: bool = True,
         enabled: bool = True,
     ) -> None:
-        if kind not in OVERLAY_KINDS:
-            raise ConfigurationError(
-                f"unknown overlay kind {kind!r}; expected one of {OVERLAY_KINDS}"
-            )
+        self._walker = _ObliviousWalker(kind, overlay, mode)
         self.enabled = enabled
         self.kind = kind
         self.overlay = overlay
@@ -348,7 +250,6 @@ class AttributionRecorder:
         self.source_counts: dict[int, int] = {}
         self.totals = _Totals()
         self.conservation_failures: list[str] = []
-        self._walker = _ObliviousWalker(kind, overlay, mode)
 
     # -- TraceRecorder protocol ----------------------------------------
 
@@ -539,21 +440,6 @@ class TeeRecorder:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LaneResult:
-    """Result-shaped view of one batched lane (fault-free by
-    construction: the columnar engine routes live snapshots only)."""
-
-    key: int
-    source: int
-    destination: int | None
-    hops: int
-    succeeded: bool
-    timeouts: int = 0
-    penalty: float = 0.0
-    path: list[int] = field(default_factory=list)
-
-
 def attribute_batch(
     recorder: AttributionRecorder,
     result,
@@ -584,7 +470,7 @@ def attribute_batch(
             )
             for index in range(len(path) - 1)
         ]
-        lane_result = _LaneResult(
+        lane_result = LookupResult(
             key=int(key),
             source=int(source),
             destination=destination if destination >= 0 else None,

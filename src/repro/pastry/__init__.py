@@ -8,16 +8,15 @@ from repro.pastry.network import (
 )
 from repro.pastry.node import PastryNode
 from repro.pastry.proximity import ProximityModel
-from repro.pastry.routing import PastryLookupResult, circular_distance, route
+from repro.pastry.routing import circular_distance, next_hop
 
 __all__ = [
-    "PastryLookupResult",
     "PastryNetwork",
     "PastryNode",
     "ProximityModel",
     "circular_distance",
+    "next_hop",
     "oblivious_policy",
     "optimal_policy",
-    "route",
     "uniform_policy",
 ]

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from functools import partial
 from typing import Callable, Iterable
 
+from repro.core.frequency import ExactFrequencyTable
 from repro.core.oblivious import select_pastry_oblivious, select_uniform_random
 from repro.core.pastry_selection import select_pastry
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.pastry.node import PastryNode
 from repro.pastry.proximity import ProximityModel
-from repro.pastry.routing import PastryLookupResult, circular_distance, route
+from repro.pastry.routing import ROUTING_MODES, circular_distance, next_hop
+from repro.routing import LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_non_negative_int, require_positive_int
@@ -160,7 +163,7 @@ class PastryNetwork:
         if existing is not None:
             # Keep the node unroutable while the join message travels.
             existing.alive = False
-        answer = route(self, bootstrap, node_id, record_access=False)
+        answer = route(self, bootstrap, node_id, next_hop, record_access=False)
         node = existing
         if node is None:
             node = PastryNode(node_id, self.space, self.digit_bits, self.leaf_radius)
@@ -358,18 +361,19 @@ class PastryNetwork:
         retry=None,
         faults=None,
         trace=None,
-    ) -> PastryLookupResult:
-        """Route a query for ``key`` from ``source``; see :func:`route`.
-
-        ``retry``/``faults`` forward to the router's fault-aware knobs
-        (:class:`~repro.faults.retry.RetryPolicy`,
-        :class:`~repro.faults.plane.FaultPlane`); ``trace`` attaches an
-        observe-only :class:`~repro.obs.recorder.TraceRecorder`."""
+    ) -> LookupResult:
+        """Route a query for ``key`` from ``source`` with Pastry's
+        forwarding rule in routing ``mode`` (``"proximity"`` or
+        ``"greedy"``); see :func:`repro.routing.route` for the knobs."""
+        if mode not in ROUTING_MODES:
+            raise ConfigurationError(
+                f"unknown routing mode {mode!r}; expected one of {ROUTING_MODES}"
+            )
         return route(
             self,
             source,
             key,
-            mode=mode,
+            partial(next_hop, mode=mode),
             record_access=record_access,
             retry=retry,
             faults=faults,
@@ -378,14 +382,7 @@ class PastryNetwork:
 
     def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
         """Pre-load a node's tracker with a destination distribution."""
-        from repro.core.frequency import ExactFrequencyTable
-
-        node = self.nodes[node_id]
-        tracker = ExactFrequencyTable()
-        for peer, weight in frequencies.items():
-            if peer != node_id and weight > 0:
-                tracker.observe(peer, weight)
-        node.tracker = tracker
+        self.nodes[node_id].tracker = ExactFrequencyTable.seeded(frequencies, node_id)
 
     # ------------------------------------------------------------------
     # Internals

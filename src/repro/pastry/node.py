@@ -144,6 +144,18 @@ class PastryNode:
         """Every currently-known neighbor."""
         return self.core | self.auxiliary | self.leaves
 
+    def pointer_class(self, target: int) -> str:
+        """Which pointer kind holds ``target``; an id living in several
+        sets is credited to the strongest claim (core > leaf >
+        auxiliary)."""
+        if target in self.core:
+            return "core"
+        if target in self.leaves:
+            return "leaf"
+        if target in self.auxiliary:
+            return "auxiliary"
+        return "unknown"
+
     def leaf_snapshot(self) -> frozenset[int]:
         """Read-only copy of the leaf set (verification hook)."""
         return frozenset(self.leaves)

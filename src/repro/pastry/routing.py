@@ -1,4 +1,4 @@
-"""Pastry prefix routing with greedy and locality-aware next-hop modes.
+"""Pastry's forwarding rule: leaf delivery, prefix repair, fallback.
 
 Per Section II-A, a query is routed to the node numerically closest to the
 key; each hop forwards to a neighbor sharing a strictly longer prefix with
@@ -17,38 +17,25 @@ Two next-hop choices among the candidates that repair the next digit:
   FreePastry's deliver-direct short cut when the key falls inside a
   known node's leaf range.
 
-Dead candidates cost a timeout, are evicted from the forwarding node and
-the next-best candidate is tried, exactly as in the Chord substrate.
-
-Fault-aware routing mirrors the Chord side: an optional
-:class:`~repro.faults.retry.RetryPolicy` retries a timed-out forward with
-backoff-as-hop-penalty before evicting and failing over (leaf set and
-next-ranked candidate provide the redundancy), and an optional
-:class:`~repro.faults.plane.FaultPlane` can drop or block messages. The
-defaults reproduce the pre-fault behaviour bit for bit.
+:func:`next_hop` is that rule; :func:`repro.routing.route` wraps it with
+retries, fault delivery, eviction and tracing. After a dead candidate is
+evicted the next call re-ranks, failing over to the leaf set or the
+next-ranked candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.faults.retry import RetryPolicy
-from repro.obs.recorder import HopEvent
-from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.faults.plane import FaultPlane
-    from repro.obs.recorder import TraceRecorder
     from repro.pastry.network import PastryNetwork
+    from repro.pastry.node import PastryNode
 
-__all__ = ["PastryLookupResult", "circular_distance", "route"]
+__all__ = ["ROUTING_MODES", "circular_distance", "next_hop"]
 
 ROUTING_MODES = ("greedy", "proximity")
-
-#: Default policy: one attempt, unit timeout penalty (legacy behaviour).
-_SINGLE_ATTEMPT = RetryPolicy.single()
 
 
 def circular_distance(space: IdSpace, a: int, b: int) -> int:
@@ -57,240 +44,92 @@ def circular_distance(space: IdSpace, a: int, b: int) -> int:
     return min(gap, space.size - gap)
 
 
-@dataclass
-class PastryLookupResult:
-    """Outcome of one Pastry lookup (same metric semantics as Chord's)."""
-
-    key: int
-    source: int
-    destination: int | None
-    hops: int
-    timeouts: int = 0
-    succeeded: bool = True
-    path: list[int] = field(default_factory=list)
-    penalty: float = 0.0
-
-    @property
-    def latency(self) -> int | float:
-        """Hop-count latency proxy: forwards plus timeout penalties."""
-        base = self.hops + self.timeouts
-        return base + self.penalty if self.penalty else base
-
-
-def _ranked_candidates(network: "PastryNetwork", node, key: int, mode: str) -> list[int]:
-    """Next-hop candidates in preference order for the given mode."""
-    space = network.space
-    candidates = node.candidates_for(key)
-    if not candidates:
-        return []
-    if mode == "greedy":
-        return sorted(
-            candidates,
-            key=lambda c: (
-                -space.common_prefix_length(c, key),
-                circular_distance(space, c, key),
-                c,
-            ),
-        )
-    # Locality-aware: a candidate that is, as far as this node can tell,
-    # already the key's neighborhood — judged against the node's own
-    # leaf-set radius, a purely local density estimate — can deliver
-    # directly, so those rank first by numeric closeness. Everything else
-    # follows FreePastry's closest-live-candidate-by-latency rule.
-    radius = _leaf_geometry(network, node)[4] if node.leaves else 0
-
-    def sort_key(candidate: int):
-        numeric = circular_distance(space, candidate, key)
-        if numeric <= radius:
-            return (0, float(numeric), candidate)
-        return (1, network.proximity.latency(node.node_id, candidate), candidate)
-
-    return sorted(candidates, key=sort_key)
-
-
-def _pointer_class(node, target: int) -> str:
-    """Which pointer kind supplied this candidate; an id living in several
-    sets is credited to the strongest claim (core > leaf > auxiliary)."""
-    if target in node.core:
-        return "core"
-    if target in node.leaves:
-        return "leaf"
-    if target in node.auxiliary:
-        return "auxiliary"
-    return "unknown"
-
-
-def route(
+def next_hop(
     network: "PastryNetwork",
-    source: int,
+    node: "PastryNode",
     key: int,
     mode: str = "proximity",
-    max_hops: int | None = None,
-    record_access: bool = True,
-    retry: RetryPolicy | None = None,
-    faults: "FaultPlane | None" = None,
-    trace: "TraceRecorder | None" = None,
-) -> PastryLookupResult:
-    """Route a query for ``key`` from ``source`` across ``network``.
+    auxiliary: bool = True,
+    skip_dead: bool = False,
+) -> tuple[int, str | None] | None:
+    """Pastry's forwarding rule, in three stages.
 
-    ``retry`` bounds delivery attempts per neighbor (default: one attempt,
-    evict on first timeout); ``faults`` lets a fault plane drop or block
-    individual forwards. A neighbor that exhausts its attempts is evicted
-    and the next iteration fails over to the leaf set / next-ranked
-    candidate.
+    1. *Leaf delivery* (label ``"leaf"``): when the key lies inside the
+       node's leaf-set coverage, the numerically closest of
+       ``leaves ∪ {self}`` — terminal when that is the node itself.
+    2. *Prefix repair* (label from plane membership): the best-ranked
+       candidate of the routing-table cell that repairs the key's next
+       digit, ranked by ``mode``.
+    3. *Fallback* (label ``"fallback"``): the known neighbor strictly
+       numerically closest to the key; terminal when none is closer.
 
-    ``trace`` attaches an observe-only recorder (see
-    :mod:`repro.obs.recorder`): one :class:`~repro.obs.recorder.HopEvent`
-    per attempted forwarding target, delivered to the recorder together
-    with the finished result. Disabled recorders are normalized to
-    ``None`` up front, so the default path pays only inert branch checks.
+    ``auxiliary=False`` removes auxiliary pointers from stages two and
+    three (the leaf set is core plane and stays); ``skip_dead`` passes
+    over targets whose node is down. The coverage arc always spans the
+    whole leaf set, which is what the node believes before it discovers
+    a leaf is dead.
     """
-    if mode not in ROUTING_MODES:
-        raise ConfigurationError(f"unknown routing mode {mode!r}; expected one of {ROUTING_MODES}")
-    node = network.node(source)
-    if not node.alive:
-        raise NodeAbsentError(f"source node {source} is not alive")
-    rec = trace if trace is not None and trace.enabled else None
-    events: list[HopEvent] | None = [] if rec is not None else None
-    policy = retry if retry is not None else _SINGLE_ATTEMPT
+    if not node.leaves:
+        return None  # isolated node: deliver locally
     space = network.space
-    limit = max_hops if max_hops is not None else 4 * space.bits
-    true_destination = network.responsible(key)
-    if record_access and true_destination != source:
-        node.record_access(true_destination)
+    own = node.node_id
+    covers_all, arc_start, span, known, radius = _leaf_geometry(network, node)
+    if covers_all or space.gap(arc_start, key) <= span:
+        if skip_dead:
+            known = [c for c in known if c == own or network.node(c).alive]
+        closest = min(known, key=lambda c: (circular_distance(space, c, key), c))
+        return None if closest == own else (closest, "leaf")
 
-    current = node
-    hops = 0
-    timeouts = 0
-    penalty = 0.0
-    path = [source]
+    def usable(candidate: int) -> bool:
+        return (auxiliary or candidate in node.core or candidate in node.leaves) and (
+            not skip_dead or network.node(candidate).alive
+        )
 
-    def attempt_forward(target_id: int, pointer_class: str) -> bool:
-        """Try to deliver to ``target_id`` under the retry policy; on
-        exhaustion evict it from ``current`` so the next iteration fails
-        over to the next-best neighbor. ``pointer_class`` labels the
-        structure that nominated the target (trace attribution only)."""
-        nonlocal timeouts, penalty
-        target = network.node(target_id)
-        if rec is None and faults is None and target.alive:
-            # Fault-free fast path: with a live target, no fault plane and
-            # no recorder, the first attempt always delivers, so the retry
-            # loop below reduces to this one branch.
-            return True
-        delivered = False
-        if rec is not None:
-            timeouts_before = timeouts
-            penalty_before = penalty
-            verdicts: list[str] = []
-        for attempt in range(policy.max_attempts):
-            if hops + timeouts > limit:
-                break
-            if target.alive and (faults is None or faults.deliver(current.node_id, target_id)):
-                delivered = True
-                break
-            if rec is not None:
-                verdicts.append("dead" if not target.alive else faults.last_verdict)
-            timeouts += 1
-            penalty += policy.attempt_penalty(attempt) - 1.0
-        if rec is not None:
-            failed = timeouts - timeouts_before
-            events.append(
-                HopEvent(
-                    forwarder=current.node_id,
-                    target=target_id,
-                    pointer_class=pointer_class,
-                    delivered=delivered,
-                    attempts=failed + (1 if delivered else 0),
-                    timeouts=failed,
-                    penalty=penalty - penalty_before,
-                    verdicts=tuple(verdicts),
-                )
-            )
-        if delivered:
-            return True
-        current.evict(target_id)
-        return False
+    pool = [c for c in node.candidates_for(key) if usable(c)]
+    if pool:
+        if mode == "greedy":
+            return min(
+                pool,
+                key=lambda c: (
+                    -space.common_prefix_length(c, key),
+                    circular_distance(space, c, key),
+                    c,
+                ),
+            ), None
 
-    while hops + timeouts <= limit:
-        # Leaf-set delivery: when the key falls inside the current leaf
-        # coverage, jump straight to the numerically closest known node.
-        closest = _leaf_delivery_target(network, current, key)
-        if closest == current.node_id:
-            succeeded = current.node_id == true_destination
-            result = PastryLookupResult(
-                key=key,
-                source=source,
-                destination=current.node_id if succeeded else None,
-                hops=hops,
-                timeouts=timeouts,
-                succeeded=succeeded,
-                path=path,
-                penalty=penalty,
-            )
-            if rec is not None:
-                rec.record_lookup(result, events)
-            return result
-        if closest is not None:
-            if attempt_forward(closest, "leaf"):
-                hops += 1
-                path.append(closest)
-                current = network.node(closest)
+        # Locality-aware: a candidate that is, as far as this node can
+        # tell, already the key's neighborhood — judged against the
+        # node's own leaf-set radius, a purely local density estimate —
+        # can deliver directly, so those rank first by numeric closeness.
+        # Everything else follows FreePastry's closest-live-candidate-by-
+        # latency rule.
+        def rank(candidate: int):
+            numeric = circular_distance(space, candidate, key)
+            if numeric <= radius:
+                return (0, float(numeric), candidate)
+            return (1, network.proximity.latency(own, candidate), candidate)
+
+        return min(pool, key=rank), None
+    # Rare case: empty cell. Any known neighbor strictly numerically
+    # closer to the key (Section II-A's "numerically closest" objective
+    # keeps making progress), preferring the closest, then the lower id.
+    best = None
+    best_distance = circular_distance(space, own, key)
+    for neighbor in node.neighbor_ids():
+        if not usable(neighbor):
             continue
-        candidates = _ranked_candidates(network, current, key, mode)
-        if candidates:
-            # Only the best-ranked candidate is attempted; on failure the
-            # eviction changes the candidate set, so re-rank from scratch.
-            best = candidates[0]
-            if attempt_forward(
-                best, _pointer_class(current, best) if rec is not None else "unknown"
-            ):
-                hops += 1
-                path.append(best)
-                current = network.node(best)
-            continue
-        # Rare case: empty cell. Fall back to any known neighbor strictly
-        # numerically closer to the key (Section II-A's "numerically
-        # closest" objective keeps making progress).
-        fallback = _numerically_closer_neighbor(network, current, key)
-        if fallback is None:
-            succeeded = current.node_id == true_destination
-            result = PastryLookupResult(
-                key=key,
-                source=source,
-                destination=current.node_id if succeeded else None,
-                hops=hops,
-                timeouts=timeouts,
-                succeeded=succeeded,
-                path=path,
-                penalty=penalty,
-            )
-            if rec is not None:
-                rec.record_lookup(result, events)
-            return result
-        if attempt_forward(fallback, "fallback"):
-            hops += 1
-            path.append(fallback)
-            current = network.node(fallback)
-    result = PastryLookupResult(
-        key=key,
-        source=source,
-        destination=None,
-        hops=hops,
-        timeouts=timeouts,
-        succeeded=False,
-        path=path,
-        penalty=penalty,
-    )
-    if rec is not None:
-        rec.record_lookup(result, events)
-    return result
+        distance = circular_distance(space, neighbor, key)
+        if distance < best_distance or (distance == best_distance and best is not None and neighbor < best):
+            best = neighbor
+            best_distance = distance
+    return None if best is None else (best, "fallback")
 
 
 def _leaf_geometry(network: "PastryNetwork", node) -> tuple:
     """Leaf-set geometry, cached on the node until its leaves change.
 
     Returns ``(covers_all, arc_start, span, known, radius_max)`` where the
-    first three describe the covered arc (see :func:`_leaf_delivery_target`),
+    first three describe the covered arc (see :func:`next_hop`),
     ``known`` is ``leaves ∪ {self}`` as a list, and ``radius_max`` is the
     largest numeric distance to any leaf (the local density estimate the
     proximity mode ranks with). All of it depends only on the leaf set, yet
@@ -316,38 +155,3 @@ def _leaf_geometry(network: "PastryNetwork", node) -> tuple:
     cached = (covers_all, arc_start, span, leaves + [own], radius_max)
     node._leaf_cache = cached
     return cached
-
-
-def _leaf_delivery_target(network: "PastryNetwork", node, key: int) -> int | None:
-    """When the key lies inside the node's leaf-set coverage, the delivery
-    target: the numerically closest of ``leaves ∪ {self}``. ``None`` when
-    the leaf set does not cover the key (or is empty).
-
-    Coverage follows Pastry's ``[L_min, L_max]`` test with the leaf set's
-    *sided* semantics: the ``leaf_radius`` nearest successors and the
-    ``leaf_radius`` nearest predecessors bound a contiguous arc through
-    the node; keys on that arc are deliverable locally, keys beyond it may
-    belong to nodes this one has never heard of. When the two arms wrap
-    (small networks), everything is covered."""
-    space = network.space
-    if not node.leaves:
-        return node.node_id  # isolated node: deliver locally
-    covers_all, arc_start, span, known, _ = _leaf_geometry(network, node)
-    if not covers_all and space.gap(arc_start, key) > span:
-        return None
-    return min(known, key=lambda c: (circular_distance(space, c, key), c))
-
-
-def _numerically_closer_neighbor(network: "PastryNetwork", node, key: int) -> int | None:
-    """Any known neighbor strictly numerically closer to the key than the
-    current node, preferring the closest (Pastry's rare-case rule)."""
-    space = network.space
-    own = circular_distance(space, node.node_id, key)
-    best = None
-    best_distance = own
-    for neighbor in node.neighbor_ids():
-        distance = circular_distance(space, neighbor, key)
-        if distance < best_distance or (distance == best_distance and best is not None and neighbor < best):
-            best = neighbor
-            best_distance = distance
-    return best

@@ -26,12 +26,10 @@ is >= 5x on both cost kernels at n=1024. ``parallel.identical`` must be
 ``true`` — it certifies that worker-process fan-out reproduces the serial
 sweep bit for bit. ``obs_overhead.passed`` must be ``true`` — it
 certifies that routing with a disabled trace recorder costs < 2% over
-routing with no recorder (see :mod:`repro.perf.overhead`).
-``telemetry_overhead.passed`` must be ``true`` — the same bar for the
-disabled telemetry runtime (see :mod:`repro.perf.telemetry`).
-``cachestats_overhead.passed`` must be ``true`` — the same bar again for
-a disabled :class:`~repro.obs.attribution.AttributionRecorder` (see
-:mod:`repro.perf.cachestats`).
+routing with no recorder; ``telemetry_overhead.passed`` and
+``cachestats_overhead.passed`` hold the disabled telemetry runtime and a
+disabled :class:`~repro.obs.attribution.AttributionRecorder` to the same
+bar (one harness measures all three; see :mod:`repro.perf.overhead`).
 The ``engine_*`` sections certify the columnar simulation engine: cross-
 engine results identical, batched routing >= 10x the object routers at
 full scale, and <= 1 KiB of columnar image per node (see
@@ -48,12 +46,10 @@ import platform
 import sys
 
 from repro.obs.manifest import build_manifest
-from repro.perf.cachestats import cachestats_overhead_benchmark
 from repro.perf.engine import engine_equivalence, engine_memory, engine_speedup
 from repro.perf.macro import macro_benchmarks, parallel_identity_check
 from repro.perf.micro import KERNEL_PAIRS, micro_benchmarks
 from repro.perf.overhead import overhead_benchmark
-from repro.perf.telemetry import telemetry_overhead_benchmark
 from repro.util.parallel import resolve_jobs
 
 __all__ = ["BENCH_SCHEMA", "run_bench", "write_bench"]
@@ -92,9 +88,9 @@ def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
         # At least two workers so the check exercises a real process pool
         # even on single-CPU boxes.
         "parallel": parallel_identity_check(max(2, resolved_jobs), smoke=smoke),
-        "obs_overhead": overhead_benchmark(smoke=smoke),
-        "telemetry_overhead": telemetry_overhead_benchmark(smoke=smoke),
-        "cachestats_overhead": cachestats_overhead_benchmark(smoke=smoke),
+        "obs_overhead": overhead_benchmark("obs_overhead", smoke=smoke),
+        "telemetry_overhead": overhead_benchmark("telemetry_overhead", smoke=smoke),
+        "cachestats_overhead": overhead_benchmark("cachestats_overhead", smoke=smoke),
         "engine_equivalence": engine_equivalence(smoke=smoke),
         "engine_speedup": engine_speedup(smoke=smoke),
         "engine_memory": engine_memory(smoke=smoke),

@@ -87,7 +87,13 @@ class QueryTrace:
     def load(cls, path: str | Path) -> "QueryTrace":
         """Read a trace written by :meth:`save` (validating the format)."""
         source = Path(path)
-        with source.open("r", encoding="utf-8") as handle:
+        try:
+            handle = source.open("r", encoding="utf-8")
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot read trace {source}: {error.strerror or error}"
+            ) from error
+        with handle:
             header_line = handle.readline()
             if not header_line:
                 raise ConfigurationError(f"{source} is empty, not a trace")

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -291,3 +296,38 @@ class TestExecution:
     def test_report_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "--figures", "9"])
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "chord", "--workload", "flash-crowd:-1"], "parameter must be >= 1, got -1"),
+            (["compare", "chord", "--workload", "nosuch"], "unknown workload 'nosuch'"),
+            (["compare", "chord", "--n", "32", "--k", "40"], "k=40 must be smaller than n=32"),
+            (["compare", "chord", "--queries", "0"], "queries must be positive, got 0"),
+            (["trace", "--sample", "0"], "sample must be >= 1"),
+            (["compare", "kademlia", "--engine", "columnar"], "engine='columnar' unsupported"),
+            (
+                ["compare", "chord", "--n", "16", "--bits", "12", "--workload", "trace:/no/such/file"],
+                "cannot read trace /no/such/file",
+            ),
+            (["sweep", "chord", "alpha", "abc"], "invalid alpha value 'abc'"),
+        ],
+    )
+    def test_one_diagnostic_line_and_exit_2(self, argv, message):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("repro: error: ")
+        assert message in completed.stderr

@@ -40,6 +40,12 @@ class TestSweep:
             sweep(base_config(), "k", [])
 
 
+class TestBadValues:
+    def test_unparseable_number_names_parameter_and_value(self, base_config):
+        with pytest.raises(ConfigurationError, match=r"invalid alpha value 'abc'"):
+            sweep(base_config(), "alpha", ["abc"])
+
+
 class TestRendering:
     @pytest.fixture(scope="class")
     def rows(self, base_config):

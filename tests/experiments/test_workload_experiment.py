@@ -191,11 +191,10 @@ class TestCli:
         ):
             assert parser.parse_args(argv).workload == argv[-1]
 
-    def test_compare_rejects_unknown_workload(self):
-        from repro.util.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown workload"):
-            main(["compare", "chord", "--n", "24", "--bits", "14", "--workload", "nope"])
+    def test_compare_rejects_unknown_workload(self, capsys):
+        code = main(["compare", "chord", "--n", "24", "--bits", "14", "--workload", "nope"])
+        assert code == 2
+        assert "unknown workload" in capsys.readouterr().err
 
     def test_compare_label_carries_workload(self, capsys):
         code = main(

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from repro.chord.routing import LookupResult
 from repro.faults import FaultPlane, FaultSchedule, RetryPolicy
+from repro.routing import LookupResult
 
 
 def all_lookups(overlay, is_chord, **kwargs):

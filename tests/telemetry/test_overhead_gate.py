@@ -4,15 +4,16 @@ leaky-registry mutation test; the full gated measurement runs via
 
 The mutation test is the important one: it proves the gate would catch a
 regression where the "disabled" path silently runs a live registry. We
-monkeypatch the seam (:func:`repro.perf.telemetry.disabled_telemetry`)
+monkeypatch the seam (:func:`repro.perf.overhead.disabled_telemetry`)
 to return an *enabled* runtime and assert the measured ratio blows past
 the threshold — so a leak cannot slip through the bench unnoticed.
 """
 
-import repro.perf.telemetry as perf_telemetry
-from repro.perf.overhead import OVERHEAD_THRESHOLD, _build_workload
-from repro.perf.telemetry import (
-    TELEMETRY_THRESHOLD,
+import repro.perf.overhead as perf_overhead
+from repro.perf.overhead import (
+    OVERHEAD_THRESHOLD,
+    SECTIONS,
+    _build_workload,
     _measure_overlay,
     _trial_ratio,
     disabled_telemetry,
@@ -22,7 +23,9 @@ from repro.telemetry.runtime import RoundTelemetry
 
 class TestGatePieces:
     def test_threshold_matches_trace_gate(self):
-        assert TELEMETRY_THRESHOLD == OVERHEAD_THRESHOLD
+        # One harness gates every disabled observer on the one bar.
+        assert "telemetry_overhead" in SECTIONS and "obs_overhead" in SECTIONS
+        assert OVERHEAD_THRESHOLD == 1.02
 
     def test_disabled_telemetry_is_inert(self):
         telemetry = disabled_telemetry()
@@ -31,11 +34,14 @@ class TestGatePieces:
 
     def test_trial_ratio_is_a_sane_positive_number(self):
         overlay, pairs = _build_workload("chord", 32, 40)
-        ratio = _trial_ratio(overlay, pairs, chunk=5, rounds=2)
+        telemetry = disabled_telemetry()
+        ratio = _trial_ratio(overlay, pairs, chunk=5, rounds=2, telemetry=telemetry)
         assert 1 / 3 < ratio < 3
 
     def test_measure_overlay_reports_sorted_ratios_and_median(self):
-        report = _measure_overlay("chord", n=48, lookups=100, trials=3, chunk=5, rounds=2)
+        report = _measure_overlay(
+            "telemetry_overhead", "chord", n=48, lookups=100, trials=3, chunk=5, rounds=2
+        )
         assert report["trials"] == 3
         assert len(report["ratios"]) == 3
         assert report["ratios"] == sorted(report["ratios"])
@@ -47,9 +53,11 @@ class TestMutation:
         """If the disabled path secretly runs an enabled registry, the
         measured overhead must exceed the gate threshold."""
         monkeypatch.setattr(
-            perf_telemetry,
+            perf_overhead,
             "disabled_telemetry",
             lambda: RoundTelemetry(rounds=1, enabled=True),
         )
-        report = _measure_overlay("chord", n=64, lookups=150, trials=5, chunk=5, rounds=4)
-        assert report["median_ratio"] >= TELEMETRY_THRESHOLD
+        report = _measure_overlay(
+            "telemetry_overhead", "chord", n=64, lookups=150, trials=5, chunk=5, rounds=4
+        )
+        assert report["median_ratio"] >= OVERHEAD_THRESHOLD

@@ -170,9 +170,9 @@ class TestKademliaMutation:
         """A router that forwards to the best contact even when it is *not*
         strictly closer must trip ``routing.progress`` (the XOR distance no
         longer shrinks on every hop)."""
-        from repro.kademlia import routing as kademlia_routing
+        from repro.kademlia import network as kademlia_network
 
-        def no_filter(node, key):
+        def no_filter(network, node, key, auxiliary=True, skip_dead=False):
             best = None
             best_distance = None
             for neighbor in node.core | node.auxiliary:
@@ -180,11 +180,12 @@ class TestKademliaMutation:
                 if best_distance is None or distance < best_distance:
                     best = neighbor
                     best_distance = distance
-            return best  # may equal a contact farther than the node itself
+            # May name a contact farther than the node itself.
+            return None if best is None else (best, None)
 
         scenario = next(iter(generate_scenarios(2, 0, "kademlia")))
         assert run_scenario(scenario).passed
-        monkeypatch.setattr(kademlia_routing, "_best_candidate", no_filter)
+        monkeypatch.setattr(kademlia_network, "next_hop", no_filter)
         report = run_scenario(scenario)
         assert not report.passed
         assert any(

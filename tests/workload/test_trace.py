@@ -131,6 +131,13 @@ class TestPersistence:
             QueryTrace.load(path)
 
 
+class TestMissingFile:
+    def test_missing_trace_is_a_configuration_error_naming_the_path(self, tmp_path):
+        missing = tmp_path / "no-such-trace.jsonl"
+        with pytest.raises(ConfigurationError, match=r"no-such-trace\.jsonl"):
+            QueryTrace.load(missing)
+
+
 class TestReplay:
     def test_replay_reproducible(self, small_universe):
         ring = small_universe("chord", n=16, bits=14, seed=1)
