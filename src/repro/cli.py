@@ -573,7 +573,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 return kind(text)
             except ValueError:
                 continue
-        return text
+        return {"true": True, "false": False}.get(text.lower(), text)
 
     rows = sweep(base, args.parameter, [convert(value) for value in args.values], jobs=args.jobs)
     print(rows_to_csv(rows) if args.csv else rows_to_table(rows))
@@ -809,10 +809,9 @@ def _cmd_cachestats(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.faults.schedule import FaultSchedule
     from repro.obs.driver import trace_cell
+    from repro.obs.manifest import dump_document
     from repro.sim.runner import ExperimentConfig
 
     schedule = None
@@ -857,7 +856,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.json:
         document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
         with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+            handle.write(dump_document(document))
         print(f"\ntrace document written to {args.json}")
     print(f"\n[{watch}]")
     return 0
@@ -897,8 +896,7 @@ def _render_trace(trace: dict) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.obs.manifest import dump_document
     from repro.verify import check_scenarios, replay_failure
 
     watch = Stopwatch()
@@ -937,7 +935,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
         with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+            handle.write(dump_document(document))
         print(f"\ncheck document written to {args.json}")
     print(f"\n[{watch}]")
     if document["passed"]:
@@ -954,7 +952,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     shrunk = [failure for failure in failures if failure.get("schema")]
     if shrunk and args.repro:
         with open(args.repro, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(shrunk[0], sort_keys=True, indent=2) + "\n")
+            handle.write(dump_document(shrunk[0]))
         print(
             f"shrunk repro written to {args.repro} "
             f"(replay with: repro check --replay {args.repro})",

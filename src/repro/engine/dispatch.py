@@ -99,9 +99,10 @@ def columnar_support(config) -> tuple[bool, str]:
 def resolve_engine(config, telemetry_active: bool = False) -> str:
     """Resolve ``config.engine`` to ``"objects"`` or ``"columnar"``.
 
-    ``telemetry_active`` marks a run with an enabled telemetry runtime
-    attached; the columnar engine has no per-hop instrumentation surface,
-    so telemetry forces (or, for explicit ``columnar``, refuses) objects.
+    ``telemetry_active`` marks a run that observes or acts per lookup
+    (a telemetry runtime, a trace recorder, online learning or a
+    per-lookup hook); the columnar engine has no per-hop surface, so such
+    a run forces (or, for explicit ``columnar``, refuses) objects.
     """
     engine = getattr(config, "engine", "auto")
     if engine == "objects":
@@ -110,8 +111,9 @@ def resolve_engine(config, telemetry_active: bool = False) -> str:
     if engine == "columnar":
         if telemetry_active:
             raise ConfigurationError(
-                "engine='columnar' cannot run with telemetry attached: the "
-                "vectorized frontier has no per-hop instrumentation surface"
+                "engine='columnar' cannot run with telemetry, a trace recorder "
+                "or a per-lookup hook attached: the vectorized frontier has no "
+                "per-hop instrumentation surface"
             )
         if not supported:
             raise ConfigurationError(f"engine='columnar' unsupported for this cell: {reason}")

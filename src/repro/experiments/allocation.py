@@ -43,19 +43,23 @@ Two axes thread the workload plane into the study:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.core import budget as budget_mod
 from repro.extensions.global_greedy import network_cost
 from repro.faults.schedule import FaultSchedule
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document
 from repro.sim.metrics import ComparisonResult
-from repro.sim.runner import ChurnConfig, ExperimentConfig, _Bench, run_churn, run_stable
+from repro.sim.runner import (
+    ChurnConfig,
+    ExperimentConfig,
+    run_churn,
+    run_stable,
+    stable_universe,
+)
 from repro.util.errors import ConfigurationError
 from repro.util.parallel import run_tasks
-from repro.util.rng import SeedSequenceRegistry
 from repro.workload.spec import DEFAULT_RATE, WorkloadSpec
 
 __all__ = [
@@ -227,16 +231,13 @@ def _measured_loads(bench, preset: AllocationPreset, overlay: str) -> dict[int, 
 
 
 def _plan_one(preset: AllocationPreset, overlay: str) -> AllocationPlan:
-    """Plan stage for one overlay: seeded bench, both allocations, the
-    shared-evaluation cross-check. Pure function of the preset."""
+    """Plan stage for one overlay: the seeded, planned stable universe,
+    the uniform allocation beside its greedy plan, the load probe, and
+    the shared-evaluation cross-check. Pure function of the preset."""
     config = _cell_config(preset, overlay, "stable", "allocated")
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    bench.seed_all()
-    problems = budget_mod.overlay_problems(overlay, bench.overlay, config.frequency_limit)
-    curves = budget_mod.curves_for_problems(problems, overlay)
+    bench = stable_universe(config)
+    problems, curves, allocated = bench.problems, bench.curves, bench.allocation
     uniform = budget_mod.allocate_uniform(curves, preset.total_budget)
-    allocated = budget_mod.allocate_greedy(curves, preset.total_budget)
     measured_cost = uniform_loads_cost = load_win_pct = load_min = load_max = None
     if preset.loads == "measured":
         loads = _measured_loads(bench, preset, overlay)
@@ -258,10 +259,7 @@ def _plan_one(preset: AllocationPreset, overlay: str) -> AllocationPlan:
     # Honesty check: install the allocated plan (frequency-aware policy)
     # and re-evaluate with the shared network_cost over the exact demand
     # snapshots the curves were built from.
-    optimal, __ = bench.policies()
-    budget_mod.install_allocation(
-        bench.overlay, allocated, optimal, registry.fresh("plan-install"), config.frequency_limit
-    )
+    bench.install("optimal", bench.registry.fresh("plan-install"))
     demands = {node_id: dict(problem.frequencies) for node_id, problem in problems.items()}
     installed = network_cost(bench.overlay, demands, overlay=overlay)
     quotas = allocated.quotas.values()
@@ -444,7 +442,7 @@ def rows_to_json(
         "plans": [asdict(plan) for plan in plans],
         "rows": [asdict(row) for row in rows],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return dump_document(document)
 
 
 def _render(table: list[list[str]]) -> str:

@@ -1,9 +1,10 @@
 """Cache attribution experiment (``repro cachestats``).
 
-One cell per overlay: build the seeded bench exactly as the runners do,
-learn frequencies from a warmup pass of the configured workload, install
-the budget allocator's greedy quotas, then route a measurement stream
-with an :class:`~repro.obs.attribution.AttributionRecorder` attached —
+One cell per overlay: the runner's stable cell
+(:func:`~repro.sim.runner.stable_cell`) learns frequencies from a warmup
+pass of the configured workload, installs the budget allocator's greedy
+quotas, then routes a measurement stream with an
+:class:`~repro.obs.attribution.AttributionRecorder` attached —
 the per-(node, class) hit/use accounting, hop-savings credits, measured
 per-node loads and quota utilization the aggregate curves cannot show.
 
@@ -34,17 +35,19 @@ nothing).
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass
 
-from repro.core import budget as budget_mod
 from repro.obs.attribution import AttributionRecorder, attribute_batch
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document, json_float
 from repro.sim.metrics import HopStatistics
-from repro.sim.runner import OVERLAYS, ExperimentConfig, _Bench
+from repro.sim.runner import (
+    OVERLAYS,
+    ExperimentConfig,
+    route_columnar,
+    stable_cell,
+    stable_universe,
+)
 from repro.util.parallel import run_tasks
-from repro.util.rng import SeedSequenceRegistry
 from repro.workload.spec import DEFAULT_RATE
 
 __all__ = [
@@ -135,11 +138,6 @@ class CachestatsCell:
     top: int
 
 
-def _json_float(value: float) -> float | None:
-    """NaN is not valid strict JSON; degrade it to ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
 def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
     """Route the identical query batch through the columnar engine and
     attribute the lanes; ``True``/``False`` = matches the object-graph
@@ -148,31 +146,18 @@ def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
     if config.overlay not in ("chord", "pastry"):
         return None
     try:
-        from repro.engine.columnar import snapshot_chord, snapshot_pastry
-        from repro.engine.router import batch_route_chord, batch_route_pastry
+        batch = route_columnar(bench, queries, record_paths=True)
     except ImportError:  # pragma: no cover - NumPy-less environments
         return None
-    sources = [query.source for query in queries]
-    keys = [query.item for query in queries]
-    if config.overlay == "chord":
-        batch = batch_route_chord(
-            snapshot_chord(bench.overlay), sources, keys, record_paths=True
-        )
-    else:
-        batch = batch_route_pastry(
-            snapshot_pastry(bench.overlay),
-            sources,
-            keys,
-            mode=config.pastry_mode,
-            record_paths=True,
-        )
     columnar = AttributionRecorder(
         config.overlay,
         bench.overlay,
         mode=config.pastry_mode,
         quotas=recorder.quotas,
     )
-    attribute_batch(columnar, batch, sources, keys)
+    attribute_batch(
+        columnar, batch, [query.source for query in queries], [query.item for query in queries]
+    )
     return columnar.to_dict() == recorder.to_dict()
 
 
@@ -189,29 +174,16 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
         num_rankings=cell.num_rankings,
         workload=cell.workload,
         engine="objects",
+        # Learn frequencies from the workload itself (Section III
+        # protocol), then install the greedy budget allocation — its
+        # quotas are the ``k_i`` the utilization section measures against.
+        learned_frequencies=True,
+        warmup_queries=cell.warmup,
+        budget_mode="allocated",
+        budget_total=cell.total_budget,
     )
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    # Learn frequencies from the workload itself (Section III protocol).
-    warmup = bench.workload_stream("warmup-queries", horizon=cell.warmup / DEFAULT_RATE)
-    alive = bench.overlay.alive_ids()
-    for query in warmup.stream(cell.warmup, lambda: alive):
-        bench.lookup(query.source, query.item, record_access=True)
-    # Install the greedy budget allocation — quotas are the ``k_i`` the
-    # utilization section measures against.
-    problems = budget_mod.overlay_problems(
-        cell.overlay, bench.overlay, config.frequency_limit
-    )
-    curves = budget_mod.curves_for_problems(problems, cell.overlay)
-    allocation = budget_mod.allocate_greedy(curves, cell.total_budget)
-    optimal, __ = bench.policies()
-    budget_mod.install_allocation(
-        bench.overlay,
-        allocation,
-        optimal,
-        registry.fresh("policy-rng-optimal"),
-        config.frequency_limit,
-    )
+    bench = stable_universe(config)
+    allocation = bench.allocation
     recorder = AttributionRecorder(
         cell.overlay,
         bench.overlay,
@@ -219,22 +191,18 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
         quotas=allocation.quotas,
     )
     # Clean measurement pass: frozen tables, no faults, so the columnar
-    # replay below sees the identical universe.
+    # replay below sees the identical universe and query batch.
+    stats = stable_cell(config, "optimal", bench=bench, trace=recorder).stats
     stream = bench.workload_stream("queries", horizon=cell.queries / DEFAULT_RATE)
     alive = bench.overlay.alive_ids()
     queries = list(stream.stream(cell.queries, lambda: alive))
-    stats = HopStatistics()
-    for query in queries:
-        stats.record(
-            bench.lookup(query.source, query.item, record_access=False, trace=recorder)
-        )
     columnar_match = _columnar_attribution(bench, config, recorder, queries)
     loads = recorder.measured_loads(bench.overlay.alive_ids())
     utilization = recorder.quota_utilization()
     quotas = allocation.quotas.values()
     # Churn probe: crash a deterministic slice, then measure how often
     # the survivors' pointers turn out stale at use.
-    crash_rng = registry.fresh("cachestats-churn")
+    crash_rng = bench.registry.fresh("cachestats-churn")
     alive_now = bench.overlay.alive_ids()
     crashed = sorted(
         crash_rng.sample(alive_now, max(1, int(len(alive_now) * cell.crash_fraction)))
@@ -258,7 +226,7 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
     return {
         "overlay": cell.overlay,
         "lookups": stats.lookups,
-        "mean_hops": _json_float(stats.mean_hops),
+        "mean_hops": json_float(stats.mean_hops),
         "classes": {name: s.to_dict() for name, s in recorder.class_totals().items()},
         "quota": {
             "total_budget": cell.total_budget,
@@ -370,7 +338,7 @@ def cells_to_json(
         "manifest": build_manifest(preset, wall_time_s=wall_time_s),
         "cells": cells,
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return dump_document(document)
 
 
 def cells_to_table(cells: list[dict]) -> str:

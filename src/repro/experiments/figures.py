@@ -36,12 +36,10 @@ bit-identical results.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document, json_float
 from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
 from repro.util.parallel import run_tasks
@@ -181,34 +179,25 @@ def _log2(n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _with_engine(cells: list[FigureCell], engine: str) -> list[FigureCell]:
-    """Apply an engine override to a plan's *stable* cells.
+def _with_overrides(cells: list[FigureCell], engine: str, workload: str) -> list[FigureCell]:
+    """Apply the ``--engine`` and ``--workload`` overrides to a plan.
 
-    The engine lives on the cell configs, never on the preset, so the
-    FIGURE_v1 ``preset`` block — and hence the stripped document — is
-    byte-identical across engines. Churn cells always run on objects
-    (the columnar engine is stable-mode only) and are left untouched.
+    Both live on the cell configs, never on the preset, so the FIGURE_v1
+    ``preset`` block — and hence the stripped document — is byte-identical
+    across engines, and a default (``static-zipf``) plan's document is
+    unchanged by the flags' existence. The engine override skips churn
+    and Kademlia cells: the columnar engine is stable-mode only and
+    implements chord/pastry routing only (see engine.dispatch).
     """
-    if engine == "auto":
-        return cells
-    return [
-        replace(cell, config=replace(cell.config, engine=engine))
-        if cell.kind == "stable"
-        else cell
-        for cell in cells
-    ]
-
-
-def _with_workload(cells: list[FigureCell], workload: str) -> list[FigureCell]:
-    """Apply a workload-scenario override to every cell of a plan.
-
-    Like the engine override, the workload lives on the cell configs and
-    never on the preset, so a default (``static-zipf``) plan's FIGURE_v1
-    document is unchanged by the flag's existence.
-    """
-    if workload == "static-zipf":
-        return cells
-    return [replace(cell, config=replace(cell.config, workload=workload)) for cell in cells]
+    overridden = []
+    for cell in cells:
+        config = cell.config
+        if engine != "auto" and cell.kind == "stable" and config.overlay != "kademlia":
+            config = replace(config, engine=engine)
+        if workload != "static-zipf":
+            config = replace(config, workload=workload)
+        overridden.append(replace(cell, config=config))
+    return overridden
 
 
 def _replica_config(config: ExperimentConfig, replica: int) -> ExperimentConfig:
@@ -258,10 +247,17 @@ def _execute_plan(
     ]
 
 
-def _assemble_series(
-    cells: list[FigureCell], comparisons: list[ComparisonResult]
+def _run_plan(
+    cells: list[FigureCell],
+    preset: FigurePreset,
+    jobs: int | None,
+    engine: str,
+    workload: str,
 ) -> tuple[FigureSeries, ...]:
-    """Group per-cell results into series, preserving plan order."""
+    """Override, execute and group a plan into series, preserving plan
+    order."""
+    cells = _with_overrides(cells, engine, workload)
+    comparisons = _execute_plan(cells, preset.replicas, jobs)
     grouped: dict[str, list[FigurePoint]] = {}
     for cell, comparison in zip(cells, comparisons):
         grouped.setdefault(cell.series, []).append(FigurePoint(cell.x, comparison))
@@ -305,9 +301,7 @@ def figure3(
         for alpha in (1.2, 0.91)
         for n in preset.pastry_sizes
     ]
-    cells = _with_engine(cells, engine)
-    cells = _with_workload(cells, workload)
-    series = _assemble_series(cells, _execute_plan(cells, preset.replicas, jobs))
+    series = _run_plan(cells, preset, jobs, engine, workload)
     return FigureResult(
         "figure3",
         "Pastry: % hop reduction vs n (k = log n, identical rankings)",
@@ -351,9 +345,7 @@ def figure4(
         for alpha in (1.2, 0.91)
         for multiple in (1, 2, 3)
     ]
-    cells = _with_engine(cells, engine)
-    cells = _with_workload(cells, workload)
-    series = _assemble_series(cells, _execute_plan(cells, preset.replicas, jobs))
+    series = _run_plan(cells, preset, jobs, engine, workload)
     return FigureResult(
         "figure4",
         f"Pastry: % hop reduction vs k (n = {n}, locality-aware routing)",
@@ -421,9 +413,7 @@ def figure5(
         FigureCell("high churn", n, "churn", _chord_churn_config(preset, n, _log2(n)))
         for n in preset.chord_sizes
     ]
-    cells = _with_engine(cells, engine)
-    cells = _with_workload(cells, workload)
-    series = _assemble_series(cells, _execute_plan(cells, preset.replicas, jobs))
+    series = _run_plan(cells, preset, jobs, engine, workload)
     return FigureResult(
         "figure5",
         "Chord: % hop reduction vs n (k = log n, 5 per-node rankings)",
@@ -463,9 +453,7 @@ def figure6(
         )
         for multiple in (1, 2, 3)
     ]
-    cells = _with_engine(cells, engine)
-    cells = _with_workload(cells, workload)
-    series = _assemble_series(cells, _execute_plan(cells, preset.replicas, jobs))
+    series = _run_plan(cells, preset, jobs, engine, workload)
     return FigureResult(
         "figure6",
         f"Chord: % hop reduction vs k (n = {n})",
@@ -519,17 +507,7 @@ def figure7(
         for series in overlays
         for multiple in (1, 2, 3)
     ]
-    # The engine override skips Kademlia cells: the columnar engine
-    # implements chord/pastry routing only (see engine.dispatch).
-    if engine != "auto":
-        cells = [
-            replace(cell, config=replace(cell.config, engine=engine))
-            if cell.config.overlay != "kademlia"
-            else cell
-            for cell in cells
-        ]
-    cells = _with_workload(cells, workload)
-    series_out = _assemble_series(cells, _execute_plan(cells, preset.replicas, jobs))
+    series_out = _run_plan(cells, preset, jobs, engine, workload)
     return FigureResult(
         "figure7",
         f"Three overlays: % hop reduction vs k (n = {n}, stable)",
@@ -564,17 +542,12 @@ def run_figure(
     if runner is None:
         raise ConfigurationError(f"unknown figure {figure_id!r}; expected one of {sorted(FIGURES)}")
     if str(figure_id) == "7":
-        return runner(preset, jobs, engine, overlay)
+        return runner(preset, jobs, engine, overlay, workload=workload)
     if overlay is not None:
         raise ConfigurationError(
             "--overlay applies to figure 7 (the cross-overlay comparison) only"
         )
-    return runner(preset, jobs, engine)
-
-
-def _json_float(value: float) -> float | None:
-    """NaN is not valid JSON; emit null for degraded cells."""
-    return None if isinstance(value, float) and math.isnan(value) else value
+    return runner(preset, jobs, engine, workload=workload)
 
 
 def result_to_json(
@@ -602,13 +575,13 @@ def result_to_json(
                 "points": [
                     {
                         "x": point.x,
-                        "improvement_pct": _json_float(point.improvement),
-                        "optimal_mean_hops": _json_float(point.comparison.optimized.mean_hops),
-                        "baseline_mean_hops": _json_float(point.comparison.baseline.mean_hops),
-                        "optimal_failure_rate": _json_float(
+                        "improvement_pct": json_float(point.improvement),
+                        "optimal_mean_hops": json_float(point.comparison.optimized.mean_hops),
+                        "baseline_mean_hops": json_float(point.comparison.baseline.mean_hops),
+                        "optimal_failure_rate": json_float(
                             point.comparison.optimized.failure_rate
                         ),
-                        "baseline_failure_rate": _json_float(
+                        "baseline_failure_rate": json_float(
                             point.comparison.baseline.failure_rate
                         ),
                     }
@@ -618,4 +591,4 @@ def result_to_json(
             for series in result.series
         ],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return dump_document(document)

@@ -14,11 +14,10 @@ provenance block) and ``results/report.md``.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 from repro.experiments.figures import FigurePreset, FigureResult, run_figure
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document
 from repro.util.timer import Stopwatch
 
 __all__ = [
@@ -178,7 +177,7 @@ def run_report(
         "manifest": manifest,
         "figures": figures_payload,
     }
-    (out_path / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    (out_path / "report.json").write_text(dump_document(document))
     digest = manifest.get("config_digest")
     markdown_parts.append(
         f"<!-- MANIFEST_v1: preset={preset.name} seed={preset.seed} "

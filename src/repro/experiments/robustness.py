@@ -21,12 +21,11 @@ figure and sweep harnesses; serial and parallel runs are bit-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.faults.schedule import FaultSchedule
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document
 from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.sim.runner import ExperimentConfig, run_stable
 from repro.util.errors import ConfigurationError
@@ -191,7 +190,7 @@ def rows_to_json(
         "manifest": build_manifest(preset, wall_time_s=wall_time_s),
         "rows": [asdict(row) for row in rows],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return dump_document(document)
 
 
 def rows_to_table(rows: Sequence[RobustnessRow]) -> str:

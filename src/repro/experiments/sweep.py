@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document, json_float
 from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
 from repro.util.errors import ConfigurationError
 from repro.util.parallel import run_tasks
@@ -124,17 +122,13 @@ def rows_to_json(rows: list[SweepRow], base: ExperimentConfig | ChurnConfig) -> 
     Strip the manifest's ``volatile`` keys before byte-comparing two
     documents produced from the same base config and values.
     """
-
-    def scrub(value):
-        return None if isinstance(value, float) and math.isnan(value) else value
-
     document = {
         "schema": "SWEEP_v1",
         "base": {**asdict(base), "__type__": type(base).__name__},
         "manifest": build_manifest(base),
-        "rows": [{key: scrub(value) for key, value in asdict(row).items()} for row in rows],
+        "rows": [{key: json_float(value) for key, value in asdict(row).items()} for row in rows],
     }
-    return json.dumps(document, sort_keys=True, indent=2, default=str) + "\n"
+    return dump_document(document, default=str)
 
 
 def rows_to_table(rows: list[SweepRow]) -> str:

@@ -34,17 +34,12 @@ the CLI's jobs-determinism gate and the conformance tests do.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass
 
 from repro.extensions.item_cache import simulate_item_churn
-from repro.obs.manifest import build_manifest
-from repro.sim.metrics import HopStatistics
-from repro.sim.runner import OVERLAYS, ExperimentConfig, _Bench
+from repro.obs.manifest import build_manifest, dump_document, json_float
+from repro.sim.runner import OVERLAYS, ExperimentConfig, stable_cell, stable_universe
 from repro.util.parallel import run_tasks
-from repro.util.rng import SeedSequenceRegistry
-from repro.workload.spec import DEFAULT_RATE
 
 __all__ = [
     "SELECTIONS",
@@ -177,6 +172,8 @@ def _run_workload_cell(cell: WorkloadCell) -> WorkloadRow:
     stream — the comparison isolates pointer selection exactly like
     :func:`repro.sim.runner.run_stable` does for its two policies.
     """
+    uniform = cell.selection == "uniform"
+    adaptive = cell.selection == "adaptive"
     config = ExperimentConfig(
         overlay=cell.overlay,
         n=cell.n,
@@ -185,38 +182,32 @@ def _run_workload_cell(cell: WorkloadCell) -> WorkloadRow:
         seed=cell.seed,
         workload=cell.scenario,
         engine="objects",
+        # Frequency-aware selections learn from the scenario itself, so
+        # the eq.-1 tables reflect where this workload's queries actually
+        # land (not an assumed static model); uniform pointers ignore
+        # frequencies.
+        learned_frequencies=not uniform,
+        warmup_queries=cell.warmup,
     )
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    optimal, oblivious = bench.policies()
-    policy = oblivious if cell.selection == "uniform" else optimal
-    rng = registry.fresh(f"policy-rng-{cell.selection}")
-    if cell.selection != "uniform":
-        # Learn frequencies from the scenario itself: a warmup pass with
-        # access recording on, so the eq.-1 tables reflect where this
-        # workload's queries actually land (not an assumed static model).
-        warmup = bench.workload_stream(
-            "warmup-queries", horizon=cell.warmup / DEFAULT_RATE
-        )
-        alive = bench.overlay.alive_ids()
-        for query in warmup.stream(cell.warmup, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    bench.overlay.recompute_all_auxiliary(
-        config.effective_k, policy, rng, frequency_limit=config.frequency_limit
-    )
-    stream = bench.workload_stream("queries", horizon=cell.queries / DEFAULT_RATE)
-    stats = HopStatistics()
-    alive = bench.overlay.alive_ids()
-    adaptive = cell.selection == "adaptive"
+    bench = stable_universe(config)
+    rng_name = f"policy-rng-{cell.selection}"
     refresh = max(1, cell.queries // 8)
-    for index, query in enumerate(stream.stream(cell.queries, lambda: alive), start=1):
-        stats.record(bench.lookup(query.source, query.item, record_access=adaptive))
-        if adaptive and index % refresh == 0:
-            # Mid-stream refresh from the online-learned frequencies —
-            # the selection chases the workload's current hot set.
-            bench.overlay.recompute_all_auxiliary(
-                config.effective_k, policy, rng, frequency_limit=config.frequency_limit
-            )
+
+    def refresh_tables(index: int) -> None:
+        # Mid-stream refresh from the online-learned frequencies — the
+        # selection chases the workload's current hot set. The
+        # frequency-aware policy draws no randomness, so any rng serves.
+        if index % refresh == 0:
+            bench.install("optimal", bench.registry.fresh(rng_name))
+
+    stats = stable_cell(
+        config,
+        "oblivious" if uniform else "optimal",
+        bench=bench,
+        record_access=adaptive,
+        on_lookup=refresh_tables if adaptive else None,
+        rng_name=rng_name,
+    ).stats
     return WorkloadRow(
         scenario=cell.scenario,
         overlay=cell.overlay,
@@ -407,21 +398,17 @@ def rows_to_json(
     (:func:`repro.obs.manifest.strip_volatile`) before byte-comparing two
     documents from the same preset — the CI jobs-determinism gate does.
     """
-
-    def scrub(value):
-        return None if isinstance(value, float) and math.isnan(value) else value
-
     document = {
         "schema": "WORKLOAD_v1",
         "preset": asdict(preset),
         "manifest": build_manifest(preset, wall_time_s=wall_time_s),
         "rows": [
-            {key: scrub(value) for key, value in asdict(row).items()} for row in rows
+            {key: json_float(value) for key, value in asdict(row).items()} for row in rows
         ],
         "comparisons": _improvement(rows),
         "cache_grid": [
-            {key: scrub(value) for key, value in asdict(row).items()}
+            {key: json_float(value) for key, value in asdict(row).items()}
             for row in cache_rows
         ],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return dump_document(document)

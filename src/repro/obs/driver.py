@@ -1,13 +1,14 @@
 """Traced experiment cells: run one stable-mode cell with tracing on.
 
-:func:`trace_cell` replays exactly the universe ``run_stable`` builds for
-one policy — same registry substreams, same overlay, same workload, same
-fault realization — but hands the router a :class:`LookupTracer`, so the
-per-hop story of every lookup (or a seeded reservoir sample of them) is
-captured. Because recorders only observe, the aggregate statistics of a
-traced cell are bit-identical to the untraced run; ``tests/obs`` pins
-this, which is what lets traces explain production numbers rather than
-numbers-of-a-slightly-different-run.
+:func:`trace_cell` runs the same :func:`~repro.sim.runner.stable_cell`
+``run_stable`` measures for one policy — same registry substreams,
+overlay, frequencies, budget plan, workload and fault realization — with
+a :class:`LookupTracer` attached, so the per-hop story of every lookup
+(or a seeded reservoir sample of them) is captured. Because recorders
+only observe, the aggregate statistics of a traced cell are
+bit-identical to the untraced run under every workload and budget;
+``tests/obs`` pins this, which is what lets traces explain production
+numbers rather than numbers-of-a-slightly-different-run.
 
 :func:`trace_cells` fans multiple cells over worker processes with the
 same order-preserving, seed-rebuilding machinery as the experiment
@@ -17,29 +18,17 @@ drivers, so trace documents are bit-identical (after
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from repro.faults.injector import apply_stable_faults, maybe_corrupt
-from repro.faults.plane import FaultPlane
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, json_float
 from repro.obs.recorder import LookupTracer
-from repro.sim.metrics import HopStatistics
-from repro.sim.runner import ExperimentConfig, _Bench
-from repro.util.errors import ConfigurationError
+from repro.sim.runner import ExperimentConfig, stable_cell
 from repro.util.parallel import run_tasks
-from repro.util.rng import SeedSequenceRegistry, substream_seed
+from repro.util.rng import substream_seed
 
 __all__ = ["TRACE_SCHEMA", "trace_cell", "trace_cells"]
 
 TRACE_SCHEMA = "TRACE_v1"
-
-_POLICIES = ("optimal", "oblivious")
-
-
-def _json_float(value: float) -> float | None:
-    """NaN is not valid strict JSON; degrade it to ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def trace_cell(
@@ -55,72 +44,23 @@ def trace_cell(
     reservoir), the usual :class:`HopStatistics` summary, and the fault
     plane's injection counters when faults were active.
     """
-    if policy not in _POLICIES:
-        raise ConfigurationError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    if config.learned_frequencies:
-        generator = bench.query_generator("warmup-queries")
-        alive = bench.overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    chosen = optimal if policy == "optimal" else oblivious
-    bench.overlay.recompute_all_auxiliary(
-        config.effective_k,
-        chosen,
-        registry.fresh(f"policy-rng-{policy}"),
-        frequency_limit=config.frequency_limit,
-    )
-    plane: FaultPlane | None = None
-    if config.faults_active:
-        plane = FaultPlane(config.faults, registry.fresh("fault-plane"))
-        apply_stable_faults(plane, bench.overlay)
-    retry = config.effective_retry
     # The reservoir draws from its own substream: tracing must never
     # perturb the simulation's RNG streams.
     tracer = LookupTracer(sample=sample, seed=substream_seed(config.seed, "trace-reservoir"))
-    stats = HopStatistics(keep_samples=True)
-    generator = bench.query_generator("queries")
-    alive = bench.overlay.alive_ids()
-    for query in generator.stream(config.queries, lambda: alive):
-        if plane is not None:
-            maybe_corrupt(plane, bench.overlay)
-        stats.record(
-            bench.lookup(
-                query.source,
-                query.item,
-                record_access=False,
-                retry=retry,
-                faults=plane,
-                trace=tracer,
-            )
-        )
-    percentiles = {
-        key: _json_float(value) for key, value in stats.latency_percentiles().items()
-    }
+    run = stable_cell(config, policy, trace=tracer)
+    summary = {**run.stats.summary(), **run.stats.latency_percentiles()}
     return {
         "schema": TRACE_SCHEMA,
         "overlay": config.overlay,
         "policy": policy,
         "manifest": build_manifest(config),
-        "stats": {
-            "lookups": stats.lookups,
-            "successes": stats.successes,
-            "failures": stats.failures,
-            "mean_hops": _json_float(stats.mean_hops),
-            "failure_rate": stats.failure_rate,
-            "timeout_rate": stats.timeout_rate,
-            **percentiles,
-        },
+        "stats": {key: json_float(value) for key, value in summary.items()},
         "counters": tracer.counters.to_dict(),
         "sample": tracer.sample,
         "seen": tracer.seen,
         "kept": len(tracer.traces),
         "traces": [trace.to_dict() for trace in tracer.traces],
-        "fault_counters": plane.counters() if plane is not None else None,
+        "fault_counters": run.plane.counters() if run.plane is not None else None,
     }
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import socket
@@ -39,6 +40,8 @@ __all__ = [
     "git_revision",
     "environment_info",
     "build_manifest",
+    "dump_document",
+    "json_float",
     "strip_volatile",
 ]
 
@@ -153,3 +156,17 @@ def strip_volatile(document: Any) -> Any:
     if isinstance(document, list):
         return [strip_volatile(value) for value in document]
     return document
+
+
+def json_float(value: Any) -> Any:
+    """NaN is not valid strict JSON; degrade it to ``null`` (a cell
+    where every lookup failed has no mean). Other values pass through."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def dump_document(document: Any, default=None) -> str:
+    """The canonical text of a result document: sorted keys, two-space
+    indent, one trailing newline — the form every writer emits and the
+    byte comparisons diff. ``default`` serializes otherwise unsupported
+    values (SWEEP_v1 passes ``str``)."""
+    return json.dumps(document, sort_keys=True, indent=2, default=default) + "\n"

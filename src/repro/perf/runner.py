@@ -39,13 +39,12 @@ when numpy is absent.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 import sys
 
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document
 from repro.perf.engine import engine_equivalence, engine_memory, engine_speedup
 from repro.perf.macro import macro_benchmarks, parallel_identity_check
 from repro.perf.micro import KERNEL_PAIRS, micro_benchmarks
@@ -100,7 +99,7 @@ def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
 def write_bench(document: dict, path: str | pathlib.Path) -> pathlib.Path:
     """Write the document as stable, diff-friendly JSON."""
     path = pathlib.Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    path.write_text(dump_document(document))
     return path
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.runner import ExperimentConfig, run_stable
+from repro.sim.metrics import percent_reduction
+from repro.sim.runner import ExperimentConfig, stable_cell
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require_positive
 
@@ -70,7 +71,7 @@ def cost_benefit_curve(
 ) -> list[TradeoffPoint]:
     """Measure hop improvement *and* maintenance traffic per budget ``k``.
 
-    Each point runs a full stable comparison (same machinery as the
+    Each point runs both policies' stable cells (same machinery as the
     figures) and then prices the optimal scheme's tables at the given
     stabilization interval.
     """
@@ -90,26 +91,18 @@ def cost_benefit_curve(
             queries=queries,
             seed=seed,
         )
-        from repro.sim.runner import _Bench  # reuse the bench plumbing
-        from repro.util.rng import SeedSequenceRegistry
-
-        comparison = run_stable(config)
-        # Rebuild the optimal-policy universe to price its tables.
-        registry = SeedSequenceRegistry(seed)
-        bench = _Bench(config, registry)
-        bench.seed_all()
-        optimal, __ = bench.policies()
-        bench.overlay.recompute_all_auxiliary(
-            k, optimal, registry.fresh("policy-rng-optimal"), config.frequency_limit
-        )
-        sizes = table_sizes(bench.overlay)
+        # The optimal cell's universe keeps its tables installed to price.
+        optimal = stable_cell(config, "optimal")
+        baseline = stable_cell(config, "oblivious").stats
+        priced = optimal.bench.overlay
+        sizes = table_sizes(priced)
         points.append(
             TradeoffPoint(
                 k=k,
-                improvement_pct=comparison.improvement,
-                optimal_mean_hops=comparison.optimized.mean_hops,
-                baseline_mean_hops=comparison.baseline.mean_hops,
-                pings_per_second=maintenance_rate(bench.overlay, stabilize_interval),
+                improvement_pct=percent_reduction(baseline.mean_hops, optimal.stats.mean_hops),
+                optimal_mean_hops=optimal.stats.mean_hops,
+                baseline_mean_hops=baseline.mean_hops,
+                pings_per_second=maintenance_rate(priced, stabilize_interval),
                 mean_table_size=sum(sizes.values()) / len(sizes),
             )
         )

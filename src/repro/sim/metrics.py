@@ -105,6 +105,17 @@ class HopStatistics:
             return 0.0
         return self.total_timeouts / self.lookups
 
+    def summary(self) -> dict:
+        """The headline numbers trace and metrics documents report."""
+        return {
+            "lookups": self.lookups,
+            "successes": self.successes,
+            "failures": self.failures,
+            "mean_hops": self.mean_hops,
+            "failure_rate": self.failure_rate,
+            "timeout_rate": self.timeout_rate,
+        }
+
     def confidence_halfwidth(self, z: float = 1.96) -> float:
         """Half-width of the normal-approximation CI on ``mean_hops``."""
         if self.successes < 2:

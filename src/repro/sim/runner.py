@@ -9,7 +9,11 @@ average hops.
 
 Stable mode (no churn) seeds each node's frequency tracker with its exact
 long-run destination distribution (the converged state of observing
-queries forever) and routes queries against frozen tables. Churn mode runs
+queries forever), or lets it learn from the configured scenario's warmup
+traffic, and routes queries against frozen tables. :func:`stable_cell`
+is that recipe for one policy, and every stable driver runs it: this
+module's comparison, the trace and telemetry drivers, and the
+experiment grids, which add only their own extra step. Churn mode runs
 the full discrete-event machinery: exponential on/off node sessions,
 staggered per-node stabilization (default every 25 s) and auxiliary
 recomputation (every 62.5 s), Poisson queries (4/s), online frequency
@@ -19,7 +23,7 @@ learning, and crash-induced state loss — the Section VI-C configuration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.chord.ring import ChordRing
 from repro.chord.ring import oblivious_policy as chord_oblivious
@@ -43,10 +47,21 @@ from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.rng import SeedSequenceRegistry
 from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.queries import QueryGenerator
 from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec, WorkloadStream
 
-__all__ = ["ExperimentConfig", "ChurnConfig", "run_stable", "run_churn"]
+__all__ = [
+    "POLICIES",
+    "ChurnConfig",
+    "ExperimentConfig",
+    "StableRun",
+    "churn_cell",
+    "round_boundaries",
+    "route_columnar",
+    "run_churn",
+    "run_stable",
+    "stable_cell",
+    "stable_universe",
+]
 
 OVERLAYS = ("chord", "pastry", "kademlia")
 
@@ -129,6 +144,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"budget_total must be non-negative, got {self.budget_total}"
             )
+        if self.frequency_limit is not None and self.frequency_limit < 1:
+            raise ConfigurationError(
+                f"frequency_limit must be at least 1 (or None), got {self.frequency_limit}"
+            )
+        if not isinstance(self.learned_frequencies, bool):
+            raise ConfigurationError(
+                f"learned_frequencies must be True or False, got {self.learned_frequencies!r}"
+            )
+        if self.faults is not None and not isinstance(self.faults, FaultSchedule):
+            raise ConfigurationError(f"faults must be a FaultSchedule, got {self.faults!r}")
+        if self.retry is not None and not isinstance(self.retry, RetryPolicy):
+            raise ConfigurationError(f"retry must be a RetryPolicy, got {self.retry!r}")
         # Validate the selector eagerly so a typo fails at config time,
         # not deep inside a worker process.
         WorkloadSpec.parse(self.workload)
@@ -259,10 +286,33 @@ class ChurnConfig(ExperimentConfig):
 # Shared setup
 # ----------------------------------------------------------------------
 
+#: The two policies every comparison cell measures.
+POLICIES = ("optimal", "oblivious")
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ConfigurationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+
+
+def _label(config: ExperimentConfig, mode: str) -> str:
+    """A comparison's label; the budget and workload fragments are empty
+    on the legacy path, so historical labels stay byte-identical."""
+    return (
+        f"{config.overlay} {mode} n={config.n} k={config.effective_k} "
+        f"alpha={config.alpha}{config.budget_label}{config.workload_label}"
+    )
+
 
 @dataclass
 class _Bench:
-    """Everything both policies share: overlay, workload, seeding data."""
+    """One cell's universe: overlay, workload, frequencies and budget plan.
+
+    Construction builds the overlay and the workload from the config's
+    seeds; :meth:`seed_all` or :meth:`learn` gives the nodes their
+    frequencies, :meth:`plan` cuts the global budget plan and
+    :meth:`install` installs one policy's tables.
+    """
 
     config: ExperimentConfig
     registry: SeedSequenceRegistry
@@ -270,6 +320,11 @@ class _Bench:
     popularity: PopularityModel = field(init=False)
     assignment: dict[int, int] = field(init=False)
     ranking_destinations: list[dict[int, float]] = field(init=False)
+    #: The plan's per-node quotas and the cost curves and problems they
+    #: were cut from; ``None`` on the legacy constant-``k`` path.
+    allocation: budget_mod.BudgetAllocation | None = field(init=False, default=None)
+    curves: dict | None = field(init=False, default=None)
+    problems: dict | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         config = self.config
@@ -306,13 +361,62 @@ class _Bench:
         for node_id in self.overlay.alive_ids():
             self.seed_node(node_id)
 
-    def policies(self):
-        """(optimal, oblivious) policy pair for the configured overlay."""
+    def learn(self) -> None:
+        """Learn frequencies by observation (Section III): route the
+        configured scenario's warmup traffic over the core tables with
+        access recording on."""
+        count = self.config.effective_warmup_queries
+        warmup = self.workload_stream("warmup-queries", horizon=count / DEFAULT_RATE)
+        alive = self.overlay.alive_ids()
+        for query in warmup.stream(count, lambda: alive):
+            self.lookup(query.source, query.item, record_access=True)
+
+    def plan(self) -> budget_mod.BudgetAllocation | None:
+        """Cut the global budget plan from the current frequencies, or
+        ``None`` on the legacy constant-``k`` path.
+
+        Quotas come from the frequency-aware curves and are shared by
+        both policies, so the optimal/oblivious comparison inside a cell
+        stays apples-to-apples: they differ in *what* they point at,
+        never in how many pointers each node holds.
+        """
+        config = self.config
+        if config.budget_plan_active:
+            self.problems = budget_mod.overlay_problems(
+                config.overlay, self.overlay, config.frequency_limit
+            )
+            self.curves = budget_mod.curves_for_problems(self.problems, config.overlay)
+            if config.budget_mode == "allocated":
+                allocate = budget_mod.allocate_greedy
+            else:
+                allocate = budget_mod.allocate_uniform
+            self.allocation = allocate(self.curves, config.effective_budget)
+        return self.allocation
+
+    def policy(self, name: str):
+        """The ``optimal`` or ``oblivious`` selection policy for the
+        configured overlay, read from this module's globals at call time."""
         if self.config.overlay == "chord":
-            return chord_optimal, chord_oblivious
-        if self.config.overlay == "kademlia":
-            return kademlia_optimal, kademlia_oblivious
-        return pastry_optimal, pastry_oblivious
+            optimal, oblivious = chord_optimal, chord_oblivious
+        elif self.config.overlay == "kademlia":
+            optimal, oblivious = kademlia_optimal, kademlia_oblivious
+        else:
+            optimal, oblivious = pastry_optimal, pastry_oblivious
+        return optimal if name == "optimal" else oblivious
+
+    def install(self, policy: str, rng: random.Random) -> None:
+        """Install one policy's auxiliary tables: the plan's per-node
+        quotas when a budget plan is active, the uniform ``k`` otherwise."""
+        config = self.config
+        chosen = self.policy(policy)
+        if self.allocation is None:
+            self.overlay.recompute_all_auxiliary(
+                config.effective_k, chosen, rng, frequency_limit=config.frequency_limit
+            )
+        else:
+            budget_mod.install_allocation(
+                self.overlay, self.allocation, chosen, rng, config.frequency_limit
+            )
 
     def lookup(
         self,
@@ -342,20 +446,15 @@ class _Bench:
             trace=trace,
         )
 
-    def query_generator(self, stream_name: str) -> QueryGenerator:
-        return QueryGenerator(
-            self.popularity, self.assignment, self.registry.fresh(stream_name)
-        )
-
     def workload_stream(
         self, stream_name: str, horizon: float, rate: float = DEFAULT_RATE
     ) -> WorkloadStream:
         """Build the configured scenario's query substream for one cell.
 
-        ``rng`` reuses the legacy ``stream_name`` substream seed, so the
-        static default makes the exact same draw sequence the old
-        :meth:`query_generator` path made; scenario-internal randomness
-        lives on a separate ``-scenario`` substream.
+        ``rng`` is the ``stream_name`` substream, so the static default
+        makes the legacy :class:`~repro.workload.queries.QueryGenerator`
+        draws; scenario-internal randomness lives on a separate
+        ``-scenario`` substream.
         """
         context = WorkloadContext(
             popularity=self.popularity,
@@ -385,13 +484,11 @@ def _normalize_telemetry(telemetry):
 
 
 def _policy_telemetry(telemetry, policy_name: str):
-    """The (normalized) telemetry runtime for one policy's universe."""
-    if telemetry is None:
-        return None
-    return _normalize_telemetry(telemetry.get(policy_name))
+    """The telemetry runtime mapped to one policy, if any."""
+    return telemetry.get(policy_name) if telemetry is not None else None
 
 
-def _round_boundaries(queries: int, rounds: int) -> list[int]:
+def round_boundaries(queries: int, rounds: int) -> list[int]:
     """Cumulative query indices at which the round clock ticks.
 
     The ``queries`` lookups are split into ``rounds`` near-equal chunks
@@ -407,255 +504,157 @@ def _round_boundaries(queries: int, rounds: int) -> list[int]:
     return boundaries
 
 
-def _budget_allocation(bench: "_Bench", config: ExperimentConfig):
-    """The global budget plan for one seeded bench, or ``None`` on the
-    legacy constant-``k`` path.
+@dataclass
+class StableRun:
+    """One policy's measured stable cell: its statistics, the universe
+    it ran in, and the fault plane (``None`` when fault-free)."""
 
-    Quotas are computed once from the frequency-aware curves and shared
-    by both policies, so the optimal/oblivious comparison inside a cell
-    stays apples-to-apples: they differ in *what* they point at, never in
-    how many pointers each node holds.
-    """
-    if not config.budget_plan_active:
-        return None
-    problems = budget_mod.overlay_problems(
-        config.overlay, bench.overlay, config.frequency_limit
-    )
-    curves = budget_mod.curves_for_problems(problems, config.overlay)
-    if config.budget_mode == "allocated":
-        return budget_mod.allocate_greedy(curves, config.effective_budget)
-    return budget_mod.allocate_uniform(curves, config.effective_budget)
+    stats: HopStatistics
+    bench: _Bench
+    plane: FaultPlane | None
 
 
-def _install_policy_tables(
-    overlay,
-    config: ExperimentConfig,
-    policy,
-    rng: random.Random,
-    allocation,
-) -> None:
-    """Install one policy's auxiliary tables: per-node quotas when a
-    budget plan is active, the legacy uniform ``k`` otherwise."""
-    if allocation is None:
-        overlay.recompute_all_auxiliary(
-            config.effective_k, policy, rng, frequency_limit=config.frequency_limit
-        )
+def stable_universe(config: ExperimentConfig) -> _Bench:
+    """A stable cell's universe up to the policy step: overlay and
+    workload from the config's seeds, converged or learned frequencies,
+    and the budget plan both policies share."""
+    bench = _Bench(config, SeedSequenceRegistry(config.seed))
+    if config.learned_frequencies:
+        bench.learn()
     else:
-        budget_mod.install_allocation(
-            overlay, allocation, policy, rng, config.frequency_limit
+        bench.seed_all()
+    bench.plan()
+    return bench
+
+
+def stable_cell(
+    config: ExperimentConfig,
+    policy: str,
+    *,
+    bench: _Bench | None = None,
+    trace=None,
+    telemetry=None,
+    record_access: bool = False,
+    on_lookup=None,
+    rng_name: str | None = None,
+) -> StableRun:
+    """One policy's stable cell — the Section VI-A recipe every stable
+    driver runs.
+
+    Builds the universe (:func:`stable_universe`) unless a fault-free
+    ``bench`` is passed for reuse, installs the policy's tables from the
+    ``rng_name`` substream (default ``policy-rng-<policy>``), applies the
+    setup faults after installation — survivors keep stale pointers to
+    the burst victims — and routes the ``queries`` stream under the
+    retry policy and fault plane.
+
+    ``trace`` (else ``telemetry``'s recorder) observes every hop, and
+    ``telemetry``'s round clock samples its registry at every chunk
+    boundary; observers never change the statistics. Traced and faulted
+    cells keep per-lookup samples for percentile reports.
+    ``record_access`` keeps learning on while measuring and
+    ``on_lookup(index)`` runs after each lookup. Any of these keeps the
+    cell on the object engine; otherwise ``config.engine`` may route the
+    batch columnar (:func:`route_columnar`) with bit-identical statistics.
+    """
+    _check_policy(policy)
+    tel = _normalize_telemetry(telemetry)
+    recorder = trace if trace is not None else (tel.recorder if tel is not None else None)
+    observed = recorder is not None or tel is not None or record_access or on_lookup is not None
+    engine = resolve_engine(config, observed)
+    if bench is None:
+        bench = stable_universe(config)
+    registry = bench.registry
+    overlay = bench.overlay
+    overlay.attach_telemetry(tel)
+    bench.install(policy, registry.fresh(rng_name or f"policy-rng-{policy}"))
+    plane: FaultPlane | None = None
+    if config.faults_active:
+        # The plane's stream depends only on the seed, not the policy:
+        # both universes realize the same burst, partition and loss.
+        plane = FaultPlane(config.faults, registry.fresh("fault-plane"))
+        apply_stable_faults(plane, overlay, telemetry=tel)
+    workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
+    alive = overlay.alive_ids()
+    queries = workload.stream(config.queries, lambda: alive)
+    if engine == "columnar":
+        stats = HopStatistics()
+        route_columnar(bench, list(queries)).fold_into(stats)
+    else:
+        stats = HopStatistics(keep_samples=config.faults_active or trace is not None)
+        retry = config.effective_retry
+        boundaries = round_boundaries(config.queries, tel.rounds) if tel is not None else ()
+        next_boundary = 0
+        for index, query in enumerate(queries, start=1):
+            if plane is not None:
+                maybe_corrupt(plane, overlay, telemetry=tel)
+            stats.record(
+                bench.lookup(
+                    query.source,
+                    query.item,
+                    record_access=record_access,
+                    retry=retry,
+                    faults=plane,
+                    trace=recorder,
+                )
+            )
+            while next_boundary < len(boundaries) and boundaries[next_boundary] == index:
+                tel.sample_round(alive=overlay.alive_count())
+                next_boundary += 1
+            if on_lookup is not None:
+                on_lookup(index)
+    overlay.attach_telemetry(None)
+    return StableRun(stats, bench, plane)
+
+
+def route_columnar(bench: _Bench, queries: list, record_paths: bool = False):
+    """Freeze the installed tables into a columnar snapshot and route the
+    whole query batch vectorized (DESIGN.md §10); returns the batch."""
+    from repro.engine.columnar import snapshot_chord, snapshot_pastry
+    from repro.engine.router import batch_route_chord, batch_route_pastry
+
+    sources = [query.source for query in queries]
+    keys = [query.item for query in queries]
+    if bench.config.overlay == "chord":
+        return batch_route_chord(
+            snapshot_chord(bench.overlay), sources, keys, record_paths=record_paths
         )
+    return batch_route_pastry(
+        snapshot_pastry(bench.overlay),
+        sources,
+        keys,
+        mode=bench.config.pastry_mode,
+        record_paths=record_paths,
+    )
 
 
 def run_stable(config: ExperimentConfig, telemetry=None) -> ComparisonResult:
     """Stable-mode comparison: frequency-aware vs frequency-oblivious.
 
-    The same overlay instance is reused for both policies (auxiliary sets
-    are simply reinstalled) and both route an identical query stream, so
-    the measured difference is attributable to pointer selection alone.
-
-    When ``config.faults`` injects anything, the shared-overlay shortcut
-    would be unfair — fault-driven evictions and planted stale pointers
-    from the first policy's traffic would leak into the second — so each
-    policy instead runs in its own fresh universe built from the same
-    seeds (identical overlay, workload and fault realization).
+    Both policies run :func:`stable_cell` on an identical universe and
+    query stream, so the measured difference is attributable to pointer
+    selection alone. Fault-free, one universe serves both (auxiliary sets
+    are simply reinstalled); when ``config.faults`` injects anything,
+    fault-driven evictions and planted stale pointers from the first
+    policy's traffic would leak into the second, so each policy builds
+    its own universe from the same seeds (identical overlay, workload
+    and fault realization).
 
     ``telemetry`` optionally maps policy names to
-    :class:`~repro.telemetry.runtime.RoundTelemetry` runtimes; when one
-    is attached, its round clock chunks the query stream and the
-    registry is sampled at every chunk boundary. Telemetry is strictly
-    observe-only: attached or not, the returned statistics are
-    bit-identical.
-
-    ``config.engine`` selects the routing engine. The columnar path
-    (:mod:`repro.engine`) consumes the exact same seed streams, freezes
-    the overlay after auxiliary installation and routes the identical
-    query batch vectorized — the returned statistics are bit-identical
-    to the object path.
+    :class:`~repro.telemetry.runtime.RoundTelemetry` runtimes; attached
+    or not, the returned statistics are bit-identical.
     """
-    telemetry_active = any(
-        _policy_telemetry(telemetry, name) is not None for name in ("optimal", "oblivious")
-    )
-    if resolve_engine(config, telemetry_active) == "columnar":
-        return _run_stable_columnar(config)
-    if config.faults_active:
-        stats = {
-            name: _run_stable_once(config, name, telemetry=_policy_telemetry(telemetry, name))
-            for name in ("optimal", "oblivious")
-        }
-        label = (
-            f"{config.overlay} stable n={config.n} k={config.effective_k} "
-            f"alpha={config.alpha}{config.budget_label}{config.workload_label} faults"
-        )
-        return ComparisonResult(label, stats["optimal"], stats["oblivious"])
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    if config.learned_frequencies:
-        # Nodes learn by observation: route warmup traffic (core pointers
-        # only) with access recording on, exactly like Section III.
-        generator = bench.query_generator("warmup-queries")
-        alive = bench.overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    allocation = _budget_allocation(bench, config)
-    retry = config.effective_retry
     stats = {}
-    for name, policy in (("optimal", optimal), ("oblivious", oblivious)):
-        tel = _policy_telemetry(telemetry, name)
-        bench.overlay.attach_telemetry(tel)
-        _install_policy_tables(
-            bench.overlay, config, policy, registry.fresh(f"policy-rng-{name}"), allocation
+    bench = None
+    for name in POLICIES:
+        run = stable_cell(
+            config, name, bench=bench, telemetry=_policy_telemetry(telemetry, name)
         )
-        workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-        collected = HopStatistics()
-        alive = bench.overlay.alive_ids()
-        recorder = tel.recorder if tel is not None else None
-        boundaries = _round_boundaries(config.queries, tel.rounds) if tel is not None else ()
-        next_boundary = 0
-        for index, query in enumerate(workload.stream(config.queries, lambda: alive), start=1):
-            collected.record(
-                bench.lookup(
-                    query.source, query.item, record_access=False, retry=retry, trace=recorder
-                )
-            )
-            while next_boundary < len(boundaries) and boundaries[next_boundary] == index:
-                tel.sample_round(alive=bench.overlay.alive_count())
-                next_boundary += 1
-        stats[name] = collected
-        bench.overlay.attach_telemetry(None)
-    label = (
-        f"{config.overlay} stable n={config.n} k={config.effective_k} "
-        f"alpha={config.alpha}{config.budget_label}{config.workload_label}"
-    )
+        stats[name] = run.stats
+        if not config.faults_active:
+            bench = run.bench
+    label = _label(config, "stable") + (" faults" if config.faults_active else "")
     return ComparisonResult(label, stats["optimal"], stats["oblivious"])
-
-
-def _run_stable_columnar(config: ExperimentConfig) -> ComparisonResult:
-    """Stable-mode comparison on the columnar engine (DESIGN.md §10).
-
-    Mirrors :func:`run_stable` stream for stream: the same
-    :class:`~repro.util.rng.SeedSequenceRegistry` draws, the same
-    warmup protocol, the same per-policy auxiliary recomputation and the
-    same materialized query stream — then freezes each policy's overlay
-    into a columnar snapshot and routes the whole batch vectorized.
-    Clean measured lookups are side-effect-free (``record_access`` is
-    off), so skipping the object walk is observationally invisible:
-    the folded statistics are bit-identical.
-    """
-    from repro.engine.columnar import snapshot_chord, snapshot_pastry
-    from repro.engine.router import batch_route_chord, batch_route_pastry
-
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    overlay = bench.overlay
-    if config.learned_frequencies:
-        # Warmup routing's only side effect on a clean overlay is the
-        # source node observing the responsible node — which the ring
-        # oracle gives directly, no hop-by-hop walk needed.
-        generator = bench.query_generator("warmup-queries")
-        alive = overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            destination = overlay.responsible(query.item)
-            if destination != query.source:
-                overlay.node(query.source).record_access(destination)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    stats = {}
-    for name, policy in (("optimal", optimal), ("oblivious", oblivious)):
-        overlay.recompute_all_auxiliary(
-            config.effective_k,
-            policy,
-            registry.fresh(f"policy-rng-{name}"),
-            frequency_limit=config.frequency_limit,
-        )
-        workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-        alive = overlay.alive_ids()
-        queries = list(workload.stream(config.queries, lambda: alive))
-        sources = [query.source for query in queries]
-        keys = [query.item for query in queries]
-        if config.overlay == "chord":
-            batch = batch_route_chord(snapshot_chord(overlay), sources, keys)
-        else:
-            batch = batch_route_pastry(
-                snapshot_pastry(overlay), sources, keys, mode=config.pastry_mode
-            )
-        collected = HopStatistics()
-        batch.fold_into(collected)
-        stats[name] = collected
-    label = (
-        f"{config.overlay} stable n={config.n} k={config.effective_k} "
-        f"alpha={config.alpha}{config.workload_label}"
-    )
-    return ComparisonResult(label, stats["optimal"], stats["oblivious"])
-
-
-def _run_stable_once(
-    config: ExperimentConfig,
-    policy_name: str,
-    telemetry=None,
-) -> HopStatistics:
-    """One policy's own-universe stable run (fault-injected comparisons
-    and the telemetry/trace drivers).
-
-    Setup faults (one crash burst, a static partition) land *after*
-    frequency seeding and auxiliary installation, so every surviving node
-    carries stale pointers to the burst victims — the stress the retry /
-    failover machinery is measured under. Per-lookup samples are kept so
-    robustness reports can quote latency percentiles.
-    """
-    registry = SeedSequenceRegistry(config.seed)
-    bench = _Bench(config, registry)
-    if config.learned_frequencies:
-        generator = bench.query_generator("warmup-queries")
-        alive = bench.overlay.alive_ids()
-        for query in generator.stream(config.effective_warmup_queries, lambda: alive):
-            bench.lookup(query.source, query.item, record_access=True)
-    else:
-        bench.seed_all()
-    optimal, oblivious = bench.policies()
-    policy = optimal if policy_name == "optimal" else oblivious
-    # Allocation happens pre-fault (both universes share seeds, so the
-    # curves — and hence the quotas — are identical across policies).
-    allocation = _budget_allocation(bench, config)
-    tel = _normalize_telemetry(telemetry)
-    bench.overlay.attach_telemetry(tel)
-    _install_policy_tables(
-        bench.overlay, config, policy, registry.fresh(f"policy-rng-{policy_name}"), allocation
-    )
-    plane: FaultPlane | None = None
-    if config.faults_active:
-        # The plane's stream depends only on the seed, not the policy:
-        # both universes realize the same burst, partition and loss
-        # pattern.
-        plane = FaultPlane(config.faults, registry.fresh("fault-plane"))
-        apply_stable_faults(plane, bench.overlay, telemetry=tel)
-    retry = config.effective_retry
-    workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-    stats = HopStatistics(keep_samples=True)
-    alive = bench.overlay.alive_ids()
-    recorder = tel.recorder if tel is not None else None
-    boundaries = _round_boundaries(config.queries, tel.rounds) if tel is not None else ()
-    next_boundary = 0
-    for index, query in enumerate(workload.stream(config.queries, lambda: alive), start=1):
-        if plane is not None:
-            maybe_corrupt(plane, bench.overlay, telemetry=tel)
-        stats.record(
-            bench.lookup(
-                query.source,
-                query.item,
-                record_access=False,
-                retry=retry,
-                faults=plane,
-                trace=recorder,
-            )
-        )
-        while next_boundary < len(boundaries) and boundaries[next_boundary] == index:
-            tel.sample_round(alive=bench.overlay.alive_count())
-            next_boundary += 1
-    return stats
 
 
 # ----------------------------------------------------------------------
@@ -673,36 +672,33 @@ def run_churn(config: ChurnConfig, telemetry=None) -> ComparisonResult:
     churn-mode round clocks are equal virtual-time intervals — the
     registry is sampled ``rounds`` times at ``i * duration / rounds``.
     """
-    stats = {}
-    for name in ("optimal", "oblivious"):
-        stats[name] = _run_churn_once(config, name, telemetry=_policy_telemetry(telemetry, name))
-    label = (
-        f"{config.overlay} churn n={config.n} k={config.effective_k} "
-        f"alpha={config.alpha}{config.budget_label}{config.workload_label}"
-    )
-    return ComparisonResult(label, stats["optimal"], stats["oblivious"])
+    stats = {
+        name: churn_cell(config, name, telemetry=_policy_telemetry(telemetry, name))
+        for name in POLICIES
+    }
+    return ComparisonResult(_label(config, "churn"), stats["optimal"], stats["oblivious"])
 
 
-def _run_churn_once(config: ChurnConfig, policy_name: str, telemetry=None) -> HopStatistics:
+def churn_cell(config: ChurnConfig, policy: str, telemetry=None) -> HopStatistics:
+    """One policy's churn universe: the seeded, planned and installed
+    bench of a stable cell, then the discrete-event run."""
+    _check_policy(policy)
     registry = SeedSequenceRegistry(config.seed)
     bench = _Bench(config, registry)
     bench.seed_all()
-    optimal, oblivious = bench.policies()
-    policy = optimal if policy_name == "optimal" else oblivious
-    policy_rng = registry.fresh(f"policy-rng-{policy_name}")
+    allocation = bench.plan()
     overlay = bench.overlay
-    k = config.effective_k
     tel = _normalize_telemetry(telemetry)
     overlay.attach_telemetry(tel)
+    # Initial installation at t=0; the periodic recomputations keep
+    # drawing from the same policy stream.
+    policy_rng = registry.fresh(f"policy-rng-{policy}")
+    bench.install(policy, policy_rng)
+    quotas = allocation.quotas if allocation is not None else None
+    k = config.effective_k
 
     scheduler = EventScheduler()
     stats = HopStatistics(keep_samples=config.faults_active)
-
-    # Initial auxiliary installation at t=0 (per-node quotas when a
-    # global budget plan is active).
-    allocation = _budget_allocation(bench, config)
-    _install_policy_tables(overlay, config, policy, policy_rng, allocation)
-    quotas = allocation.quotas if allocation is not None else None
 
     # Churn process (same trace for both policies via the shared seed).
     churn_rng = registry.fresh("churn")
@@ -745,7 +741,7 @@ def _run_churn_once(config: ChurnConfig, policy_name: str, telemetry=None) -> Ho
                 overlay,
                 node_id,
                 config.recompute_interval,
-                _make_recompute(k, policy, policy_rng, config.frequency_limit, quotas),
+                _make_recompute(k, bench.policy(policy), policy_rng, config.frequency_limit, quotas),
             ),
         )
 
@@ -754,11 +750,8 @@ def _run_churn_once(config: ChurnConfig, policy_name: str, telemetry=None) -> Ho
     # and moved budget lands at the next per-node recomputation. A node
     # that crashes keeps its quota until it rejoins and drifts.
     if allocation is not None and config.budget_mode == "allocated":
-        problems = budget_mod.overlay_problems(
-            config.overlay, overlay, config.frequency_limit
-        )
         rebalancer = budget_mod.BudgetRebalancer.from_allocation(allocation)
-        rebalancer.baseline(problems)
+        rebalancer.baseline(bench.problems)
         scheduler.schedule(
             config.rebalance_interval,
             _PeriodicRebalanceTask(
@@ -942,11 +935,3 @@ class _PeriodicRebalanceTask:
         )
         self.scheduler.schedule(self.interval, self)
 
-
-def scaled_down(config: ChurnConfig, factor: float = 0.25) -> ChurnConfig:
-    """A cheaper variant of a churn config for smoke tests and benches."""
-    return replace(
-        config,
-        duration=max(120.0, config.duration * factor),
-        warmup=max(30.0, config.warmup * factor),
-    )

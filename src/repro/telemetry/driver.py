@@ -1,10 +1,12 @@
 """Round-clocked telemetry cells: run an instrumented comparison.
 
-:func:`metrics_cell` replays exactly the universe the runners build for
-one policy — same registry substreams, same overlay, same workload, same
-fault/churn realization — with a fresh :class:`RoundTelemetry` attached.
-Telemetry only observes, so the cell's summary statistics are
-bit-identical to the uninstrumented run; ``tests/telemetry`` pins this.
+:func:`metrics_cell` runs the runners' own per-policy cell
+(:func:`~repro.sim.runner.stable_cell` or
+:func:`~repro.sim.runner.churn_cell`) — same registry substreams,
+overlay, workload and fault/churn realization — with a fresh
+:class:`RoundTelemetry` attached. Telemetry only observes, so the
+cell's summary statistics are bit-identical to the uninstrumented run;
+``tests/telemetry`` pins this.
 
 :func:`metrics_document` fans the two policies over worker processes
 with the same order-preserving, seed-rebuilding machinery as the other
@@ -15,15 +17,14 @@ wall time), the stripped document is byte-identical at any ``--jobs``.
 
 from __future__ import annotations
 
-import math
-
-from repro.sim.metrics import HopStatistics
+from repro.obs.manifest import json_float
 from repro.sim.runner import (
+    POLICIES,
     ChurnConfig,
     ExperimentConfig,
-    _round_boundaries,
-    _run_churn_once,
-    _run_stable_once,
+    churn_cell,
+    round_boundaries,
+    stable_cell,
 )
 from repro.telemetry.export import build_metrics_document
 from repro.telemetry.runtime import DEFAULT_ROUNDS, RoundTelemetry
@@ -31,24 +32,6 @@ from repro.util.errors import ConfigurationError
 from repro.util.parallel import run_tasks
 
 __all__ = ["metrics_cell", "metrics_document"]
-
-_POLICIES = ("optimal", "oblivious")
-
-
-def _json_float(value: float) -> float | None:
-    """NaN is not valid strict JSON; degrade it to ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
-def _stats_summary(stats: HopStatistics) -> dict:
-    return {
-        "lookups": stats.lookups,
-        "successes": stats.successes,
-        "failures": stats.failures,
-        "mean_hops": _json_float(stats.mean_hops),
-        "failure_rate": stats.failure_rate,
-        "timeout_rate": stats.timeout_rate,
-    }
 
 
 def metrics_cell(config: ExperimentConfig, policy: str, rounds: int = DEFAULT_ROUNDS) -> dict:
@@ -59,22 +42,20 @@ def metrics_cell(config: ExperimentConfig, policy: str, rounds: int = DEFAULT_RO
     ``rounds`` equal virtual-time intervals. Returns a picklable cell
     payload: metric series, span profile, and summary statistics.
     """
-    if policy not in _POLICIES:
-        raise ConfigurationError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
     telemetry = RoundTelemetry(
         rounds=rounds,
         const_labels={"overlay": config.overlay, "policy": policy},
     )
     if isinstance(config, ChurnConfig):
-        stats = _run_churn_once(config, policy, telemetry=telemetry)
+        stats = churn_cell(config, policy, telemetry=telemetry)
     else:
-        stats = _run_stable_once(config, policy, telemetry=telemetry)
+        stats = stable_cell(config, policy, telemetry=telemetry).stats
     return {
         "policy": policy,
         "rounds_sampled": telemetry.registry.rounds_sampled,
         "metrics": telemetry.registry.to_payload(),
         "spans": telemetry.spans.to_dict(),
-        "stats": _stats_summary(stats),
+        "stats": {key: json_float(value) for key, value in stats.summary().items()},
     }
 
 
@@ -96,7 +77,7 @@ def metrics_document(
     """
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds!r}")
-    tasks = [(config, policy, rounds) for policy in _POLICIES]
+    tasks = [(config, policy, rounds) for policy in POLICIES]
     cells = run_tasks(_metrics_task, tasks, jobs=jobs)
     if isinstance(config, ChurnConfig):
         round_clock = {
@@ -109,7 +90,7 @@ def metrics_document(
         round_clock = {
             "mode": "stable",
             "rounds": rounds,
-            "boundaries": _round_boundaries(config.queries, rounds),
+            "boundaries": round_boundaries(config.queries, rounds),
             "queries": config.queries,
         }
     return build_metrics_document(

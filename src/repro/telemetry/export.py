@@ -23,12 +23,12 @@ terminal ``# EOF``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, dump_document
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -70,8 +70,7 @@ def build_metrics_document(config, cells: dict[str, dict], round_clock: dict) ->
 
 def write_metrics(document: dict, path) -> None:
     """Write a METRICS_v1 document as canonical, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(dump_document(document), encoding="utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -316,6 +316,16 @@ class TestBadInput:
                 "cannot read trace /no/such/file",
             ),
             (["sweep", "chord", "alpha", "abc"], "invalid alpha value 'abc'"),
+            (
+                ["sweep", "chord", "learned_frequencies", "maybe"],
+                "learned_frequencies must be True or False, got 'maybe'",
+            ),
+            (["sweep", "chord", "faults", "x"], "faults must be a FaultSchedule, got 'x'"),
+            (["sweep", "chord", "retry", "x"], "retry must be a RetryPolicy, got 'x'"),
+            (
+                ["sweep", "chord", "frequency_limit", "0"],
+                "frequency_limit must be at least 1 (or None), got 0",
+            ),
         ],
     )
     def test_one_diagnostic_line_and_exit_2(self, argv, message):
@@ -331,3 +341,17 @@ class TestBadInput:
         assert "Traceback" not in completed.stderr
         assert completed.stderr.startswith("repro: error: ")
         assert message in completed.stderr
+
+
+class TestSweepValues:
+    def test_boolean_values_parse_into_distinct_rows(self, capsys):
+        code = main(
+            ["sweep", "chord", "learned_frequencies", "false", "true", "--n", "64",
+             "--bits", "16", "--queries", "1000", "--jobs", "1", "--csv"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:3]]
+        assert [row[1] for row in rows] == ["False", "True"]
+        # Seeded (converged) and learned frequencies select different
+        # pointers, so the two rows cannot coincide.
+        assert rows[0][2:] != rows[1][2:]

@@ -6,6 +6,7 @@ trend directions) are exercised at quick scale by the benchmark harness.
 
 import pytest
 
+from repro.experiments import figures
 from repro.experiments.figures import (
     FIGURES,
     FigurePreset,
@@ -16,6 +17,7 @@ from repro.experiments.figures import (
     run_figure,
 )
 from repro.experiments.report import render_detail, render_markdown, render_table
+from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.util.errors import ConfigurationError
 
 TINY = FigurePreset(
@@ -53,6 +55,20 @@ class TestStructure:
     def test_overlay_pin_applies_to_figure7_only(self):
         with pytest.raises(ConfigurationError):
             run_figure("3", TINY, overlay="kademlia")
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURES))
+    def test_workload_reaches_every_planned_cell(self, figure_id, monkeypatch):
+        planned = []
+
+        def fake_execute(cells, replicas, jobs):
+            planned.extend(cells)
+            empty = ComparisonResult("stub", HopStatistics(), HopStatistics())
+            return [empty] * len(cells)
+
+        monkeypatch.setattr(figures, "_execute_plan", fake_execute)
+        run_figure(figure_id, TINY, workload="flash-crowd:2")
+        assert planned
+        assert {cell.config.workload for cell in planned} == {"flash-crowd:2"}
 
     def test_figure3_structure(self, fig3):
         assert fig3.figure_id == "figure3"

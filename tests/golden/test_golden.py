@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs.manifest import strip_volatile
+from repro.obs.manifest import dump_document, strip_volatile
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -42,6 +42,7 @@ CASES: dict[str, list[str]] = {
     "allocation": ["allocate", "--smoke", "--jobs", "1"],
     "metrics": ["metrics", "--smoke", "--jobs", "1"],
     "check": ["check", "--smoke", "--seed", "0"],
+    "figure6": ["figure", "6", "--jobs", "1"],
     "figure7": ["figure", "7", "--jobs", "1"],
     "sweep": ["sweep", "chord", "alpha", "0.8", "1.2", "--n", "64", "--bits", "16",
               "--queries", "1000", "--jobs", "1"],
@@ -61,7 +62,7 @@ def render(argv: list[str], workdir: Path) -> str:
     document = strip_volatile(json.loads(path.read_text()))
     for key in HOST_KEYS:
         del document["manifest"][key]
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return dump_document(document)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,6 +1,9 @@
 """Unit tests for the run-manifest provenance block."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.faults.schedule import FaultSchedule
 from repro.obs.manifest import (
@@ -8,7 +11,9 @@ from repro.obs.manifest import (
     build_manifest,
     config_digest,
     config_payload,
+    dump_document,
     git_revision,
+    json_float,
     strip_volatile,
 )
 from repro.sim.runner import ExperimentConfig
@@ -77,3 +82,44 @@ class TestStripVolatile:
         assert json.dumps(a, sort_keys=True, default=str) == json.dumps(
             b, sort_keys=True, default=str
         )
+
+
+class TestCanonicalDocument:
+    def test_nan_degrades_to_null_and_nothing_else_moves(self):
+        assert json_float(float("nan")) is None
+        assert json_float(1.5) == 1.5
+        assert json_float(3) == 3
+        assert json_float("x") == "x"
+
+    def test_dump_is_sorted_indented_and_newline_terminated(self):
+        text = dump_document({"b": 1, "a": [2]})
+        assert text == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+        assert dump_document({"p": Path("x")}, default=str) == '{\n  "p": "x"\n}\n'
+
+
+class TestDiffStripped:
+    SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "diff_stripped.py"
+
+    def run(self, tmp_path, first: dict, second: dict):
+        paths = []
+        for name, document in (("a.json", first), ("b.json", second)):
+            path = tmp_path / name
+            path.write_text(json.dumps(document))
+            paths.append(str(path))
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), *paths],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_volatile_blocks_are_ignored(self, tmp_path):
+        first = {"schema": "X_v1", "manifest": build_manifest(config())}
+        second = {"schema": "X_v1", "manifest": build_manifest(config())}
+        second["manifest"]["volatile"]["wall_time_s"] = 99.0
+        assert self.run(tmp_path, first, second).returncode == 0
+
+    def test_mismatch_exits_1_and_names_the_schema(self, tmp_path):
+        completed = self.run(tmp_path, {"schema": "X_v1", "rows": [1]}, {"schema": "X_v1", "rows": [2]})
+        assert completed.returncode == 1
+        assert "stripped X_v1 differs" in completed.stderr

@@ -15,6 +15,8 @@ The contracts defended here are the tentpole's acceptance criteria:
 
 import json
 
+import pytest
+
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.obs.driver import trace_cell, trace_cells
@@ -30,8 +32,13 @@ def cell_config(overlay="chord", **overrides) -> ExperimentConfig:
 
 
 class TestObserveOnly:
-    def test_traced_stats_match_untraced_run(self):
-        config = cell_config()
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"workload": "flash-crowd:2"}, {"budget_mode": "allocated", "budget_total": 100}],
+        ids=["default", "flash-crowd", "allocated-budget"],
+    )
+    def test_traced_stats_match_untraced_run(self, overrides):
+        config = cell_config(**overrides)
         untraced = run_stable(config).optimized
         traced = trace_cell(config, policy="optimal")["stats"]
         assert traced["lookups"] == untraced.lookups
