@@ -84,8 +84,7 @@ def _normalize(problem: SelectionProblem) -> _ChordInstance:
     source = problem.source
     entries: dict[int, float] = dict(problem.frequencies)
     for peer in problem.delay_bounds:
-        if peer != source:
-            entries.setdefault(peer, 0.0)
+        entries.setdefault(peer, 0.0)
     order = sorted(entries, key=lambda peer: space.gap(source, peer))
     gaps = [space.gap(source, peer) for peer in order]
     weights = [float(entries[peer]) for peer in order]

@@ -31,7 +31,7 @@ to the greedy.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.core.trie import PeerTrie, TrieVertex
 from repro.core.types import SelectionProblem, SelectionResult
@@ -73,6 +73,10 @@ class _CostTable:
         self.splits = splits
 
 
+#: A bottom-up merge: a vertex's table from its children's tables.
+_Merge = Callable[[TrieVertex, int], _CostTable]
+
+
 def _leaf_table(vertex: TrieVertex, k: int) -> _CostTable:
     """Cost table for a leaf: zero internal cost; one pointer may sit on the
     leaf itself when it is eligible (not a core neighbor). A QoS-required
@@ -85,72 +89,68 @@ def _leaf_table(vertex: TrieVertex, k: int) -> _CostTable:
     return _CostTable(costs, [])
 
 
-def _edge_penalty(child: TrieVertex) -> float:
-    """Cost added for the compressed edge into ``child`` when its subtree
-    receives no pointer: one unit per uncompressed edge per unit frequency
-    (the indicator terms of eq. 2, summed along the unary chain)."""
-    return child.edge_length() * child.frequency_sum
+def _padded_costs(child: TrieVertex) -> list[float]:
+    """``C(child, j)`` for every ``j``, with the cost of the compressed edge
+    into ``child`` added at ``j = 0`` when its subtree holds no core
+    pointer: one unit per uncompressed edge per unit frequency (the
+    indicator terms of eq. 2, summed along the unary chain)."""
+    costs: list[float] = child.memo.costs  # type: ignore[union-attr]
+    if child.has_core:
+        return costs
+    padded = list(costs)
+    padded[0] += child.edge_length() * child.frequency_sum
+    return padded
 
 
-def _child_cost(child: TrieVertex, j: int) -> float:
-    """``C(child, j)`` plus the edge penalty when the subtree stays empty."""
-    table: _CostTable = child.memo  # type: ignore[assignment]
-    cost = table.costs[j]
-    if j == 0 and not child.has_core:
-        cost += _edge_penalty(child)
-    return cost
+def _unary_table(vertex: TrieVertex, jmax: int) -> _CostTable:
+    """Table of a vertex with at most one child (only the root can be one):
+    every pointer goes to the child."""
+    if not vertex.children:
+        return _CostTable([0.0], [0])
+    (child,) = vertex.children.values()
+    costs = _padded_costs(child)
+    shares = [min(j, len(costs) - 1) for j in range(jmax + 1)]
+    return _CostTable([costs[share] for share in shares], shares)
 
 
 def _merge_dp(vertex: TrieVertex, k: int) -> _CostTable:
     """Exact merge: try every split of ``j`` pointers between the children
     (eq. 3). ``O(k^2)`` per vertex."""
-    children = vertex.child_order()
+    children = vertex.children
     jmax = min(k, vertex.eligible_count)
-    if not children:
-        table = _CostTable([0.0], [0])
-    elif len(children) == 1:
-        child = children[0]
-        child_max = len(child.memo.costs) - 1  # type: ignore[union-attr]
-        costs = [_child_cost(child, min(j, child_max)) for j in range(jmax + 1)]
-        table = _CostTable(costs, [min(j, child_max) for j in range(jmax + 1)])
-    elif _np is not None and jmax >= _DP_VECTOR_MIN_BUDGET:
-        table = _merge_dp_vectorized(vertex, jmax)
+    if len(children) < 2:
+        table = _unary_table(vertex, jmax)
     else:
-        first, second = children
-        first_max = len(first.memo.costs) - 1  # type: ignore[union-attr]
-        second_max = len(second.memo.costs) - 1  # type: ignore[union-attr]
-        costs: list[float] = []
-        splits: list[int] = []
-        for j in range(jmax + 1):
-            best_cost = _INF
-            best_split = min(j, first_max)
-            low = max(0, j - second_max)
-            high = min(j, first_max)
-            for i in range(low, high + 1):
-                cost = _child_cost(first, i) + _child_cost(second, j - i)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_split = i
-            costs.append(best_cost)
-            splits.append(best_split)
-        table = _CostTable(costs, splits)
+        fc = _padded_costs(children[0])
+        sc = _padded_costs(children[1])
+        if _np is not None and jmax >= _DP_VECTOR_MIN_BUDGET:
+            table = _merge_dp_vectorized(fc, sc, jmax)
+        else:
+            first_max = len(fc) - 1
+            second_max = len(sc) - 1
+            costs: list[float] = []
+            splits: list[int] = []
+            for j in range(jmax + 1):
+                best_cost = _INF
+                best_split = min(j, first_max)
+                for i in range(max(0, j - second_max), min(j, first_max) + 1):
+                    cost = fc[i] + sc[j - i]
+                    if cost < best_cost:
+                        best_cost = cost
+                        best_split = i
+                costs.append(best_cost)
+                splits.append(best_split)
+            table = _CostTable(costs, splits)
     if vertex.required and not vertex.has_core and table.costs:
         table.costs[0] = _INF
     return table
 
 
-def _merge_dp_vectorized(vertex: TrieVertex, jmax: int) -> _CostTable:
+def _merge_dp_vectorized(fc: list[float], sc: list[float], jmax: int) -> _CostTable:
     """NumPy form of the exact two-child merge: the ``(j, i)`` split matrix
     ``fc[i] + sc[j-i]`` (a min-plus convolution) is built once and reduced
     with a row-wise argmin. Matches the scalar loop's leftmost-minimum tie
     break, so the reconstructed selections are identical."""
-    first, second = vertex.child_order()
-    fc = list(first.memo.costs)  # type: ignore[union-attr]
-    sc = list(second.memo.costs)  # type: ignore[union-attr]
-    if not first.has_core:
-        fc[0] += _edge_penalty(first)
-    if not second.has_core:
-        sc[0] += _edge_penalty(second)
     fc_arr = _np.asarray(fc, dtype=_np.float64)
     sc_arr = _np.asarray(sc, dtype=_np.float64)
     i_index = _np.arange(len(fc))[None, :]
@@ -169,58 +169,58 @@ def _merge_dp_vectorized(vertex: TrieVertex, jmax: int) -> _CostTable:
 def _merge_greedy(vertex: TrieVertex, k: int) -> _CostTable:
     """Nesting-property merge (eq. 4): the optimal split for ``j`` extends
     the optimal split for ``j-1`` by one pointer on one side. ``O(k)``."""
-    children = vertex.child_order()
+    children = vertex.children
     jmax = min(k, vertex.eligible_count)
-    if not children:
-        return _CostTable([0.0], [0])
-    if len(children) == 1:
-        child = children[0]
-        child_max = len(child.memo.costs) - 1  # type: ignore[union-attr]
-        costs = [_child_cost(child, min(j, child_max)) for j in range(jmax + 1)]
-        return _CostTable(costs, [min(j, child_max) for j in range(jmax + 1)])
-    first, second = children
-    first_max = len(first.memo.costs) - 1  # type: ignore[union-attr]
-    second_max = len(second.memo.costs) - 1  # type: ignore[union-attr]
-    costs = [_child_cost(first, 0) + _child_cost(second, 0)]
+    if len(children) < 2:
+        return _unary_table(vertex, jmax)
+    fc = _padded_costs(children[0])
+    sc = _padded_costs(children[1])
+    first_max = len(fc) - 1
+    second_max = len(sc) - 1
+    costs = [fc[0] + sc[0]]
     splits = [0]
+    left = 0
     for j in range(1, jmax + 1):
-        left = splits[j - 1]
         right = j - 1 - left
-        grow_left = _child_cost(first, left + 1) + _child_cost(second, right) if left + 1 <= first_max else _INF
-        grow_right = _child_cost(first, left) + _child_cost(second, right + 1) if right + 1 <= second_max else _INF
+        grow_left = fc[left + 1] + sc[right] if left + 1 <= first_max else _INF
+        grow_right = fc[left] + sc[right + 1] if right + 1 <= second_max else _INF
         if grow_left <= grow_right:
             costs.append(grow_left)
-            splits.append(left + 1)
+            left += 1
         else:
             costs.append(grow_right)
-            splits.append(left)
+        splits.append(left)
     return _CostTable(costs, splits)
 
 
 def _build_trie(problem: SelectionProblem) -> PeerTrie:
-    """Materialize the trie for a selection problem: observed peers,
-    core neighbors (zero-frequency unless also observed) and QoS markers."""
-    trie = PeerTrie(problem.space)
-    for peer, weight in problem.frequencies.items():
-        trie.insert(peer, weight)
+    """Materialize the trie for a selection problem in one pass: observed
+    peers, core neighbors (zero-frequency unless also observed) and
+    delay-bound peers (zero-frequency unless observed), then QoS markers.
+    Every peer is in the trie before the first marker is set, because a
+    peer added later could split the edge above a marked vertex and leave
+    the marker too deep."""
+    entries = {peer: (weight, False) for peer, weight in problem.frequencies.items()}
     for neighbor in problem.core_neighbors:
-        trie.insert(neighbor, problem.frequencies.get(neighbor, 0.0), is_core=True)
+        entries[neighbor] = (problem.frequencies.get(neighbor, 0.0), True)
+    for peer in problem.delay_bounds:
+        entries.setdefault(peer, (0.0, False))
+    trie = PeerTrie.from_entries(problem.space, entries)
     for peer, bound in problem.delay_bounds.items():
-        if peer not in trie:
-            trie.insert(peer, 0.0)
         # Total lookup estimate is 1 + d; a bound of x hops allows d <= x-1.
         trie.set_required(peer, bound - 1)
     return trie
 
 
-def _fill_tables(trie: PeerTrie, k: int, use_dp: bool) -> None:
-    """Bottom-up pass computing every vertex's cost table."""
-    merge = _merge_dp if use_dp else _merge_greedy
-    for vertex in trie.postorder():
-        if vertex.is_leaf:
-            vertex.memo = _leaf_table(vertex, k)
-        else:
-            vertex.memo = merge(vertex, k)
+def _fill_tables(vertex: TrieVertex, k: int, merge: _Merge) -> None:
+    """Post-order pass computing the cost table of every vertex in the
+    subtree of ``vertex``."""
+    if vertex.is_leaf:
+        vertex.memo = _leaf_table(vertex, k)
+        return
+    for child in vertex.children.values():
+        _fill_tables(child, k, merge)
+    vertex.memo = merge(vertex, k)
 
 
 def _collect_selection(vertex: TrieVertex, budget: int, out: list[int]) -> None:
@@ -269,7 +269,7 @@ def select_pastry_dp(problem: SelectionProblem) -> SelectionResult:
     be met with ``k`` pointers.
     """
     trie = _build_trie(problem)
-    _fill_tables(trie, problem.k, use_dp=True)
+    _fill_tables(trie.root, problem.k, _merge_dp)
     return _result_from_trie(trie, problem.k, "pastry-dp")
 
 
@@ -279,7 +279,7 @@ def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
     if problem.delay_bounds:
         raise ConfigurationError("greedy solver does not support delay bounds; use select_pastry_dp")
     trie = _build_trie(problem)
-    _fill_tables(trie, problem.k, use_dp=False)
+    _fill_tables(trie.root, problem.k, _merge_greedy)
     return _result_from_trie(trie, problem.k, "pastry-greedy")
 
 
@@ -372,6 +372,8 @@ class IncrementalPastrySelector:
         """Install a QoS bound: lookups for ``peer`` within ``bound`` hops."""
         if bound < 1:
             raise ConfigurationError(f"delay bound must be >= 1, got {bound}")
+        if peer == self.source:
+            raise ConfigurationError("the source node cannot carry a delay bound")
         if peer not in self._trie:
             self._trie.insert(peer, 0.0)
         self._delay_bounds[peer] = bound
@@ -392,7 +394,7 @@ class IncrementalPastrySelector:
 
     def rebuild(self) -> None:
         """Recompute every memo table from scratch."""
-        _fill_tables(self._trie, self.k, use_dp=bool(self._delay_bounds))
+        _fill_tables(self._trie.root, self.k, self._merge())
 
     # -- queries --------------------------------------------------------
     def selection(self) -> SelectionResult:
@@ -419,9 +421,12 @@ class IncrementalPastrySelector:
         )
 
     # -- internals ------------------------------------------------------
+    def _merge(self) -> _Merge:
+        """The DP merge while QoS bounds are installed, the greedy otherwise."""
+        return _merge_dp if self._delay_bounds else _merge_greedy
+
     def _refresh_path(self, path: list[TrieVertex]) -> None:
-        use_dp = bool(self._delay_bounds)
-        merge = _merge_dp if use_dp else _merge_greedy
+        merge = self._merge()
         for vertex in path:
             if vertex.is_leaf:
                 vertex.memo = _leaf_table(vertex, self.k)
@@ -431,22 +436,5 @@ class IncrementalPastrySelector:
                         # A structural change can hang a pre-existing
                         # subtree under a fresh split vertex; its table is
                         # still valid, but a brand-new sibling needs one.
-                        _fill_tables_subtree(child, self.k, use_dp)
+                        _fill_tables(child, self.k, merge)
                 vertex.memo = merge(vertex, self.k)
-
-
-def _fill_tables_subtree(vertex: TrieVertex, k: int, use_dp: bool) -> None:
-    """Fill missing tables below ``vertex`` (used for fresh split vertices)."""
-    merge = _merge_dp if use_dp else _merge_greedy
-    stack: list[tuple[TrieVertex, bool]] = [(vertex, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if current.is_leaf:
-            current.memo = _leaf_table(current, k)
-            continue
-        if expanded:
-            current.memo = merge(current, k)
-            continue
-        stack.append((current, True))
-        for child in current.child_order():
-            stack.append((child, False))

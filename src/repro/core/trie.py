@@ -17,10 +17,14 @@ Vertices carry the aggregates the selection layer needs:
   neighbors (observed peers that are not core neighbors),
 * ``required`` — QoS marker: the subtree must end up containing a pointer.
 
-The trie supports incremental maintenance (Section IV-C): inserts, removes
-and frequency updates touch only one root-to-leaf path and report it via
+One-shot selection solves build the trie of a complete peer set in one
+pass (:meth:`PeerTrie.from_entries`): the ids are sorted once and every
+vertex is created, and aggregated, exactly once. The trie also supports
+incremental maintenance (Section IV-C): inserts, removes and frequency
+updates touch only one root-to-leaf path and report it via
 ``on_path_change`` so the selection layer can refresh its memoized cost
-tables bottom-up in ``O(b k)``.
+tables bottom-up in ``O(b k)``. Both routes build the same vertices with
+the same aggregates.
 
 A vertex's ``prefix`` holds its first ``depth`` bits right-aligned; for a
 leaf (``depth == bits``) that is the full peer id.
@@ -28,7 +32,8 @@ leaf (``depth == bits``) that is the full peer id.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from bisect import bisect_left
+from typing import Callable, Iterator, Mapping
 
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
@@ -87,7 +92,8 @@ class TrieVertex:
 
     def child_order(self) -> list["TrieVertex"]:
         """Children in deterministic bit order (0 before 1)."""
-        return [self.children[bit] for bit in sorted(self.children)]
+        children = self.children
+        return [children[bit] for bit in (0, 1) if bit in children]
 
     def refresh_aggregates(self) -> None:
         """Recompute subtree aggregates from the immediate children
@@ -129,6 +135,68 @@ class PeerTrie:
         self.root = TrieVertex(0, 0, None)
         self._leaves: dict[int, TrieVertex] = {}
         self.on_path_change = on_path_change
+
+    @classmethod
+    def from_entries(
+        cls, space: IdSpace, entries: Mapping[int, tuple[float, bool]]
+    ) -> "PeerTrie":
+        """Build the trie of a complete peer set in one pass.
+
+        ``entries`` maps each peer id to ``(frequency, is_core)``. The ids
+        are sorted once. Each internal vertex is created once, at the
+        common-prefix depth of its leaf range; the range splits at the
+        vertex's branching bit, and the vertex's aggregates are set once
+        from its two children. The result is vertex for vertex the trie
+        that inserting the peers one by one builds, and a bad id or
+        frequency raises the same error. Recursion goes at most ``bits``
+        levels deep.
+        """
+        for peer, (frequency, __) in entries.items():
+            space.validate(peer, "peer id")
+            if frequency < 0:
+                raise ConfigurationError(f"frequency must be non-negative, got {frequency!r}")
+        trie = cls(space)
+        if not entries:
+            return trie
+        peers = sorted(entries)
+        bits = space.bits
+        leaves = trie._leaves
+
+        def subtree(lo: int, hi: int, parent: TrieVertex) -> TrieVertex:
+            """The vertex holding exactly ``peers[lo:hi]``."""
+            low = peers[lo]
+            if hi - lo == 1:
+                frequency, is_core = entries[low]
+                leaf = TrieVertex(bits, low, parent)
+                leaf.peer = low
+                leaf.frequency = leaf.frequency_sum = frequency
+                leaf.is_core = leaf.has_core = is_core
+                leaf.eligible_count = 0 if is_core else 1
+                leaves[low] = leaf
+                return leaf
+            depth = bits - (low ^ peers[hi - 1]).bit_length()
+            vertex = TrieVertex(depth, low >> (bits - depth), parent)
+            # ``low`` has a 0 at the branching bit; the 1-side starts at
+            # the smallest id that has a 1 there.
+            shift = bits - depth - 1
+            mid = bisect_left(peers, ((low >> shift) | 1) << shift, lo, hi)
+            first = subtree(lo, mid, vertex)
+            second = subtree(mid, hi, vertex)
+            vertex.children = {0: first, 1: second}
+            vertex.frequency_sum = first.frequency_sum + second.frequency_sum
+            vertex.has_core = first.has_core or second.has_core
+            vertex.eligible_count = first.eligible_count + second.eligible_count
+            return vertex
+
+        # The root is the only vertex that may keep a single child.
+        root = trie.root
+        mid = bisect_left(peers, 1 << (bits - 1))
+        if mid > 0:
+            root.children[0] = subtree(0, mid, root)
+        if mid < len(peers):
+            root.children[1] = subtree(mid, len(peers), root)
+        root.refresh_aggregates()
+        return trie
 
     # ------------------------------------------------------------------
     # Queries

@@ -40,7 +40,7 @@ class SelectionProblem:
     delay_bounds:
         Optional QoS constraints: ``{peer_id: max_hops}`` requiring the
         estimated lookup distance ``1 + d(...)`` for that peer to be at most
-        ``max_hops`` (Sections IV-D and V-C).
+        ``max_hops`` (Sections IV-D and V-C). Must not contain ``source``.
     """
 
     space: IdSpace
@@ -64,6 +64,8 @@ class SelectionProblem:
             raise ConfigurationError("core_neighbors must not include the source node itself")
         for peer, bound in self.delay_bounds.items():
             self.space.validate(peer, "QoS peer id")
+            if peer == self.source:
+                raise ConfigurationError("delay_bounds must not include the source node itself")
             if not isinstance(bound, int) or bound < 1:
                 raise ConfigurationError(f"delay bound for peer {peer} must be an int >= 1, got {bound!r}")
 

@@ -64,6 +64,15 @@ class TestHandPicked:
         assert result.auxiliary == {1, 2}
         assert_valid(problem, result)
 
+    def test_deepest_trie(self):
+        # One branching vertex per bit of a 256-bit space: the solvers'
+        # recursion reaches its deepest.
+        weights = {1 << i: float(i % 7) for i in range(256)}
+        problem = problem_from_lists(256, 0, weights, [3], k=4)
+        greedy = select_pastry_greedy(problem)
+        assert greedy.cost == select_pastry_dp(problem).cost
+        assert_valid(problem, greedy)
+
     def test_empty_frequencies(self):
         problem = problem_from_lists(8, 0, {}, [1], k=3)
         result = select_pastry(problem)
@@ -167,6 +176,30 @@ class TestQoS:
             result = select_pastry_dp(problem)
             assert result.cost == pytest.approx(reference.cost)
 
+    def test_rejects_bound_on_source(self):
+        with pytest.raises(ConfigurationError, match="source"):
+            problem_from_lists(8, 5, {200: 3.0, 100: 1.0}, [128], k=1, bounds={5: 1})
+        unbounded = select_pastry_dp(problem_from_lists(8, 5, {200: 3.0, 100: 1.0}, [128], k=1))
+        assert unbounded.auxiliary == {200}
+        assert unbounded.cost == 12.0
+
+    def test_unobserved_bounded_peers_join_before_marking(self):
+        # 0b1011 is bounded but never queried. Once it is in the trie, a
+        # pointer on it serves 0b1010 within 2 hops as well; marking
+        # 0b1010 before 0b1011 arrived would have pinned both.
+        problem = problem_from_lists(
+            4, 0, {0b1010: 1.0, 0b0011: 4.0}, [], k=2, bounds={0b1010: 3, 0b1011: 1}
+        )
+        result = select_pastry_dp(problem)
+        assert result.auxiliary == {0b1011, 0b0011}
+        assert result.cost == 6.0
+        # Brute force sees the bounded peer as an observed zero-frequency one.
+        widened = problem_from_lists(
+            4, 0, {0b1010: 1.0, 0b0011: 4.0, 0b1011: 0.0}, [], k=2,
+            bounds={0b1010: 3, 0b1011: 1},
+        )
+        assert brute_force_optimal(widened, "pastry").cost == result.cost
+
     def test_greedy_rejects_bounds(self):
         problem = problem_from_lists(8, 0, {1: 1.0}, [], k=1, bounds={1: 3})
         with pytest.raises(ConfigurationError):
@@ -253,3 +286,13 @@ class TestIncremental:
     def test_rejects_source_as_core(self):
         with pytest.raises(ConfigurationError):
             IncrementalPastrySelector(IdSpace(8), source=5, core_neighbors=[5], k=1)
+
+    def test_rejects_delay_bound_on_source(self):
+        selector = IncrementalPastrySelector(IdSpace(8), source=5, core_neighbors=[128], k=1)
+        selector.observe(200, 3.0)
+        selector.observe(100, 1.0)
+        with pytest.raises(ConfigurationError, match="source"):
+            selector.set_delay_bound(5, 1)
+        result = selector.selection()
+        assert result.auxiliary == {200}
+        assert result.cost == 12.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.trie import PeerTrie
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, IdSpaceError
 from repro.util.ids import IdSpace
 
 
@@ -16,6 +16,43 @@ def build(bits=8, entries=()):
     for peer, freq in entries:
         trie.insert(peer, freq)
     return trie
+
+
+def insert_one(bits, peer, frequency):
+    PeerTrie(IdSpace(bits)).insert(peer, frequency)
+
+
+def build_one_pass(bits, peer, frequency):
+    PeerTrie.from_entries(IdSpace(bits), {peer: (frequency, False)})
+
+
+CONSTRUCTION_ROUTES = pytest.mark.parametrize(
+    "construct", [insert_one, build_one_pass], ids=["insert", "one-pass"]
+)
+
+
+VERTEX_FIELDS = (
+    "depth", "prefix", "peer", "frequency", "is_core", "required",
+    "frequency_sum", "has_core", "eligible_count",
+)
+
+
+def assert_same_trie(actual, expected):
+    """Vertex-by-vertex equality from the roots down: every field exact
+    (``==``, not approx), the same child bits, parent links and leaf index."""
+    assert len(actual) == len(expected)
+    pending = [(actual.root, expected.root)]
+    while pending:
+        mine, theirs = pending.pop()
+        assert [getattr(mine, name) for name in VERTEX_FIELDS] == [
+            getattr(theirs, name) for name in VERTEX_FIELDS
+        ]
+        assert sorted(mine.children) == sorted(theirs.children)
+        if mine.is_leaf:
+            assert actual.leaf(mine.peer) is mine
+        for bit, child in mine.children.items():
+            assert child.parent is mine
+            pending.append((child, theirs.children[bit]))
 
 
 def check_invariants(trie):
@@ -73,13 +110,15 @@ class TestInsert:
         trie.insert(5, 3.0)
         assert trie.leaf(5).is_core
 
-    def test_rejects_negative_frequency(self):
-        with pytest.raises(ConfigurationError):
-            build().insert(5, -1.0)
+    @CONSTRUCTION_ROUTES
+    def test_rejects_negative_frequency(self, construct):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            construct(8, 5, -1.0)
 
-    def test_rejects_out_of_range_id(self):
-        with pytest.raises(ConfigurationError):
-            build(bits=4).insert(16)
+    @CONSTRUCTION_ROUTES
+    def test_rejects_out_of_range_id(self, construct):
+        with pytest.raises(IdSpaceError):
+            construct(4, 16, 0.0)
 
 
 class TestAggregates:
@@ -181,22 +220,69 @@ class TestNotifications:
             assert depths == sorted(depths, reverse=True)
 
 
+class TestOnePassBuild:
+    def test_empty(self):
+        assert_same_trie(PeerTrie.from_entries(IdSpace(8), {}), build())
+
+    def test_single_peer(self):
+        trie = PeerTrie.from_entries(IdSpace(8), {77: (2.5, False)})
+        assert_same_trie(trie, build(entries=[(77, 2.5)]))
+        assert trie.root.children[0].peer == 77
+
+    def test_unary_root(self):
+        # Every id starts with bit 1: the root keeps a single child.
+        peers = [0b10110000, 0b10100000, 0b11000001]
+        trie = PeerTrie.from_entries(IdSpace(8), {peer: (1.5, False) for peer in peers})
+        assert list(trie.root.children) == [1]
+        assert trie.root.children[1].depth == 1
+        assert_same_trie(trie, build(entries=[(peer, 1.5) for peer in peers]))
+
+    def test_deepest_trie(self):
+        # 0 and every power of two: one branching vertex per bit, the
+        # deepest trie a 256-bit space allows.
+        peers = [0] + [1 << i for i in range(256)]
+        trie = PeerTrie.from_entries(IdSpace(256), {peer: (1.0, False) for peer in peers})
+        assert_same_trie(trie, build(bits=256, entries=[(peer, 1.0) for peer in peers]))
+        assert trie.leaf(0).parent.depth == 255
+
+    def test_core_only_and_zero_frequency_peers(self):
+        entries = {3: (0.0, True), 200: (0.0, True), 201: (0.0, False), 90: (4.0, True)}
+        reference = PeerTrie(IdSpace(8))
+        for peer, (frequency, is_core) in entries.items():
+            reference.insert(peer, frequency, is_core=is_core)
+        trie = PeerTrie.from_entries(IdSpace(8), entries)
+        assert_same_trie(trie, reference)
+        assert trie.root.eligible_count == 1
+        assert trie.total_frequency() == 4.0
+
+
+@pytest.mark.parametrize("bits", [1, 8, 32, 160, 256])
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 255), st.booleans()), min_size=1, max_size=60))
-def test_random_insert_remove_matches_reference(operations):
-    """Fuzz inserts/removes against a plain dict reference model."""
-    trie = PeerTrie(IdSpace(8))
+@given(data=st.data())
+def test_random_insert_remove_matches_reference(bits, data):
+    """Fuzz inserts/removes against a plain dict reference model, then
+    require the one-pass build of the survivors to equal the trie the
+    inserts and removes left behind."""
+    operations = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << bits) - 1), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    trie = PeerTrie(IdSpace(bits))
     reference = {}
     rng = random.Random(0)
-    for peer, remove in operations:
+    for peer, remove, is_core in operations:
         if remove and reference:
             victim = rng.choice(sorted(reference))
             trie.remove(victim)
             del reference[victim]
         else:
-            freq = float(rng.randint(0, 9))
-            trie.insert(peer, freq)
-            reference[peer] = freq
+            freq = rng.choice([0.0, float(rng.randint(1, 9)), rng.uniform(0.0, 10.0)])
+            trie.insert(peer, freq, is_core=is_core)
+            reference[peer] = (freq, is_core or reference.get(peer, (0.0, False))[1])
     assert sorted(leaf.peer for leaf in trie.leaves()) == sorted(reference)
-    assert trie.total_frequency() == pytest.approx(sum(reference.values()))
+    assert trie.total_frequency() == pytest.approx(sum(freq for freq, __ in reference.values()))
+    assert_same_trie(PeerTrie.from_entries(IdSpace(bits), reference), trie)
     check_invariants(trie)

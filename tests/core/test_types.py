@@ -36,6 +36,11 @@ class TestSelectionProblem:
         with pytest.raises(ConfigurationError):
             make(core_neighbors=frozenset({1}))
 
+    def test_rejects_source_in_delay_bounds(self):
+        # A bound on the source would make the source its own pointer.
+        with pytest.raises(ConfigurationError, match="source"):
+            make(delay_bounds={1: 1})
+
     def test_rejects_negative_k(self):
         with pytest.raises(ConfigurationError):
             make(k=-1)

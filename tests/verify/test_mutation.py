@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.core import chord_selection, kademlia_selection, pastry_selection
+from repro.core.trie import PeerTrie
 from repro.util.errors import ConfigurationError
 from repro.verify import (
     check_scenarios,
@@ -34,11 +35,26 @@ def miscosted(solver, delta=0.5):
     return broken
 
 
-def first_chord_scenario_with_selection(master_seed=0, count=20):
-    for scenario in generate_scenarios(count, master_seed, "chord"):
+def double_counting(build):
+    """A one-pass trie build that counts the hottest leaf twice in every
+    ancestor's ``frequency_sum``."""
+
+    def broken(space, entries):
+        trie = build(space, entries)
+        if len(trie):
+            hottest = max(trie.leaves(), key=lambda leaf: leaf.frequency)
+            for ancestor in trie.path_to_root(hottest)[1:]:
+                ancestor.frequency_sum += hottest.frequency
+        return trie
+
+    return staticmethod(broken)
+
+
+def first_scenario_with_selection(overlay="chord", master_seed=0, count=20):
+    for scenario in generate_scenarios(count, master_seed, overlay):
         if any(op == "recompute" for op, __ in scenario.steps):
             return scenario
-    raise AssertionError("no chord scenario with a recompute step")
+    raise AssertionError(f"no {overlay} scenario with a recompute step")
 
 
 class TestMutationIsCaught:
@@ -67,7 +83,7 @@ class TestMutationIsCaught:
         )
 
     def test_broken_fast_solver_flagged_as_equivalence(self, monkeypatch):
-        scenario = first_chord_scenario_with_selection()
+        scenario = first_scenario_with_selection()
         assert run_scenario(scenario).passed
         monkeypatch.setattr(
             chord_selection,
@@ -92,6 +108,26 @@ class TestMutationIsCaught:
             for violation in report.violations
         )
 
+    def test_miscounting_trie_build_caught_by_reevaluation(self, monkeypatch):
+        """DP and greedy share the one-pass build, so they agree on a
+        wrong trie and only a trie-free check can see the bug: the
+        ``cost.evaluate`` re-evaluation inside ``selection.equivalence``
+        must report it."""
+        scenario = first_scenario_with_selection("pastry")
+        assert run_scenario(scenario).passed
+        monkeypatch.setattr(
+            PeerTrie, "from_entries", double_counting(PeerTrie.from_entries)
+        )
+        report = run_scenario(scenario)
+        assert not report.passed
+        assert any(
+            violation.invariant == "selection.equivalence"
+            and "re-evaluation" in violation.message
+            for violation in report.violations
+        )
+        monkeypatch.undo()
+        assert run_scenario(scenario).passed
+
     def test_broken_kademlia_greedy_flagged(self, monkeypatch):
         scenario = next(iter(generate_scenarios(2, 0, "kademlia")))
         assert run_scenario(scenario).passed
@@ -110,12 +146,12 @@ class TestMutationIsCaught:
 
 class TestShrinkAndReplay:
     def test_shrink_rejects_a_passing_scenario(self):
-        scenario = first_chord_scenario_with_selection()
+        scenario = first_scenario_with_selection()
         with pytest.raises(ConfigurationError):
             shrink(scenario, "selection.equivalence")
 
     def test_end_to_end_catch_shrink_replay(self, monkeypatch, tmp_path):
-        scenario = first_chord_scenario_with_selection()
+        scenario = first_scenario_with_selection()
         monkeypatch.setattr(
             chord_selection,
             "select_chord_fast",
