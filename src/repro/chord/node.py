@@ -112,6 +112,11 @@ class ChordNode:
             self.successors.remove(dead_id)
         self.table.remove(dead_id)
 
+    def core_neighbors(self) -> frozenset[int]:
+        """The budget-free pointers ``N_s`` selection builds on: fingers
+        plus the successor list."""
+        return frozenset(self.core | set(self.successors))
+
     def neighbor_ids(self) -> set[int]:
         """All current neighbors: fingers, successors and auxiliaries."""
         return self.core | set(self.successors) | self.auxiliary

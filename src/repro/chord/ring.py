@@ -16,31 +16,21 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Iterable
+from typing import Iterable
 
+from repro import selection
 from repro.chord.node import ChordNode
 from repro.chord.routing import next_hop
 from repro.core.chord_selection import select_chord
 from repro.core.frequency import ExactFrequencyTable
-from repro.core.oblivious import select_chord_oblivious, select_uniform_random
+from repro.core.oblivious import select_chord_oblivious
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.routing import LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
-from repro.util.validation import require_non_negative_int, require_positive_int
+from repro.util.validation import require_positive_int
 
-__all__ = [
-    "AuxiliaryPolicy",
-    "ChordRing",
-    "oblivious_policy",
-    "optimal_policy",
-    "uniform_policy",
-]
-
-#: Signature of an auxiliary-selection policy: (problem, rng, overlay).
-#: The overlay lets frequency-oblivious baselines draw random nodes per
-#: distance class from the whole population, as the paper specifies.
-AuxiliaryPolicy = Callable[[SelectionProblem, random.Random, "ChordRing"], SelectionResult]
+__all__ = ["ChordRing", "oblivious_policy", "optimal_policy"]
 
 
 def optimal_policy(
@@ -57,14 +47,6 @@ def oblivious_policy(
     finger range, drawn from the live population when available."""
     pool = overlay.alive_ids() if overlay is not None else None
     return select_chord_oblivious(problem, rng, pool=pool)
-
-
-def uniform_policy(
-    problem: SelectionProblem, rng: random.Random, overlay: "ChordRing | None" = None
-) -> SelectionResult:
-    """Uniform-random ablation baseline."""
-    pool = overlay.alive_ids() if overlay is not None else None
-    return select_uniform_random(problem, rng, "chord", pool=pool)
 
 
 class ChordRing:
@@ -371,54 +353,23 @@ class ChordRing:
         self,
         node_id: int,
         k: int,
-        policy: AuxiliaryPolicy,
+        policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> SelectionResult:
-        """Run an auxiliary-selection policy at one node and install the
-        result (the periodic recomputation of Section III).
-
-        Only currently-observed peers enter the problem; peers the node has
-        learned are dead were already dropped from its tracker by
-        :meth:`ChordNode.evict` callers. ``frequency_limit`` truncates to
-        the top-n observed peers (the paper's streaming-top-n note).
-        """
-        require_non_negative_int(k, "k")
-        node = self.nodes[node_id]
-        if not node.alive:
-            raise NodeAbsentError(f"cannot select auxiliaries at dead node {node_id}")
-        frequencies = node.frequency_snapshot(frequency_limit)
-        problem = SelectionProblem(
-            space=self.space,
-            source=node_id,
-            frequencies=frequencies,
-            core_neighbors=frozenset(node.core | set(node.successors)),
-            k=k,
-        )
-        tel = self._telemetry
-        if tel is not None:
-            previous = set(node.auxiliary)
-            with tel.span("selection.recompute"):
-                result = policy(problem, rng, self)
-                node.set_auxiliary(set(result.auxiliary))
-            tel.add_work(
-                "selection.pointer_updates", len(previous ^ set(result.auxiliary))
-            )
-            return result
-        result = policy(problem, rng, self)
-        node.set_auxiliary(set(result.auxiliary))
-        return result
+        """Run ``policy`` at one node and install the result; see
+        :func:`repro.selection.recompute`."""
+        return selection.recompute(self, node_id, k, policy, rng, frequency_limit, self._telemetry)
 
     def recompute_all_auxiliary(
         self,
         k: int,
-        policy: AuxiliaryPolicy,
+        policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> None:
-        """Recompute auxiliary sets at every live node."""
-        for node_id in self.alive_ids():
-            self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
+        """Recompute auxiliary sets at every live node, in ascending id order."""
+        selection.install(self, k, policy, rng, frequency_limit)
 
     # ------------------------------------------------------------------
     # Lookups

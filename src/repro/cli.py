@@ -493,20 +493,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _parse_budget(text: str | None) -> dict:
-    """``--budget MODE[:K]`` -> ExperimentConfig budget kwargs."""
+    """``--budget MODE[:K]`` -> ExperimentConfig budget kwargs; the config
+    rejects an unknown mode."""
     if text is None:
         return {}
     mode, sep, total = text.partition(":")
-    if mode not in ("uniform", "allocated"):
-        raise SystemExit(
-            f"--budget mode must be 'uniform' or 'allocated', got {mode!r}"
-        )
     kwargs: dict = {"budget_mode": mode}
     if sep:
         try:
             kwargs["budget_total"] = int(total)
         except ValueError:
-            raise SystemExit(f"--budget total must be an integer, got {total!r}")
+            raise ConfigurationError(f"--budget total must be an integer, got {total!r}")
     elif mode == "allocated":
         # Bare 'allocated' still plans: K defaults to n * effective_k.
         kwargs["budget_total"] = None

@@ -34,15 +34,16 @@ holds at every round boundary.
 
 Everything is overlay-generic: Chord, Pastry and Kademlia all express
 selection through :class:`~repro.core.types.SelectionProblem`, so the
-allocator composes with the existing selectors unchanged.
+allocator composes with the existing selectors unchanged. The problems
+a plan is cut from, and the walk that installs its quotas, belong to the
+selection plane (:mod:`repro.selection`).
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro.core import chord_selection, kademlia_selection, pastry_selection
 from repro.core.drift import DriftDetector
@@ -56,12 +57,8 @@ __all__ = [
     "CostCurve",
     "allocate_brute_force",
     "allocate_greedy",
-    "allocate_overlay",
     "allocate_uniform",
-    "core_neighbors_of",
     "curves_for_problems",
-    "install_allocation",
-    "overlay_problems",
     "selector_for",
 ]
 
@@ -308,81 +305,6 @@ def allocate_brute_force(
     quotas = dict(zip(nodes, best))
     costs = {node: curves[node].cost(quotas[node]) for node in nodes}
     return BudgetAllocation(total=total, quotas=quotas, costs=costs, algorithm="brute-force")
-
-
-# ----------------------------------------------------------------------
-# Overlay adapters
-# ----------------------------------------------------------------------
-
-
-def core_neighbors_of(overlay_kind: str, overlay, node_id: int) -> frozenset[int]:
-    """The node's budget-free pointers, per overlay (matches what each
-    overlay's ``recompute_auxiliary`` feeds its SelectionProblem)."""
-    node = overlay.node(node_id)
-    if overlay_kind == "chord":
-        return frozenset(node.core | set(node.successors))
-    if overlay_kind == "kademlia":
-        return frozenset(node.core)
-    if overlay_kind == "pastry":
-        return frozenset(node.core | node.leaves)
-    raise ConfigurationError(
-        f"unknown overlay {overlay_kind!r}; expected one of {OVERLAYS}"
-    )
-
-
-def overlay_problems(
-    overlay_kind: str,
-    overlay,
-    frequency_limit: int | None = None,
-) -> dict[int, SelectionProblem]:
-    """One ``k=0`` selection problem per live node with observed peers.
-
-    These are exactly the problems ``recompute_auxiliary`` would solve —
-    same frequency snapshot, same core set — so curve costs coincide
-    with what installation at the allocated quota will achieve.
-    """
-    problems: dict[int, SelectionProblem] = {}
-    for node_id in overlay.alive_ids():
-        frequencies = overlay.node(node_id).frequency_snapshot(frequency_limit)
-        if not frequencies:
-            continue
-        problems[node_id] = SelectionProblem(
-            space=overlay.space,
-            source=node_id,
-            frequencies=frequencies,
-            core_neighbors=core_neighbors_of(overlay_kind, overlay, node_id),
-            k=0,
-        )
-    return problems
-
-
-def allocate_overlay(
-    overlay_kind: str,
-    overlay,
-    total: int,
-    frequency_limit: int | None = None,
-    loads: Mapping[int, float] | None = None,
-) -> BudgetAllocation:
-    """Greedy allocation of ``total`` pointers across one live overlay."""
-    problems = overlay_problems(overlay_kind, overlay, frequency_limit)
-    curves = curves_for_problems(problems, overlay_kind, loads)
-    return allocate_greedy(curves, total)
-
-
-def install_allocation(
-    overlay,
-    allocation: BudgetAllocation,
-    policy,
-    rng: random.Random,
-    frequency_limit: int | None = None,
-) -> None:
-    """Install per-node quotas through the overlay's own recompute path
-    (ascending node order — the same order ``recompute_all_auxiliary``
-    walks, so policy RNG draws are reproducible)."""
-    for node_id in overlay.alive_ids():
-        overlay.recompute_auxiliary(
-            node_id, allocation.quota(node_id), policy, rng, frequency_limit
-        )
 
 
 # ----------------------------------------------------------------------

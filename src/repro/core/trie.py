@@ -288,12 +288,16 @@ class PeerTrie:
         """Install the QoS constraint "``peer`` reachable within
         ``max_distance`` trie hops": the ancestor subtree of height
         ``max_distance`` containing the peer must hold a pointer
-        (Section IV-D). ``max_distance = 0`` pins the leaf itself.
+        (Section IV-D). ``max_distance = 0`` pins the leaf itself. A
+        bound of ``bits`` hops or more marks nothing: with no pointer at
+        all ``d(v, {}) = bits``, so the empty set already meets it.
         """
         if max_distance < 0:
             raise ConfigurationError(f"max_distance must be >= 0, got {max_distance}")
         leaf = self._leaves[peer]
-        threshold = max(self.space.bits - max_distance, 0)
+        if max_distance >= self.space.bits:
+            return
+        threshold = self.space.bits - max_distance
         target = leaf
         # Pointer anywhere in an ancestor at depth >= threshold satisfies
         # the bound; the shallowest such ancestor's subtree contains all

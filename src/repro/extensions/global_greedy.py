@@ -29,6 +29,7 @@ from __future__ import annotations
 from repro.chord.ring import ChordRing
 from repro.core import budget as budget_mod
 from repro.core import cost as cost_mod
+from repro.core.types import SelectionProblem
 from repro.util.validation import require_non_negative_int
 
 __all__ = ["GlobalAssignment", "select_global_greedy", "network_cost"]
@@ -62,8 +63,8 @@ def network_cost(
     """
     total = 0.0
     for source, frequencies in demands.items():
-        core = budget_mod.core_neighbors_of(overlay, ring, source)
-        auxiliary = ring.node(source).auxiliary
+        node = ring.node(source)
+        core, auxiliary = node.core_neighbors(), node.auxiliary
         if overlay == "chord":
             total += cost_mod.chord_cost(
                 ring.space, source, frequencies, core, auxiliary
@@ -101,11 +102,11 @@ def select_global_greedy(
     if total_k is not None:
         require_non_negative_int(total_k, "total_k")
     problems = {
-        source: budget_mod.SelectionProblem(
+        source: SelectionProblem(
             space=ring.space,
             source=source,
             frequencies=frequencies,
-            core_neighbors=budget_mod.core_neighbors_of(overlay, ring, source),
+            core_neighbors=ring.node(source).core_neighbors(),
             k=0,
         )
         for source, frequencies in demands.items()

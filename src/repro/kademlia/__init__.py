@@ -13,7 +13,6 @@ from repro.kademlia.network import (
     KademliaNetwork,
     oblivious_policy,
     optimal_policy,
-    uniform_policy,
 )
 from repro.kademlia.node import KademliaNode, KBucket, RoutingTable
 from repro.kademlia.routing import FindNodeResult, iterative_find_node, next_hop
@@ -29,5 +28,4 @@ __all__ = [
     "next_hop",
     "oblivious_policy",
     "optimal_policy",
-    "uniform_policy",
 ]

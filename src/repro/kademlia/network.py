@@ -24,32 +24,24 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from typing import Callable, Iterable
+from typing import Iterable
 
+from repro import selection
 from repro.core.frequency import ExactFrequencyTable
 from repro.core.kademlia_selection import select_kademlia
-from repro.core.oblivious import select_kademlia_oblivious, select_uniform_random
+from repro.core.oblivious import select_kademlia_oblivious
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.kademlia.node import KademliaNode, RoutingTable
 from repro.kademlia.routing import FindNodeResult, iterative_find_node, next_hop
 from repro.routing import LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
-from repro.util.validation import require_non_negative_int, require_positive_int
+from repro.util.validation import require_positive_int
 
-__all__ = [
-    "KADEMLIA_BITS",
-    "KademliaNetwork",
-    "optimal_policy",
-    "oblivious_policy",
-    "uniform_policy",
-]
+__all__ = ["KADEMLIA_BITS", "KademliaNetwork", "optimal_policy", "oblivious_policy"]
 
 #: The protocol's canonical id width (SHA-1).
 KADEMLIA_BITS = 160
-
-#: Signature of an auxiliary-selection policy: (problem, rng, overlay).
-AuxiliaryPolicy = Callable[[SelectionProblem, random.Random, "KademliaNetwork"], SelectionResult]
 
 
 def optimal_policy(
@@ -66,14 +58,6 @@ def oblivious_policy(
     XOR distance class, drawn from the live population when available."""
     pool = overlay.alive_ids() if overlay is not None else None
     return select_kademlia_oblivious(problem, rng, pool=pool)
-
-
-def uniform_policy(
-    problem: SelectionProblem, rng: random.Random, overlay: "KademliaNetwork | None" = None
-) -> SelectionResult:
-    """Uniform-random ablation baseline."""
-    pool = overlay.alive_ids() if overlay is not None else None
-    return select_uniform_random(problem, rng, "kademlia", pool=pool)
 
 
 class KademliaNetwork:
@@ -283,47 +267,23 @@ class KademliaNetwork:
         self,
         node_id: int,
         k: int,
-        policy: AuxiliaryPolicy,
+        policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> SelectionResult:
-        """Run a selection policy at one node and install the result."""
-        require_non_negative_int(k, "k")
-        node = self.nodes[node_id]
-        if not node.alive:
-            raise NodeAbsentError(f"cannot select auxiliaries at dead node {node_id}")
-        frequencies = node.frequency_snapshot(frequency_limit)
-        problem = SelectionProblem(
-            space=self.space,
-            source=node_id,
-            frequencies=frequencies,
-            core_neighbors=frozenset(node.core),
-            k=k,
-        )
-        tel = self._telemetry
-        if tel is not None:
-            previous = set(node.auxiliary)
-            with tel.span("selection.recompute"):
-                result = policy(problem, rng, self)
-                node.set_auxiliary(set(result.auxiliary))
-            tel.add_work(
-                "selection.pointer_updates", len(previous ^ set(result.auxiliary))
-            )
-            return result
-        result = policy(problem, rng, self)
-        node.set_auxiliary(set(result.auxiliary))
-        return result
+        """Run ``policy`` at one node and install the result; see
+        :func:`repro.selection.recompute`."""
+        return selection.recompute(self, node_id, k, policy, rng, frequency_limit, self._telemetry)
 
     def recompute_all_auxiliary(
         self,
         k: int,
-        policy: AuxiliaryPolicy,
+        policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> None:
-        """Recompute auxiliary sets at every live node."""
-        for node_id in self.alive_ids():
-            self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
+        """Recompute auxiliary sets at every live node, in ascending id order."""
+        selection.install(self, k, policy, rng, frequency_limit)
 
     # ------------------------------------------------------------------
     # Lookups

@@ -232,6 +232,11 @@ class KademliaNode:
         self.auxiliary.discard(dead_id)
         self._remove_from_class(dead_id)
 
+    def core_neighbors(self) -> frozenset[int]:
+        """The budget-free pointers ``N_s`` selection builds on: the
+        bucket contacts."""
+        return frozenset(self.core)
+
     def neighbor_ids(self) -> set[int]:
         """Every currently-known contact."""
         return self.core | self.auxiliary

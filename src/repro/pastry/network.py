@@ -17,10 +17,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable
 
+from repro import selection
 from repro.core.frequency import ExactFrequencyTable
-from repro.core.oblivious import select_pastry_oblivious, select_uniform_random
+from repro.core.oblivious import select_pastry_oblivious
 from repro.core.pastry_selection import select_pastry
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.pastry.node import PastryNode
@@ -29,19 +30,9 @@ from repro.pastry.routing import ROUTING_MODES, circular_distance, next_hop
 from repro.routing import LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
-from repro.util.validation import require_non_negative_int, require_positive_int
+from repro.util.validation import require_positive_int
 
-__all__ = [
-    "PastryNetwork",
-    "optimal_policy",
-    "oblivious_policy",
-    "uniform_policy",
-]
-
-#: Signature of an auxiliary-selection policy: (problem, rng, overlay).
-#: The overlay lets frequency-oblivious baselines draw random nodes per
-#: prefix class from the whole population, as the paper specifies.
-AuxiliaryPolicy = Callable[[SelectionProblem, random.Random, "PastryNetwork"], SelectionResult]
+__all__ = ["PastryNetwork", "optimal_policy", "oblivious_policy"]
 
 
 def optimal_policy(
@@ -58,14 +49,6 @@ def oblivious_policy(
     prefix class, drawn from the live population when available."""
     pool = overlay.alive_ids() if overlay is not None else None
     return select_pastry_oblivious(problem, rng, pool=pool)
-
-
-def uniform_policy(
-    problem: SelectionProblem, rng: random.Random, overlay: "PastryNetwork | None" = None
-) -> SelectionResult:
-    """Uniform-random ablation baseline."""
-    pool = overlay.alive_ids() if overlay is not None else None
-    return select_uniform_random(problem, rng, "pastry", pool=pool)
 
 
 class PastryNetwork:
@@ -307,47 +290,23 @@ class PastryNetwork:
         self,
         node_id: int,
         k: int,
-        policy: AuxiliaryPolicy,
+        policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> SelectionResult:
-        """Run a selection policy at one node and install the result."""
-        require_non_negative_int(k, "k")
-        node = self.nodes[node_id]
-        if not node.alive:
-            raise NodeAbsentError(f"cannot select auxiliaries at dead node {node_id}")
-        frequencies = node.frequency_snapshot(frequency_limit)
-        problem = SelectionProblem(
-            space=self.space,
-            source=node_id,
-            frequencies=frequencies,
-            core_neighbors=frozenset(node.core | node.leaves),
-            k=k,
-        )
-        tel = self._telemetry
-        if tel is not None:
-            previous = set(node.auxiliary)
-            with tel.span("selection.recompute"):
-                result = policy(problem, rng, self)
-                node.set_auxiliary(set(result.auxiliary))
-            tel.add_work(
-                "selection.pointer_updates", len(previous ^ set(result.auxiliary))
-            )
-            return result
-        result = policy(problem, rng, self)
-        node.set_auxiliary(set(result.auxiliary))
-        return result
+        """Run ``policy`` at one node and install the result; see
+        :func:`repro.selection.recompute`."""
+        return selection.recompute(self, node_id, k, policy, rng, frequency_limit, self._telemetry)
 
     def recompute_all_auxiliary(
         self,
         k: int,
-        policy: AuxiliaryPolicy,
+        policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
     ) -> None:
-        """Recompute auxiliary sets at every live node."""
-        for node_id in self.alive_ids():
-            self.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
+        """Recompute auxiliary sets at every live node, in ascending id order."""
+        selection.install(self, k, policy, rng, frequency_limit)
 
     # ------------------------------------------------------------------
     # Lookups

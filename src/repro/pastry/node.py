@@ -140,6 +140,11 @@ class PastryNode:
             self._leaf_cache = None
         self._remove_from_cell(dead_id)
 
+    def core_neighbors(self) -> frozenset[int]:
+        """The budget-free pointers ``N_s`` selection builds on: routing
+        table plus leaf set."""
+        return frozenset(self.core | self.leaves)
+
     def neighbor_ids(self) -> set[int]:
         """Every currently-known neighbor."""
         return self.core | self.auxiliary | self.leaves

@@ -1,17 +1,17 @@
 """Performance-regression harness.
 
 Times the hot kernels (cost evaluation, selection solvers, routing loops)
-and whole figure cells, and emits a ``BENCH_v1.json`` document so every
-future change has a perf trajectory to compare against:
+and runs the gates (process-pool identity, disabled-observer overhead,
+columnar engine), and emits a ``BENCH_v1.json`` document so every future
+change has a perf trajectory to compare against. Whole figure cells are
+timed by the benchmark in ``perfbench/``.
 
 * :mod:`repro.perf.harness` — warmup + repeats timing with median/p95.
 * :mod:`repro.perf.micro` — kernel and routing-loop microbenchmarks.
-* :mod:`repro.perf.macro` — per-figure-cell timings and the serial-vs-
-  parallel sweep identity check.
 * :mod:`repro.perf.compare` — regression detection between two bench
   documents (used by CI).
-* :mod:`repro.perf.runner` — assembles the full document; backs
-  ``python -m repro bench``.
+* :mod:`repro.perf.runner` — assembles the full document, including the
+  serial-vs-parallel sweep identity check; backs ``python -m repro bench``.
 """
 
 from repro.perf.compare import Regression, find_regressions, load_bench

@@ -3,9 +3,8 @@
 CI runs a smoke bench and compares its microbenchmark medians against the
 committed ``BENCH_v1.json`` baseline: any kernel whose median grows by
 more than ``threshold``x fails the build. Only ``micro`` entries present
-in *both* documents are compared — renamed or newly added benchmarks are
-never spurious failures — and macro timings are reported but not gated
-(whole-cell times are too machine-sensitive for a hard threshold).
+in *both* documents are compared, so renamed or newly added benchmarks are
+never spurious failures.
 """
 
 from __future__ import annotations

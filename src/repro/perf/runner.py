@@ -9,7 +9,6 @@ Document layout::
       "numpy": "x.y.z" | null,
       "manifest": {... MANIFEST_v1 run provenance ...},
       "micro":    {name: {repeats, warmup, min_s, median_s, ...}},
-      "macro":    {name: {...}},                # one-shot figure cells
       "speedups": {kernel: scalar_median / vectorized_median},
       "parallel": {jobs, sweep_cells, serial_s, parallel_s, identical},
       "obs_overhead": {overlays, worst_ratio, threshold, passed},
@@ -34,7 +33,8 @@ The ``engine_*`` sections certify the columnar simulation engine: cross-
 engine results identical, batched routing >= 10x the object routers at
 full scale, and <= 1 KiB of columnar image per node (see
 :mod:`repro.perf.engine`). Each may instead carry ``{"skipped": ...}``
-when numpy is absent.
+when numpy is absent. Whole figure cells are timed by the benchmark in
+``perfbench/``, host-normalized and checked against golden outputs.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ import os
 import pathlib
 import platform
 import sys
+import time
 
+from repro.experiments.sweep import sweep
 from repro.obs.manifest import build_manifest, dump_document
 from repro.perf.engine import engine_equivalence, engine_memory, engine_speedup
-from repro.perf.macro import macro_benchmarks, parallel_identity_check
 from repro.perf.micro import KERNEL_PAIRS, micro_benchmarks
 from repro.perf.overhead import overhead_benchmark
+from repro.sim.runner import ExperimentConfig
 from repro.util.parallel import resolve_jobs
 
 __all__ = ["BENCH_SCHEMA", "run_bench", "write_bench"]
@@ -64,11 +66,36 @@ def _numpy_version() -> str | None:
     return numpy.__version__
 
 
+def parallel_identity_check(jobs: int, smoke: bool = False) -> dict:
+    """Run one sweep serially and with ``jobs`` workers; time both and
+    verify the outputs are identical (exact float equality, not approx)."""
+    base = ExperimentConfig(
+        overlay="chord",
+        n=48 if smoke else 96,
+        bits=16 if smoke else 20,
+        queries=400 if smoke else 1500,
+        seed=3,
+    )
+    values = [0.8, 1.0, 1.2, 1.4]
+    started = time.perf_counter()
+    serial_rows = sweep(base, "alpha", values, jobs=1)
+    serial_s = time.perf_counter() - started
+    started = time.perf_counter()
+    parallel_rows = sweep(base, "alpha", values, jobs=jobs)
+    parallel_s = time.perf_counter() - started
+    return {
+        "jobs": jobs,
+        "sweep_cells": len(values),
+        "serial_s": serial_s,
+        "parallel_s": parallel_s,
+        "identical": serial_rows == parallel_rows,
+    }
+
+
 def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
     """Run the full bench matrix and return the BENCH_v1 document."""
     resolved_jobs = resolve_jobs(jobs)
     micro = micro_benchmarks(smoke=smoke)
-    macro = macro_benchmarks(smoke=smoke)
     speedups = {}
     for key, scalar_name, vector_name in KERNEL_PAIRS:
         if scalar_name in micro and vector_name in micro:
@@ -82,7 +109,6 @@ def run_bench(smoke: bool = False, jobs: int | None = None) -> dict:
         "numpy": _numpy_version(),
         "manifest": build_manifest(extra={"mode": "smoke" if smoke else "full"}),
         "micro": {name: timing.to_dict() for name, timing in micro.items()},
-        "macro": {name: timing.to_dict() for name, timing in macro.items()},
         "speedups": speedups,
         # At least two workers so the check exercises a real process pool
         # even on single-CPU boxes.
@@ -112,10 +138,6 @@ def print_summary(document: dict, stream=None) -> None:
     print("\nmicro (median per call):", file=stream)
     for name, entry in document["micro"].items():
         print(f"  {name:<34} {entry['median_s'] * 1e3:10.3f} ms", file=stream)
-    if document["macro"]:
-        print("\nmacro (single run):", file=stream)
-        for name, entry in document["macro"].items():
-            print(f"  {name:<34} {entry['median_s']:10.2f} s", file=stream)
     if document["speedups"]:
         print("\nvectorized speedups (scalar / vectorized):", file=stream)
         for name, ratio in document["speedups"].items():

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro import selection
 from repro.chord.ring import ChordRing
 from repro.chord.ring import oblivious_policy as chord_oblivious
 from repro.chord.ring import optimal_policy as chord_optimal
@@ -382,9 +383,7 @@ class _Bench:
         """
         config = self.config
         if config.budget_plan_active:
-            self.problems = budget_mod.overlay_problems(
-                config.overlay, self.overlay, config.frequency_limit
-            )
+            self.problems = selection.plan_problems(self.overlay, config.frequency_limit)
             self.curves = budget_mod.curves_for_problems(self.problems, config.overlay)
             if config.budget_mode == "allocated":
                 allocate = budget_mod.allocate_greedy
@@ -414,9 +413,7 @@ class _Bench:
                 config.effective_k, chosen, rng, frequency_limit=config.frequency_limit
             )
         else:
-            budget_mod.install_allocation(
-                self.overlay, self.allocation, chosen, rng, config.frequency_limit
-            )
+            selection.install(self.overlay, self.allocation, chosen, rng, config.frequency_limit)
 
     def lookup(
         self,
@@ -927,9 +924,7 @@ class _PeriodicRebalanceTask:
         self.telemetry = telemetry
 
     def __call__(self) -> None:
-        problems = budget_mod.overlay_problems(
-            self.overlay_kind, self.overlay, self.frequency_limit
-        )
+        problems = selection.plan_problems(self.overlay, self.frequency_limit)
         self.rebalancer.rebalance(
             problems, self.overlay_kind, telemetry=self.telemetry
         )

@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
+from repro import selection
 from repro.chord.ring import ChordRing
 from repro.chord.ring import optimal_policy as chord_optimal
 from repro.core import budget as budget_mod
@@ -489,7 +490,7 @@ class _Engine:
         so the mutation tests can plant a corrupted allocator and watch
         ``budget.feasibility`` fire.
         """
-        problems = budget_mod.overlay_problems(self.kind, self.overlay, 64)
+        problems = selection.plan_problems(self.overlay, 64)
         if not problems:
             return
         curves = budget_mod.curves_for_problems(problems, self.kind)
@@ -500,9 +501,7 @@ class _Engine:
             step,
             check_budget_feasibility(allocation, problems, self.kind),
         )
-        budget_mod.install_allocation(
-            self.overlay, allocation, self.policy, self.policy_rng, 64
-        )
+        selection.install(self.overlay, allocation, self.policy, self.policy_rng, 64)
 
     def _op_corrupt(self, count: int, step: int) -> None:
         for __ in range(count):
@@ -518,23 +517,8 @@ class _Engine:
         """The exact problem ``recompute_auxiliary`` just solved at
         ``node_id`` (None when the node has no observed peers, e.g. a
         freshly rejoined node with a wiped tracker)."""
-        node = self.overlay.node(node_id)
-        frequencies = node.frequency_snapshot(64)
-        if not frequencies:
-            return None
-        if self.kind == "chord":
-            core = frozenset(node.core | set(node.successors))
-        elif self.kind == "kademlia":
-            core = frozenset(node.core)
-        else:
-            core = frozenset(node.core | node.leaves)
-        return SelectionProblem(
-            space=self.space,
-            source=node_id,
-            frequencies=frequencies,
-            core_neighbors=core,
-            k=self.scenario.k,
-        )
+        problem = selection.node_problem(self.overlay, node_id, self.scenario.k, 64)
+        return problem if problem.frequencies else None
 
     def _state_checks(self, step: int, stabilized: bool) -> None:
         if self.kind == "chord":

@@ -18,24 +18,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import selection
+from repro.chord.ring import optimal_policy as chord_optimal
 from repro.core import budget as budget_mod
 from repro.core.budget import (
     BudgetRebalancer,
     CostCurve,
     allocate_brute_force,
     allocate_greedy,
-    allocate_overlay,
     allocate_uniform,
     curves_for_problems,
-    install_allocation,
-    overlay_problems,
     selector_for,
 )
 from repro.core.types import SelectionProblem
+from repro.kademlia.network import optimal_policy as kademlia_optimal
+from repro.pastry.network import optimal_policy as pastry_optimal
 from repro.util.errors import ConfigurationError
 from tests.helpers import random_problem
 
 OVERLAYS = ("chord", "pastry", "kademlia")
+OPTIMAL = {"chord": chord_optimal, "pastry": pastry_optimal, "kademlia": kademlia_optimal}
 
 
 def tiny_curves(seed: int, nodes: int = 4, peers: int = 6, overlay: str = "chord"):
@@ -195,7 +197,7 @@ class TestOverlayIntegration:
     ):
         overlay = small_universe(overlay_kind, n=24, bits=16, seed=4)
         seed_overlay_frequencies(overlay, seed=4)
-        problems = overlay_problems(overlay_kind, overlay, 64)
+        problems = selection.plan_problems(overlay, 64)
         curves = curves_for_problems(problems, overlay_kind)
         total = 2 * len(problems)
         greedy = allocate_greedy(curves, total)
@@ -205,20 +207,24 @@ class TestOverlayIntegration:
 
     @pytest.mark.parametrize("overlay_kind", OVERLAYS)
     def test_install_allocation_applies_quotas(self, small_universe, overlay_kind):
-        from repro.chord.ring import optimal_policy
-
         overlay = small_universe(overlay_kind, n=20, bits=16, seed=2)
         seed_overlay_frequencies(overlay, seed=2, peers_per_node=8)
-        allocation = allocate_overlay(overlay_kind, overlay, 3 * 20, 64)
-        install_allocation(overlay, allocation, optimal_policy, random.Random(0), 64)
+        problems = selection.plan_problems(overlay, 64)
+        curves = curves_for_problems(problems, overlay_kind)
+        allocation = allocate_greedy(curves, 3 * 20)
+        selection.install(overlay, allocation, OPTIMAL[overlay_kind], random.Random(0), 64)
         for node_id in overlay.alive_ids():
-            assert len(overlay.node(node_id).auxiliary) <= allocation.quota(node_id)
+            auxiliary = overlay.node(node_id).auxiliary
+            assert len(auxiliary) <= allocation.quota(node_id)
+            # The overlay's own solver installed exactly the plan's pick.
+            if node_id in curves:
+                assert auxiliary == set(curves[node_id].result(allocation.quota(node_id)).auxiliary)
 
     def test_overlay_problems_skips_frequency_free_nodes(self, small_universe):
         overlay = small_universe("chord", n=16, bits=16, seed=1)
         ids = overlay.alive_ids()
         overlay.seed_frequencies(ids[0], {ids[1]: 5.0})
-        problems = overlay_problems("chord", overlay, 64)
+        problems = selection.plan_problems(overlay, 64)
         assert set(problems) == {ids[0]}
         assert problems[ids[0]].k == 0
 

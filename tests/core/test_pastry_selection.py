@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.chord_selection import select_chord_dp
 from repro.core.cost import brute_force_optimal, pastry_cost
+from repro.core.kademlia_selection import select_kademlia
 from repro.core.pastry_selection import (
     IncrementalPastrySelector,
     select_pastry,
@@ -210,6 +212,30 @@ class TestQoS:
         result = select_pastry(problem)
         assert 0b10000000 in result.auxiliary
 
+    @pytest.mark.parametrize(
+        "solver", [select_pastry_dp, select_pastry, select_kademlia, select_chord_dp]
+    )
+    def test_vacuous_bound_is_met_by_the_empty_set(self, solver):
+        # d(v, {}) = b = 8, so a 9-hop bound holds with no pointer at all:
+        # no core, k = 0, and the answer is the empty set at 3*9 + 1*9.
+        problem = problem_from_lists(8, 5, {200: 3.0, 100: 1.0}, [], k=0, bounds={200: 9})
+        result = solver(problem)
+        assert result.auxiliary == frozenset()
+        assert result.cost == 36.0
+        for overlay in ("pastry", "chord"):
+            assert brute_force_optimal(problem, overlay).cost == 36.0
+
+    @pytest.mark.parametrize(
+        "solver", [select_pastry_dp, select_pastry, select_kademlia, select_chord_dp]
+    )
+    def test_tightest_real_bound_stays_infeasible_without_pointers(self, solver):
+        problem = problem_from_lists(8, 5, {200: 3.0, 100: 1.0}, [], k=0, bounds={200: 8})
+        with pytest.raises(InfeasibleConstraintError):
+            solver(problem)
+        for overlay in ("pastry", "chord"):
+            with pytest.raises(InfeasibleConstraintError):
+                brute_force_optimal(problem, overlay)
+
 
 class TestIncremental:
     def test_matches_fresh_computation(self):
@@ -282,6 +308,18 @@ class TestIncremental:
         assert 0b11110000 in selector.selection().auxiliary
         selector.clear_delay_bounds()
         assert selector.selection().auxiliary == {0b00000011}
+
+    def test_vacuous_delay_bound_keeps_the_empty_selection(self):
+        selector = IncrementalPastrySelector(IdSpace(8), 5, [], k=0)
+        selector.observe(200, 3.0)
+        selector.observe(100, 1.0)
+        selector.set_delay_bound(200, 9)
+        result = selector.selection()
+        assert result.auxiliary == frozenset()
+        assert result.cost == 36.0
+        selector.set_delay_bound(200, 8)
+        with pytest.raises(InfeasibleConstraintError):
+            selector.selection()
 
     def test_rejects_source_as_core(self):
         with pytest.raises(ConfigurationError):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.runner import ExperimentConfig
+from repro.util.errors import ConfigurationError
 
 
 class TestParser:
@@ -98,9 +100,11 @@ class TestExecution:
             "budget_mode": "allocated",
             "budget_total": None,
         }
-        with pytest.raises(SystemExit):
-            _parse_budget("clever:3")
-        with pytest.raises(SystemExit):
+        # The config is the one check on the mode.
+        assert _parse_budget("clever:3") == {"budget_mode": "clever", "budget_total": 3}
+        with pytest.raises(ConfigurationError, match="unknown budget_mode 'clever'"):
+            ExperimentConfig(overlay="chord", **_parse_budget("clever:3"))
+        with pytest.raises(ConfigurationError, match="must be an integer, got 'many'"):
             _parse_budget("allocated:many")
 
     def test_compare_with_budget_runs(self, capsys):
@@ -326,6 +330,11 @@ class TestBadInput:
                 ["sweep", "chord", "frequency_limit", "0"],
                 "frequency_limit must be at least 1 (or None), got 0",
             ),
+            (
+                ["compare", "chord", "--budget", "allocated:x"],
+                "--budget total must be an integer, got 'x'",
+            ),
+            (["compare", "chord", "--budget", "bogus"], "unknown budget_mode 'bogus'"),
         ],
     )
     def test_one_diagnostic_line_and_exit_2(self, argv, message):

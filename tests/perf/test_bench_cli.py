@@ -1,7 +1,7 @@
 """End-to-end check of ``python -m repro bench`` at test scale.
 
-Runs the bench machinery with the micro/macro suites monkeypatched down
-to trivially fast stand-ins — the CLI surface, document assembly,
+Runs the bench machinery with the micro suite and the parallel identity
+check monkeypatched down to trivially fast stand-ins — the CLI surface, document assembly,
 baseline comparison, and exit codes are what's under test, not timings.
 """
 
@@ -23,11 +23,7 @@ def tiny_bench(monkeypatch):
             "pastry_cost_vectorized_n1024": measure("v", lambda: None, repeats=3, warmup=0),
         }
 
-    def fake_macro(smoke=False):
-        return {"cell": measure("cell", lambda: None, repeats=1, warmup=0)}
-
     monkeypatch.setattr(runner_module, "micro_benchmarks", fake_micro)
-    monkeypatch.setattr(runner_module, "macro_benchmarks", fake_macro)
 
     def fake_identity(jobs, smoke=False):
         return {"jobs": jobs, "sweep_cells": 0, "serial_s": 0.0, "parallel_s": 0.0,

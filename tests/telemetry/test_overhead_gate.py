@@ -9,6 +9,9 @@ to return an *enabled* runtime and assert the measured ratio blows past
 the threshold — so a leak cannot slip through the bench unnoticed.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import repro.perf.overhead as perf_overhead
 from repro.perf.overhead import (
     OVERHEAD_THRESHOLD,
@@ -32,11 +35,20 @@ class TestGatePieces:
         assert telemetry.enabled is False
         assert telemetry.recorder.enabled is False
 
-    def test_trial_ratio_is_a_sane_positive_number(self):
+    def test_trial_ratio_is_a_sane_positive_number(self, monkeypatch):
+        # A host slowing down steadily: the n-th clock read is n**2, so
+        # each timed chunk takes longer than the one before. Alternating
+        # which variant leads cancels that drift exactly, which pins the
+        # ratio at 1 without timing real lookups.
+        reads = itertools.count(1)
+        monkeypatch.setattr(
+            perf_overhead, "time", SimpleNamespace(perf_counter=lambda: next(reads) ** 2)
+        )
         overlay, pairs = _build_workload("chord", 32, 40)
         telemetry = disabled_telemetry()
         ratio = _trial_ratio(overlay, pairs, chunk=5, rounds=2, telemetry=telemetry)
         assert 1 / 3 < ratio < 3
+        assert ratio == 1.0
 
     def test_measure_overlay_reports_sorted_ratios_and_median(self):
         report = _measure_overlay(
