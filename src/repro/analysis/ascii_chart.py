@@ -10,17 +10,22 @@ blocks of the ``repro metrics`` dashboard: compact one-line unicode
 sparklines for round-clocked telemetry series, and an aligned multi-series
 table (name, min / last / max, sparkline) so the per-round evolution of a
 whole registry fits one screen.
+
+:func:`render_aligned` is the one aligned-column table every experiment
+render and the figure tables share.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.experiments.figures import FigureResult
 from repro.util.errors import ConfigurationError
 
-__all__ = ["render_chart", "render_sparkline", "render_series_table"]
+if TYPE_CHECKING:  # the experiment modules import this one
+    from repro.experiments.figures import FigureResult
+
+__all__ = ["render_aligned", "render_chart", "render_sparkline", "render_series_table"]
 
 _MARKERS = "ox*+#@"
 
@@ -109,6 +114,18 @@ def render_sparkline(values: Sequence[float | None]) -> str:
         level = int((float(value) - lo) / span * (len(SPARK_CHARS) - 1))
         chars.append(SPARK_CHARS[level])
     return "".join(chars)
+
+
+def render_aligned(rows: Sequence[Sequence[str]], title: str | None = None) -> str:
+    """Right-aligned columns two spaces apart, a dashed rule under the
+    header row, and an optional title line above."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    lines = [] if title is None else [title]
+    for index, row in enumerate(rows):
+        lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
+        if index == 0:
+            lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines)
 
 
 def render_series_table(

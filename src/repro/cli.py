@@ -62,27 +62,80 @@ Commands
 ``demo``
     A 30-second end-to-end tour (used by the quickstart).
 
-``figure``, ``sweep``, ``faults``, ``metrics`` and ``report`` accept
-``--jobs`` to fan cells over worker processes (default: ``REPRO_JOBS`` or
-the CPU count); outputs are bit-identical at any worker count.
-``figure``, ``sweep``, ``faults``, ``trace``, ``check``, ``metrics`` and
-``report`` write JSON documents that embed a MANIFEST_v1 provenance block
-(config digest, seed, git revision, environment); elapsed wall time is
-reported via one shared :class:`repro.util.timer.Stopwatch` and stored
-only under the manifest's ``volatile`` part.
+The six grid commands (``figure``, ``sweep``, ``faults``, ``workload``,
+``allocate``, ``cachestats``) share one handler: each module's
+``EXPERIMENT`` record runs through :func:`repro.experiments.driver.run`,
+which picks the preset, times the run, writes ``--json``, prints the
+render and footer, and exits 1 with one ``FAIL:`` line per broken gate.
+``--jobs`` fans cells over worker processes (default: ``REPRO_JOBS`` or
+the CPU count); outputs are bit-identical at any worker count. Every
+``--json`` document embeds a MANIFEST_v1 provenance block (config
+digest, seed, git revision, environment) and is written by
+:func:`repro.experiments.driver.write`, which stores the elapsed wall
+time only under the manifest's ``volatile`` part. Bad input exits 2 with
+one ``repro: error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from repro.experiments.figures import FIGURES, FigurePreset, run_figure
-from repro.experiments.report import render_detail, render_markdown, render_table
+from repro.experiments.figures import FIGURES
+from repro.sim.runner import OVERLAYS
 from repro.util.errors import ConfigurationError
 from repro.util.timer import Stopwatch
 
 __all__ = ["main", "build_parser"]
+
+#: Flags several commands take, declared once and added by name.
+SHARED_FLAGS: dict[str, dict] = {
+    "seed": dict(type=int, default=0, help="master random seed"),
+    "jobs": dict(
+        type=int,
+        default=None,
+        help="worker processes for the cells (default: REPRO_JOBS or CPU count)",
+    ),
+    "json": dict(
+        default=None, metavar="PATH", help="write the result document (with manifest) here"
+    ),
+    "smoke": dict(action="store_true", help="CI scale (seconds)"),
+    "workload": dict(
+        default="static-zipf",
+        metavar="NAME[:PARAM]",
+        help="query scenario for every cell (e.g. drifting-zipf:30, "
+        "flash-crowd:3, trace:/path/to/trace.jsonl; default: static-zipf)",
+    ),
+    "engine": dict(
+        choices=["auto", "objects", "columnar"],
+        default="auto",
+        help="routing engine for stable cells (columnar = vectorized "
+        "struct-of-arrays; churn always uses objects)",
+    ),
+    "k": dict(type=int, default=None, help="auxiliary pointers (default log2 n)"),
+    "alpha": dict(type=float, default=1.2, help="Zipf exponent"),
+    "churn": dict(action="store_true", help="churn-mode cell"),
+    "duration": dict(type=float, default=600.0, help="churn sim duration (s)"),
+    "loss": dict(type=float, default=0.0, help="per-message drop probability (fault plane)"),
+    "burst": dict(type=int, default=0, help="correlated crash-burst size (fault plane)"),
+}
+
+#: The grid commands: each module's ``EXPERIMENT`` record runs through
+#: :func:`repro.experiments.driver.run`.
+GRID_COMMANDS = {
+    "figure": "repro.experiments.figures",
+    "sweep": "repro.experiments.sweep",
+    "faults": "repro.experiments.robustness",
+    "workload": "repro.experiments.workload",
+    "allocate": "repro.experiments.allocation",
+    "cachestats": "repro.experiments.cachestats",
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **SHARED_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,57 +158,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--overlay",
-        choices=["chord", "pastry", "kademlia"],
+        choices=OVERLAYS,
         default=None,
         help="pin figure 7's cross-overlay grid to one overlay",
     )
     figure.add_argument("--paper", action="store_true", help="full paper-scale parameters (slow)")
-    figure.add_argument("--seed", type=int, default=0, help="master random seed")
     figure.add_argument("--detail", action="store_true", help="print raw hop counts too")
     figure.add_argument("--markdown", action="store_true", help="emit a markdown table")
     figure.add_argument("--chart", action="store_true", help="render an ASCII chart")
-    figure.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for figure cells (default: REPRO_JOBS or CPU count)",
-    )
-    figure.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the figure as a FIGURE_v1 JSON document (with manifest)",
-    )
-    figure.add_argument(
-        "--engine",
-        choices=["auto", "objects", "columnar"],
-        default="auto",
-        help="routing engine for stable cells (columnar = vectorized struct-of-arrays)",
-    )
-    figure.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario for every cell (e.g. drifting-zipf:30, "
-        "flash-crowd:3, trace:/path/to/trace.jsonl; default: static-zipf)",
-    )
+    _shared(figure, "seed", "jobs", "json", "engine", "workload")
 
     compare = sub.add_parser("compare", help="run a single comparison cell")
-    compare.add_argument("overlay", choices=["chord", "pastry", "kademlia"])
+    compare.add_argument("overlay", choices=OVERLAYS)
     compare.add_argument("--n", type=int, default=256)
-    compare.add_argument("--k", type=int, default=None, help="auxiliary pointers (default log2 n)")
-    compare.add_argument("--alpha", type=float, default=1.2)
     compare.add_argument("--bits", type=int, default=24)
     compare.add_argument("--queries", type=int, default=5000)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--churn", action="store_true", help="run the churn-mode simulation")
-    compare.add_argument("--duration", type=float, default=600.0, help="churn sim duration (s)")
-    compare.add_argument(
-        "--engine",
-        choices=["auto", "objects", "columnar"],
-        default="auto",
-        help="routing engine (stable mode only; churn always uses objects)",
-    )
     compare.add_argument(
         "--budget",
         default=None,
@@ -164,49 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
         "total pointer budget K (e.g. 'allocated:256'; default K = n*k). "
         "Omit for the legacy per-node-k path",
     )
-    compare.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario (default: static-zipf, the paper's workload)",
-    )
+    _shared(compare, "k", "alpha", "seed", "churn", "duration", "engine", "workload")
 
     sw = sub.add_parser("sweep", help="sweep one config parameter")
-    sw.add_argument("overlay", choices=["chord", "pastry", "kademlia"])
+    sw.add_argument("overlay", choices=OVERLAYS)
     sw.add_argument("parameter", help="ExperimentConfig field to vary (e.g. alpha, k, n)")
     sw.add_argument("values", nargs="+", help="values to sweep over")
     sw.add_argument("--n", type=int, default=128)
     sw.add_argument("--bits", type=int, default=20)
     sw.add_argument("--queries", type=int, default=3000)
-    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-    sw.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for sweep cells (default: REPRO_JOBS or CPU count)",
-    )
-    sw.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the sweep as a SWEEP_v1 JSON document (with manifest)",
-    )
-    sw.add_argument(
-        "--engine",
-        choices=["auto", "objects", "columnar"],
-        default="auto",
-        help="routing engine for the swept cells",
-    )
-    sw.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario for the swept cells (default: static-zipf)",
-    )
+    _shared(sw, "seed", "jobs", "json", "engine", "workload")
 
     bench = sub.add_parser("bench", help="run perf benchmarks, emit BENCH_v1 JSON")
-    bench.add_argument("--smoke", action="store_true", help="trimmed sizes/repeats (for CI)")
     bench.add_argument("--output", default=None, help="write the BENCH_v1 document here")
     bench.add_argument(
         "--check",
@@ -220,65 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="regression threshold for --check (default 2.0x)",
     )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the parallel identity check",
-    )
+    _shared(bench, "smoke", "jobs")
 
     faults = sub.add_parser("faults", help="fault-injection robustness grid")
-    faults.add_argument("--smoke", action="store_true", help="CI-scale grid (seconds)")
-    faults.add_argument("--seed", type=int, default=0, help="master random seed")
-    faults.add_argument("--json", default=None, metavar="PATH", help="write the grid as canonical JSON")
-    faults.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for grid cells (default: REPRO_JOBS or CPU count)",
-    )
-    faults.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario for every grid cell (default: static-zipf)",
-    )
+    _shared(faults, "smoke", "seed", "json", "jobs", "workload")
 
     workload = sub.add_parser(
         "workload", help="scenario × overlay × selection comparison grid"
     )
-    workload.add_argument("--smoke", action="store_true", help="CI-scale grid (seconds)")
-    workload.add_argument("--seed", type=int, default=0, help="master random seed")
-    workload.add_argument(
-        "--json", default=None, metavar="PATH", help="write the WORKLOAD_v1 document here"
-    )
-    workload.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for grid cells (default: REPRO_JOBS or CPU count)",
-    )
+    _shared(workload, "smoke", "seed", "json", "jobs")
 
     allocate = sub.add_parser(
         "allocate", help="uniform-k vs allocated-k at equal total budget"
-    )
-    allocate.add_argument("--smoke", action="store_true", help="CI-scale grid (seconds)")
-    allocate.add_argument("--seed", type=int, default=0, help="master random seed")
-    allocate.add_argument(
-        "--json", default=None, metavar="PATH", help="write the ALLOCATION_v1 document here"
-    )
-    allocate.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for grid cells (default: REPRO_JOBS or CPU count)",
-    )
-    allocate.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario for the plan probe and every grid cell "
-        "(default: static-zipf)",
     )
     allocate.add_argument(
         "--loads",
@@ -288,42 +228,24 @@ def build_parser() -> argparse.ArgumentParser:
         "recorder and plans load-aware CostCurves (gated on a strict "
         "predicted win over the uniform-load plan)",
     )
+    _shared(allocate, "smoke", "seed", "json", "jobs", "workload")
 
     cachestats = sub.add_parser(
         "cachestats", help="per-pointer cache attribution grid (repro.obs)"
     )
-    cachestats.add_argument("--smoke", action="store_true", help="CI-scale grid (seconds)")
-    cachestats.add_argument("--seed", type=int, default=0, help="master random seed")
-    cachestats.add_argument(
-        "--json", default=None, metavar="PATH", help="write the CACHESTATS_v1 document here"
-    )
-    cachestats.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for overlay cells (default: REPRO_JOBS or CPU count)",
-    )
     cachestats.add_argument(
         "--top", type=int, default=5, help="hot pointers to print per overlay (default 5)"
     )
-    cachestats.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario for every cell (default: static-zipf)",
-    )
+    _shared(cachestats, "smoke", "seed", "json", "jobs", "workload")
 
     trace = sub.add_parser("trace", help="trace per-lookup hop paths for one cell")
     trace.add_argument(
-        "overlay", nargs="?", choices=["chord", "pastry", "kademlia"], default="chord",
+        "overlay", nargs="?", choices=OVERLAYS, default="chord",
         help="overlay to trace (default: chord)",
     )
     trace.add_argument("--n", type=int, default=128)
-    trace.add_argument("--k", type=int, default=None, help="auxiliary pointers (default log2 n)")
-    trace.add_argument("--alpha", type=float, default=1.2)
     trace.add_argument("--bits", type=int, default=20)
     trace.add_argument("--queries", type=int, default=2000)
-    trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--policy",
         choices=["optimal", "oblivious"],
@@ -338,17 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep a seeded reservoir of N lookup traces (default: keep all)",
     )
     trace.add_argument(
-        "--loss", type=float, default=0.0, help="per-message drop probability (fault plane)"
-    )
-    trace.add_argument(
-        "--burst", type=int, default=0, help="correlated crash-burst size (fault plane)"
-    )
-    trace.add_argument(
         "--paths", type=int, default=5, help="print the first N kept lookup paths (default 5)"
     )
-    trace.add_argument(
-        "--json", default=None, metavar="PATH", help="write the TRACE_v1 document here"
-    )
+    _shared(trace, "k", "alpha", "seed", "loss", "burst", "json")
 
     check = sub.add_parser(
         "check", help="invariant-checking scenario search (repro.verify)"
@@ -356,18 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--scenarios", type=int, default=200, help="number of generated scenarios"
     )
-    check.add_argument("--seed", type=int, default=0, help="master random seed")
     check.add_argument(
         "--overlay",
-        choices=["chord", "pastry", "kademlia"],
+        choices=OVERLAYS,
         default=None,
         help="pin one overlay (default: cycle through all three)",
-    )
-    check.add_argument(
-        "--smoke", action="store_true", help="CI-scale scenario count (seconds)"
-    )
-    check.add_argument(
-        "--json", default=None, metavar="PATH", help="write the CHECK_v1 document here"
     )
     check.add_argument(
         "--repro",
@@ -381,46 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="re-run a shrunk VERIFY_REPRO_v1 failure document instead of searching",
     )
+    _shared(check, "seed", "smoke", "json")
 
     metrics = sub.add_parser(
         "metrics", help="round-clocked telemetry dashboard for one cell"
     )
     metrics.add_argument(
-        "overlay", nargs="?", choices=["chord", "pastry", "kademlia"], default="chord",
+        "overlay", nargs="?", choices=OVERLAYS, default="chord",
         help="overlay to instrument (default: chord)",
     )
     metrics.add_argument("--n", type=int, default=128)
-    metrics.add_argument("--k", type=int, default=None, help="auxiliary pointers (default log2 n)")
-    metrics.add_argument("--alpha", type=float, default=1.2)
     metrics.add_argument("--bits", type=int, default=20)
     metrics.add_argument("--queries", type=int, default=4000)
-    metrics.add_argument("--seed", type=int, default=0)
     metrics.add_argument(
         "--rounds", type=int, default=12, help="round-clock samples (default 12)"
-    )
-    metrics.add_argument(
-        "--churn", action="store_true", help="churn-mode cell (virtual-time round clock)"
-    )
-    metrics.add_argument(
-        "--duration", type=float, default=600.0, help="churn sim duration (s)"
-    )
-    metrics.add_argument(
-        "--loss", type=float, default=0.0, help="per-message drop probability (fault plane)"
-    )
-    metrics.add_argument(
-        "--burst", type=int, default=0, help="correlated crash-burst size (fault plane)"
-    )
-    metrics.add_argument(
-        "--smoke", action="store_true", help="CI-scale cell (seconds)"
-    )
-    metrics.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the two policy cells (default: REPRO_JOBS or CPU count)",
-    )
-    metrics.add_argument(
-        "--json", default=None, metavar="PATH", help="write the METRICS_v1 document here"
     )
     metrics.add_argument(
         "--openmetrics",
@@ -428,21 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the OpenMetrics text exposition here",
     )
-    metrics.add_argument(
-        "--workload",
-        default="static-zipf",
-        metavar="NAME[:PARAM]",
-        help="query scenario for the instrumented cell (default: static-zipf)",
+    _shared(
+        metrics, "k", "alpha", "seed", "churn", "duration", "loss", "burst",
+        "smoke", "jobs", "json", "workload",
     )
 
     report = sub.add_parser(
         "report", help="regenerate EXPERIMENTS.md tables (results/report.*)"
-    )
-    report.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for figure cells (default: REPRO_JOBS or CPU count)",
     )
     report.add_argument(
         "--figures",
@@ -454,42 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--out-dir", default="results", help="output directory (default: results)"
     )
+    _shared(report, "jobs")
 
     sub.add_parser("demo", help="30-second end-to-end tour")
     return parser
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    preset = FigurePreset.paper(args.seed) if args.paper else FigurePreset.quick(args.seed)
-    watch = Stopwatch()
-    result = run_figure(
-        args.figure_id,
-        preset,
-        jobs=args.jobs,
-        engine=args.engine,
-        overlay=args.overlay,
-        workload=args.workload,
-    )
-    print(render_table(result))
-    if args.detail:
-        print()
-        print(render_detail(result))
-    if args.markdown:
-        print()
-        print(render_markdown(result))
-    if args.chart:
-        from repro.analysis.ascii_chart import render_chart
+def _cmd_grid(args: argparse.Namespace) -> int:
+    from repro.experiments import driver
 
-        print()
-        print(render_chart(result))
-    if args.json:
-        from repro.experiments.figures import result_to_json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result_to_json(result, preset, wall_time_s=round(watch.elapsed, 3)))
-        print(f"\nfigure document written to {args.json}")
-    print(f"\n[{preset.name} preset, {watch}]")
-    return 0
+    experiment = importlib.import_module(GRID_COMMANDS[args.command]).EXPERIMENT
+    return driver.run(experiment, args)
 
 
 def _parse_budget(text: str | None) -> dict:
@@ -547,37 +395,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"  failure rates: ours {result.optimized.failure_rate:.4f}, "
         f"oblivious {result.baseline.failure_rate:.4f}"
     )
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sim.runner import ExperimentConfig
-    from repro.experiments.sweep import rows_to_csv, rows_to_json, rows_to_table, sweep
-
-    base = ExperimentConfig(
-        overlay=args.overlay,
-        n=args.n,
-        bits=args.bits,
-        queries=args.queries,
-        seed=args.seed,
-        engine=args.engine,
-        workload=args.workload,
-    )
-
-    def convert(text: str):
-        for kind in (int, float):
-            try:
-                return kind(text)
-            except ValueError:
-                continue
-        return {"true": True, "false": False}.get(text.lower(), text)
-
-    rows = sweep(base, args.parameter, [convert(value) for value in args.values], jobs=args.jobs)
-    print(rows_to_csv(rows) if args.csv else rows_to_table(rows))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_json(rows, base))
-        print(f"\nsweep document written to {args.json}")
     return 0
 
 
@@ -639,181 +456,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.experiments.robustness import (
-        RobustnessPreset,
-        robustness,
-        rows_to_json,
-        rows_to_table,
-    )
+def _fault_schedule(args: argparse.Namespace):
+    """``--loss`` and ``--burst`` as a fault schedule, or ``None`` at their
+    defaults. Any other value builds one, so the schedule checks it."""
+    from repro.faults.schedule import FaultSchedule
 
-    preset = (
-        RobustnessPreset.smoke(args.seed, workload=args.workload)
-        if args.smoke
-        else RobustnessPreset.quick(args.seed, workload=args.workload)
-    )
-    watch = Stopwatch()
-    rows = robustness(preset, jobs=args.jobs)
-    print(rows_to_table(rows))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_json(rows, preset, wall_time_s=round(watch.elapsed, 3)))
-        print(f"\ngrid written to {args.json}")
-    print(f"\n[{preset.name} preset, {watch}]")
-    # The robustness claim this command guards: frequency-aware selection
-    # must keep a positive hop reduction under >= 5% message loss.
-    losers = [
-        row
-        for row in rows
-        if row.axis == "loss" and row.value >= 0.05 and row.improvement_pct <= 0.0
-    ]
-    if losers:
-        for row in losers:
-            print(
-                f"FAIL: {row.overlay} loses at loss={row.value:g} "
-                f"({row.improvement_pct:.1f}% reduction)",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
-
-
-def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro.experiments.workload import (
-        WorkloadPreset,
-        cache_rows_to_table,
-        gate_messages,
-        rows_to_json,
-        rows_to_table,
-        run_workloads,
-    )
-
-    preset = (
-        WorkloadPreset.smoke(args.seed) if args.smoke else WorkloadPreset.quick(args.seed)
-    )
-    watch = Stopwatch()
-    rows, cache_rows = run_workloads(preset, jobs=args.jobs)
-    print("selection policies per workload scenario (mean hops):")
-    print(rows_to_table(rows))
-    print()
-    print("item caching vs pointer caching per scenario (§II-C grid):")
-    print(cache_rows_to_table(cache_rows))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(
-                rows_to_json(rows, cache_rows, preset, wall_time_s=round(watch.elapsed, 3))
-            )
-        print(f"\nworkload document written to {args.json}")
-    print(f"\n[{preset.name} preset, {watch}]")
-    # Gates: frequency-aware selection must win on the skewed stationary
-    # scenario, and adaptive refresh must keep a win on every scenario.
-    failures = gate_messages(rows)
-    if failures:
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_allocate(args: argparse.Namespace) -> int:
-    from repro.experiments.allocation import (
-        AllocationPreset,
-        allocation,
-        gate_messages,
-        load_gate_messages,
-        measured_gate_messages,
-        plans_to_table,
-        rows_to_json,
-        rows_to_table,
-    )
-
-    factory = AllocationPreset.smoke if args.smoke else AllocationPreset.quick
-    preset = factory(args.seed, workload=args.workload, loads=args.loads)
-    watch = Stopwatch()
-    plans, rows = allocation(preset, jobs=args.jobs)
-    print("predicted eq.-1 network cost at equal total budget:")
-    print(plans_to_table(plans))
-    print()
-    print("measured mean hops per scenario:")
-    print(rows_to_table(rows))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_json(plans, rows, preset, wall_time_s=round(watch.elapsed, 3)))
-        print(f"\nallocation document written to {args.json}")
-    print(f"\n[{preset.name} preset, {watch}]")
-    # Gates: the allocated plan must strictly beat uniform on predicted
-    # cost for every overlay (convexity guarantees it — a miss means a
-    # broken allocator), must win measured hops on at least one scenario
-    # per overlay, and with --loads measured the load-aware plan must
-    # strictly beat the load-blind plan under the measured curves.
-    failures = (
-        gate_messages(plans) + measured_gate_messages(rows) + load_gate_messages(plans)
-    )
-    if failures:
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_cachestats(args: argparse.Namespace) -> int:
-    from repro.analysis.ascii_chart import render_series_table
-    from repro.experiments.cachestats import (
-        CachestatsPreset,
-        cells_to_json,
-        cells_to_table,
-        gate_messages,
-        run_cachestats,
-        top_pointers_table,
-        utilization_series,
-    )
-
-    factory = CachestatsPreset.smoke if args.smoke else CachestatsPreset.quick
-    preset = factory(args.seed, workload=args.workload)
-    watch = Stopwatch()
-    cells = run_cachestats(preset, jobs=args.jobs)
-    print("per-pointer-class accounting (clean measurement pass):")
-    print(cells_to_table(cells))
-    print()
-    print("per-node quota utilization and measured load (ascending node id):")
-    print(render_series_table(utilization_series(cells)))
-    print()
-    print(f"top {args.top} pointers by credited hop savings:")
-    print(top_pointers_table(cells, args.top))
-    print()
-    for cell in cells:
-        ledger = cell["conservation"]
-        churn = cell["churn"]
-        print(
-            f"{cell['overlay']}: {ledger['attributed']}/{ledger['lookups']} lookups "
-            f"attributed, credited {ledger['credited']} of "
-            f"{ledger['oblivious_hops'] - ledger['observed_hops']} saved hops "
-            f"(conservation {'exact' if ledger['exact'] else 'VIOLATED'}); "
-            f"churn probe: {churn['crashed']} crashed, "
-            f"{churn['stale_uses']} stale uses in {churn['lookups']} lookups"
-        )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(cells_to_json(cells, preset, wall_time_s=round(watch.elapsed, 3)))
-        print(f"\ncachestats document written to {args.json}")
-    print(f"\n[{preset.name} preset, {watch}]")
-    failures = gate_messages(cells)
-    if failures:
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        return 1
-    return 0
+    if args.loss == 0.0 and args.burst == 0:
+        return None
+    return FaultSchedule(loss_rate=args.loss, crash_burst_size=args.burst)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.faults.schedule import FaultSchedule
+    from repro.experiments.driver import write
     from repro.obs.driver import trace_cell
-    from repro.obs.manifest import dump_document
     from repro.sim.runner import ExperimentConfig
 
-    schedule = None
-    if args.loss > 0.0 or args.burst > 0:
-        schedule = FaultSchedule(loss_rate=args.loss, crash_burst_size=args.burst)
     config = ExperimentConfig(
         overlay=args.overlay,
         n=args.n,
@@ -822,7 +479,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         bits=args.bits,
         queries=args.queries,
         seed=args.seed,
-        faults=schedule,
+        faults=_fault_schedule(args),
     )
     watch = Stopwatch()
     document = trace_cell(config, policy=args.policy, sample=args.sample)
@@ -851,9 +508,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for trace in shown:
             print(_render_trace(trace))
     if args.json:
-        document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(dump_document(document))
+        write(args.json, document, watch)
         print(f"\ntrace document written to {args.json}")
     print(f"\n[{watch}]")
     return 0
@@ -893,7 +548,7 @@ def _render_trace(trace: dict) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.obs.manifest import dump_document
+    from repro.experiments.driver import write
     from repro.verify import check_scenarios, replay_failure
 
     watch = Stopwatch()
@@ -930,9 +585,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for name, evaluations in document["checks"].items():
         print(f"  {name:<24} {evaluations:>8}")
     if args.json:
-        document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(dump_document(document))
+        write(args.json, document, watch)
         print(f"\ncheck document written to {args.json}")
     print(f"\n[{watch}]")
     if document["passed"]:
@@ -948,8 +601,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     shrunk = [failure for failure in failures if failure.get("schema")]
     if shrunk and args.repro:
-        with open(args.repro, "w", encoding="utf-8") as handle:
-            handle.write(dump_document(shrunk[0]))
+        write(args.repro, shrunk[0], watch)
         print(
             f"shrunk repro written to {args.repro} "
             f"(replay with: repro check --replay {args.repro})",
@@ -963,14 +615,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.faults.schedule import FaultSchedule
+    from repro.experiments.driver import write
     from repro.sim.runner import ChurnConfig, ExperimentConfig
     from repro.telemetry.driver import metrics_document
-    from repro.telemetry.export import to_openmetrics, write_metrics
+    from repro.telemetry.export import to_openmetrics
 
-    schedule = None
-    if args.loss > 0.0 or args.burst > 0:
-        schedule = FaultSchedule(loss_rate=args.loss, crash_burst_size=args.burst)
+    schedule = _fault_schedule(args)
     # --smoke shrinks the cell to CI scale; it is still a fixed (config,
     # seed), so smoke documents are byte-identical across runs and jobs.
     n = 64 if args.smoke else args.n
@@ -1004,9 +654,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         )
     document = metrics_document(config, rounds=rounds, jobs=args.jobs)
     print(_render_metrics_dashboard(document))
-    document["manifest"]["volatile"]["wall_time_s"] = round(watch.elapsed, 3)
     if args.json:
-        write_metrics(document, args.json)
+        write(args.json, document, watch)
         print(f"\nmetrics document written to {args.json}")
     if args.openmetrics:
         with open(args.openmetrics, "w", encoding="utf-8") as handle:
@@ -1156,14 +805,9 @@ def _describe_workload(config) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
-        "figure": _cmd_figure,
+        **dict.fromkeys(GRID_COMMANDS, _cmd_grid),
         "compare": _cmd_compare,
-        "sweep": _cmd_sweep,
         "bench": _cmd_bench,
-        "faults": _cmd_faults,
-        "workload": _cmd_workload,
-        "allocate": _cmd_allocate,
-        "cachestats": _cmd_cachestats,
         "trace": _cmd_trace,
         "check": _cmd_check,
         "metrics": _cmd_metrics,

@@ -338,7 +338,7 @@ class IncrementalPastrySelector:
         if peer in self._trie:
             self._trie.add_frequency(peer, weight)
         else:
-            self._trie.insert(peer, weight)
+            self._insert(peer, weight)
 
     def set_frequency(self, peer: int, frequency: float) -> None:
         """Overwrite the frequency of ``peer`` (inserting it if unseen)."""
@@ -347,14 +347,17 @@ class IncrementalPastrySelector:
         if peer in self._trie:
             self._trie.update_frequency(peer, frequency)
         else:
-            self._trie.insert(peer, frequency)
+            self._insert(peer, frequency)
 
     def remove_peer(self, peer: int) -> None:
         """Forget a departed peer entirely."""
-        if peer in self._trie:
-            self._trie.remove(peer)
+        bounded = bool(self._delay_bounds)
         self._core.discard(peer)
         self._delay_bounds.pop(peer, None)
+        if peer in self._trie:
+            self._trie.remove(peer)
+            if bounded:
+                self._remark()
 
     def add_core_neighbor(self, neighbor: int) -> None:
         """Register a core routing-table entry (a free pointer)."""
@@ -366,7 +369,7 @@ class IncrementalPastrySelector:
             leaf = self._trie.leaf(neighbor)
             self._trie.insert(neighbor, leaf.frequency, is_core=True)
         else:
-            self._trie.insert(neighbor, 0.0, is_core=True)
+            self._insert(neighbor, 0.0, is_core=True)
 
     def set_delay_bound(self, peer: int, bound: int) -> None:
         """Install a QoS bound: lookups for ``peer`` within ``bound`` hops."""
@@ -377,7 +380,7 @@ class IncrementalPastrySelector:
         if peer not in self._trie:
             self._trie.insert(peer, 0.0)
         self._delay_bounds[peer] = bound
-        self._trie.set_required(peer, bound - 1)
+        self._remark()
 
     def clear_delay_bounds(self) -> None:
         """Drop all QoS constraints and rebuild the memo tables."""
@@ -421,6 +424,22 @@ class IncrementalPastrySelector:
         )
 
     # -- internals ------------------------------------------------------
+    def _insert(self, peer: int, frequency: float, is_core: bool = False) -> None:
+        """Insert a new leaf; a split edge can move where a bound's marker
+        belongs, so bounds are re-marked."""
+        self._trie.insert(peer, frequency, is_core=is_core)
+        if self._delay_bounds:
+            self._remark()
+
+    def _remark(self) -> None:
+        """Derive every QoS marker afresh from ``_delay_bounds`` — the
+        shallowest qualifying ancestor depends on the trie's current
+        shape — and rebuild the tables."""
+        self._trie.clear_required()
+        for peer, bound in self._delay_bounds.items():
+            self._trie.set_required(peer, bound - 1)
+        self.rebuild()
+
     def _merge(self) -> _Merge:
         """The DP merge while QoS bounds are installed, the greedy otherwise."""
         return _merge_dp if self._delay_bounds else _merge_greedy

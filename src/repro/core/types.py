@@ -71,8 +71,11 @@ class SelectionProblem:
 
     @property
     def candidates(self) -> set[int]:
-        """Peers eligible to become auxiliary neighbors: ``V - N_s``."""
-        return set(self.frequencies) - set(self.core_neighbors)
+        """Peers eligible to become auxiliary neighbors:
+        ``(V ∪ bounded peers) - N_s``. A bounded peer that was never
+        queried is still eligible: pointing at it may be the only way to
+        meet its bound, and the DP solvers do select it."""
+        return (set(self.frequencies) | set(self.delay_bounds)) - set(self.core_neighbors)
 
     def with_k(self, k: int) -> "SelectionProblem":
         """Return a copy of this problem with a different pointer budget."""

@@ -46,10 +46,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+from repro.analysis.ascii_chart import render_aligned
 from repro.core import budget as budget_mod
+from repro.experiments.driver import Experiment, presets
 from repro.extensions.global_greedy import network_cost
 from repro.faults.schedule import FaultSchedule
-from repro.obs.manifest import build_manifest, dump_document
 from repro.sim.metrics import ComparisonResult
 from repro.sim.runner import (
     ChurnConfig,
@@ -63,6 +64,7 @@ from repro.util.parallel import run_tasks
 from repro.workload.spec import DEFAULT_RATE, WorkloadSpec
 
 __all__ = [
+    "EXPERIMENT",
     "AllocationPlan",
     "AllocationPreset",
     "AllocationRow",
@@ -71,8 +73,8 @@ __all__ = [
     "gate_messages",
     "load_gate_messages",
     "measured_gate_messages",
+    "payload",
     "plans_to_table",
-    "rows_to_json",
     "rows_to_table",
 ]
 
@@ -426,33 +428,39 @@ def measured_gate_messages(rows: Sequence[AllocationRow]) -> list[str]:
     return messages
 
 
-def rows_to_json(
-    plans: Sequence[AllocationPlan],
-    rows: Sequence[AllocationRow],
-    preset: AllocationPreset,
-    wall_time_s: float | None = None,
-) -> str:
-    """Canonical ALLOCATION_v1 document: sorted keys, fixed indent,
-    byte-identical for the same seed at any worker count after
-    :func:`repro.obs.manifest.strip_volatile`."""
-    document = {
-        "schema": "ALLOCATION_v1",
+def payload(
+    grid: tuple[list[AllocationPlan], list[AllocationRow]], preset: AllocationPreset
+) -> dict:
+    """ALLOCATION_v1's own keys: the preset, the plans and the grid rows."""
+    plans, rows = grid
+    return {
         "preset": asdict(preset),
-        "manifest": build_manifest(preset, wall_time_s=wall_time_s),
         "plans": [asdict(plan) for plan in plans],
         "rows": [asdict(row) for row in rows],
     }
-    return dump_document(document)
 
 
-def _render(table: list[list[str]]) -> str:
-    widths = [max(len(line[col]) for line in table) for col in range(len(table[0]))]
-    lines = []
-    for index, line in enumerate(table):
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
+def _gates(grid: tuple[list[AllocationPlan], list[AllocationRow]]) -> list[str]:
+    # The allocated plan must strictly beat uniform on predicted cost for
+    # every overlay (convexity guarantees it — a miss means a broken
+    # allocator), must win measured hops on at least one scenario per
+    # overlay, and with --loads measured the load-aware plan must strictly
+    # beat the load-blind plan under the measured curves.
+    plans, rows = grid
+    return gate_messages(plans) + measured_gate_messages(rows) + load_gate_messages(plans)
+
+
+def _render(grid: tuple[list[AllocationPlan], list[AllocationRow]], args) -> str:
+    plans, rows = grid
+    return "\n".join(
+        [
+            "predicted eq.-1 network cost at equal total budget:",
+            plans_to_table(plans),
+            "",
+            "measured mean hops per scenario:",
+            rows_to_table(rows),
+        ]
+    )
 
 
 def plans_to_table(plans: Sequence[AllocationPlan]) -> str:
@@ -484,7 +492,7 @@ def plans_to_table(plans: Sequence[AllocationPlan]) -> str:
             else:
                 row += ["-", "-", "-", "-"]
         body.append(row)
-    return _render([header] + body)
+    return render_aligned([header] + body)
 
 
 def rows_to_table(rows: Sequence[AllocationRow]) -> str:
@@ -503,4 +511,16 @@ def rows_to_table(rows: Sequence[AllocationRow]) -> str:
         ]
         for row in rows
     ]
-    return _render([header] + body)
+    return render_aligned([header] + body)
+
+
+#: ``repro allocate``.
+EXPERIMENT = Experiment(
+    schema="ALLOCATION_v1",
+    preset=presets(AllocationPreset, "workload", "loads"),
+    run=lambda preset, args: allocation(preset, jobs=args.jobs),
+    payload=payload,
+    render=_render,
+    gates=_gates,
+    noun="allocation document",
+)

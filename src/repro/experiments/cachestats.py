@@ -37,8 +37,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.analysis.ascii_chart import render_series_table
+from repro.experiments.driver import Experiment, presets
 from repro.obs.attribution import AttributionRecorder, attribute_batch
-from repro.obs.manifest import build_manifest, dump_document, json_float
+from repro.obs.manifest import json_float
 from repro.sim.metrics import HopStatistics
 from repro.sim.runner import (
     OVERLAYS,
@@ -48,14 +50,15 @@ from repro.sim.runner import (
     stable_universe,
 )
 from repro.util.parallel import run_tasks
+from repro.util.validation import require_non_negative_int
 from repro.workload.spec import DEFAULT_RATE
 
 __all__ = [
-    "CachestatsCell",
+    "EXPERIMENT",
     "CachestatsPreset",
-    "cells_to_json",
     "cells_to_table",
     "gate_messages",
+    "payload",
     "run_cachestats",
     "top_pointers_table",
     "utilization_series",
@@ -120,24 +123,6 @@ class CachestatsPreset:
         return max(1, int(self.n * self.effective_k * self.budget_fraction))
 
 
-@dataclass(frozen=True)
-class CachestatsCell:
-    """One overlay's attribution cell — frozen so it pickles for
-    process fan-out."""
-
-    overlay: str
-    n: int
-    bits: int
-    queries: int
-    warmup: int
-    seed: int
-    num_rankings: int
-    workload: str
-    total_budget: int
-    crash_fraction: float
-    top: int
-
-
 def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
     """Route the identical query batch through the columnar engine and
     attribute the lanes; ``True``/``False`` = matches the object-graph
@@ -161,31 +146,32 @@ def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
     return columnar.to_dict() == recorder.to_dict()
 
 
-def _run_cachestats_cell(cell: CachestatsCell) -> dict:
-    """Execute one cell. Module-level so it pickles for ``run_tasks``;
-    rebuilds its own registry from the cell seed, which is what keeps
-    the grid byte-identical at any worker count."""
+def _run_cachestats_cell(cell: tuple[CachestatsPreset, str]) -> dict:
+    """Execute one (preset, overlay) cell. Module-level so it pickles for
+    ``run_tasks``; rebuilds its own registry from the preset seed, which
+    is what keeps the grid byte-identical at any worker count."""
+    preset, overlay = cell
     config = ExperimentConfig(
-        overlay=cell.overlay,
-        n=cell.n,
-        bits=cell.bits,
-        queries=cell.queries,
-        seed=cell.seed,
-        num_rankings=cell.num_rankings,
-        workload=cell.workload,
+        overlay=overlay,
+        n=preset.n,
+        bits=preset.bits,
+        queries=preset.queries,
+        seed=preset.seed,
+        num_rankings=preset.num_rankings,
+        workload=preset.workload,
         engine="objects",
         # Learn frequencies from the workload itself (Section III
         # protocol), then install the greedy budget allocation — its
         # quotas are the ``k_i`` the utilization section measures against.
         learned_frequencies=True,
-        warmup_queries=cell.warmup,
+        warmup_queries=preset.warmup,
         budget_mode="allocated",
-        budget_total=cell.total_budget,
+        budget_total=preset.total_budget,
     )
     bench = stable_universe(config)
     allocation = bench.allocation
     recorder = AttributionRecorder(
-        cell.overlay,
+        overlay,
         bench.overlay,
         mode=config.pastry_mode,
         quotas=allocation.quotas,
@@ -193,9 +179,9 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
     # Clean measurement pass: frozen tables, no faults, so the columnar
     # replay below sees the identical universe and query batch.
     stats = stable_cell(config, "optimal", bench=bench, trace=recorder).stats
-    stream = bench.workload_stream("queries", horizon=cell.queries / DEFAULT_RATE)
+    stream = bench.workload_stream("queries", horizon=preset.queries / DEFAULT_RATE)
     alive = bench.overlay.alive_ids()
-    queries = list(stream.stream(cell.queries, lambda: alive))
+    queries = list(stream.stream(preset.queries, lambda: alive))
     columnar_match = _columnar_attribution(bench, config, recorder, queries)
     loads = recorder.measured_loads(bench.overlay.alive_ids())
     utilization = recorder.quota_utilization()
@@ -205,18 +191,18 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
     crash_rng = bench.registry.fresh("cachestats-churn")
     alive_now = bench.overlay.alive_ids()
     crashed = sorted(
-        crash_rng.sample(alive_now, max(1, int(len(alive_now) * cell.crash_fraction)))
+        crash_rng.sample(alive_now, max(1, int(len(alive_now) * preset.crash_fraction)))
     )
     for victim in crashed:
         bench.overlay.crash(victim)
     churn_recorder = AttributionRecorder(
-        cell.overlay, bench.overlay, mode=config.pastry_mode, quotas=allocation.quotas
+        overlay, bench.overlay, mode=config.pastry_mode, quotas=allocation.quotas
     )
     probe = bench.workload_stream(
-        "probe-queries", horizon=max(1, cell.queries // 4) / DEFAULT_RATE
+        "probe-queries", horizon=max(1, preset.queries // 4) / DEFAULT_RATE
     )
     probe_stats = HopStatistics()
-    for query in probe.stream(max(1, cell.queries // 4), bench.overlay.alive_ids):
+    for query in probe.stream(max(1, preset.queries // 4), bench.overlay.alive_ids):
         probe_stats.record(
             bench.lookup(
                 query.source, query.item, record_access=False, trace=churn_recorder
@@ -224,12 +210,12 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
         )
     churn_classes = churn_recorder.class_totals()
     return {
-        "overlay": cell.overlay,
+        "overlay": overlay,
         "lookups": stats.lookups,
         "mean_hops": json_float(stats.mean_hops),
         "classes": {name: s.to_dict() for name, s in recorder.class_totals().items()},
         "quota": {
-            "total_budget": cell.total_budget,
+            "total_budget": preset.total_budget,
             "spent": allocation.spent,
             "min": min(quotas, default=0),
             "max": max(quotas, default=0),
@@ -249,7 +235,7 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
             "min": min(loads.values(), default=0.0),
             "max": max(loads.values(), default=0.0),
         },
-        "top_pointers": recorder.top_pointers(cell.top),
+        "top_pointers": recorder.top_pointers(preset.top),
         "conservation": recorder.conservation(),
         "columnar_match": columnar_match,
         "churn": {
@@ -263,29 +249,11 @@ def _run_cachestats_cell(cell: CachestatsCell) -> dict:
     }
 
 
-def _cells(preset: CachestatsPreset) -> list[CachestatsCell]:
-    return [
-        CachestatsCell(
-            overlay=overlay,
-            n=preset.n,
-            bits=preset.bits,
-            queries=preset.queries,
-            warmup=preset.warmup,
-            seed=preset.seed,
-            num_rankings=preset.num_rankings,
-            workload=preset.workload,
-            total_budget=preset.total_budget,
-            crash_fraction=preset.crash_fraction,
-            top=preset.top,
-        )
-        for overlay in preset.overlays
-    ]
-
-
 def run_cachestats(preset: CachestatsPreset, jobs: int | None = None) -> list[dict]:
     """One attribution cell per overlay, fanned over worker processes;
     deterministic plan order regardless of ``jobs``."""
-    return run_tasks(_run_cachestats_cell, _cells(preset), jobs)
+    cells = [(preset, overlay) for overlay in preset.overlays]
+    return run_tasks(_run_cachestats_cell, cells, jobs)
 
 
 def gate_messages(cells: list[dict]) -> list[str]:
@@ -325,20 +293,6 @@ def gate_messages(cells: list[dict]) -> list[str]:
                 f"after {cell['churn']['crashed']} crashes"
             )
     return messages
-
-
-def cells_to_json(
-    cells: list[dict], preset: CachestatsPreset, wall_time_s: float | None = None
-) -> str:
-    """Canonical CACHESTATS_v1 JSON with a MANIFEST_v1 provenance block;
-    strip the manifest's volatile keys before byte-comparing runs."""
-    document = {
-        "schema": "CACHESTATS_v1",
-        "preset": asdict(preset),
-        "manifest": build_manifest(preset, wall_time_s=wall_time_s),
-        "cells": cells,
-    }
-    return dump_document(document)
 
 
 def cells_to_table(cells: list[dict]) -> str:
@@ -391,3 +345,51 @@ def top_pointers_table(cells: list[dict], count: int = 5) -> str:
                 f"{pointer['class']:<10} {pointer['hits']:>6} {pointer['credited']:>9}"
             )
     return "\n".join(lines)
+
+
+def payload(cells: list[dict], preset: CachestatsPreset) -> dict:
+    """CACHESTATS_v1's own keys: the preset and one cell per overlay."""
+    return {"preset": asdict(preset), "cells": cells}
+
+
+def _run(preset: CachestatsPreset, args) -> list[dict]:
+    require_non_negative_int(args.top, "--top")
+    return run_cachestats(preset, jobs=args.jobs)
+
+
+def _render(cells: list[dict], args) -> str:
+    lines = [
+        "per-pointer-class accounting (clean measurement pass):",
+        cells_to_table(cells),
+        "",
+        "per-node quota utilization and measured load (ascending node id):",
+        render_series_table(utilization_series(cells)),
+        "",
+        f"top {args.top} pointers by credited hop savings:",
+        top_pointers_table(cells, args.top),
+        "",
+    ]
+    for cell in cells:
+        ledger = cell["conservation"]
+        churn = cell["churn"]
+        lines.append(
+            f"{cell['overlay']}: {ledger['attributed']}/{ledger['lookups']} lookups "
+            f"attributed, credited {ledger['credited']} of "
+            f"{ledger['oblivious_hops'] - ledger['observed_hops']} saved hops "
+            f"(conservation {'exact' if ledger['exact'] else 'VIOLATED'}); "
+            f"churn probe: {churn['crashed']} crashed, "
+            f"{churn['stale_uses']} stale uses in {churn['lookups']} lookups"
+        )
+    return "\n".join(lines)
+
+
+#: ``repro cachestats``.
+EXPERIMENT = Experiment(
+    schema="CACHESTATS_v1",
+    preset=presets(CachestatsPreset, "workload"),
+    run=_run,
+    payload=payload,
+    render=_render,
+    gates=gate_messages,
+    noun="cachestats document",
+)

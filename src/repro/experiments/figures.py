@@ -36,10 +36,12 @@ bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
-from repro.obs.manifest import build_manifest, dump_document, json_float
+from repro.analysis.ascii_chart import render_chart
+from repro.experiments.driver import Experiment, presets
+from repro.obs.manifest import json_float
 from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
 from repro.util.parallel import run_tasks
@@ -57,7 +59,8 @@ __all__ = [
     "figure6",
     "figure7",
     "run_figure",
-    "result_to_json",
+    "payload",
+    "EXPERIMENT",
     "FIGURES",
 ]
 
@@ -550,25 +553,15 @@ def run_figure(
     return runner(preset, jobs, engine, workload=workload)
 
 
-def result_to_json(
-    result: FigureResult, preset: FigurePreset, wall_time_s: float | None = None
-) -> str:
-    """Canonical FIGURE_v1 JSON for a regenerated figure.
-
-    Carries a MANIFEST_v1 provenance block (``wall_time_s`` lands in its
-    ``volatile`` part); strip the ``volatile`` keys
-    (:func:`repro.obs.manifest.strip_volatile`) before byte-comparing two
-    documents from the same seed.
-    """
-    from dataclasses import asdict
-
-    document = {
-        "schema": "FIGURE_v1",
+def payload(result: FigureResult, preset: FigurePreset) -> dict:
+    """FIGURE_v1's own keys. The ``preset`` block carries no engine or
+    workload field, so the stripped document is the same under every
+    ``--engine``."""
+    return {
         "figure_id": result.figure_id,
         "title": result.title,
         "x_label": result.x_label,
         "preset": asdict(preset),
-        "manifest": build_manifest(preset, wall_time_s=wall_time_s),
         "series": [
             {
                 "label": series.label,
@@ -591,4 +584,39 @@ def result_to_json(
             for series in result.series
         ],
     }
-    return dump_document(document)
+
+
+def _run(preset: FigurePreset, args) -> FigureResult:
+    return run_figure(
+        args.figure_id,
+        preset,
+        jobs=args.jobs,
+        engine=args.engine,
+        overlay=args.overlay,
+        workload=args.workload,
+    )
+
+
+def _render(result: FigureResult, args) -> str:
+    # The figure tables live in report.py, which imports this module.
+    from repro.experiments.report import render_detail, render_markdown, render_table
+
+    parts = [render_table(result)]
+    if args.detail:
+        parts.append(render_detail(result))
+    if args.markdown:
+        parts.append(render_markdown(result))
+    if args.chart:
+        parts.append(render_chart(result))
+    return "\n\n".join(parts)
+
+
+#: ``repro figure``.
+EXPERIMENT = Experiment(
+    schema="FIGURE_v1",
+    preset=presets(FigurePreset),
+    run=_run,
+    payload=payload,
+    render=_render,
+    noun="figure document",
+)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pathlib
 
+from repro.analysis.ascii_chart import render_aligned
 from repro.experiments.figures import FigurePreset, FigureResult, run_figure
 from repro.obs.manifest import build_manifest, dump_document
 from repro.util.timer import Stopwatch
@@ -61,7 +62,7 @@ def render_table(result: FigureResult) -> str:
         for series in result.series:
             row.append(f"{series.points[row_index].improvement:.1f}")
         rows.append(row)
-    return _align([header] + rows, title=f"{result.figure_id}: {result.title}")
+    return render_aligned([header] + rows, title=f"{result.figure_id}: {result.title}")
 
 
 def render_detail(result: FigureResult) -> str:
@@ -189,13 +190,3 @@ def run_report(
 
 def _fmt_x(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:g}"
-
-
-def _align(rows: list[list[str]], title: str) -> str:
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    lines = [title]
-    for index, row in enumerate(rows):
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)

@@ -24,18 +24,21 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+from repro.analysis.ascii_chart import render_aligned
+from repro.experiments.driver import Experiment, presets
 from repro.faults.schedule import FaultSchedule
-from repro.obs.manifest import build_manifest, dump_document
 from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.sim.runner import ExperimentConfig, run_stable
 from repro.util.errors import ConfigurationError
 from repro.util.parallel import run_tasks
 
 __all__ = [
+    "EXPERIMENT",
     "RobustnessPreset",
     "RobustnessRow",
+    "gate_messages",
+    "payload",
     "robustness",
-    "rows_to_json",
     "rows_to_table",
 ]
 
@@ -175,22 +178,19 @@ def robustness(preset: RobustnessPreset, jobs: int | None = None) -> list[Robust
     return [_row(cell, result) for cell, result in zip(cells, results)]
 
 
-def rows_to_json(
-    rows: Sequence[RobustnessRow],
-    preset: RobustnessPreset,
-    wall_time_s: float | None = None,
-) -> str:
-    """Canonical JSON document (sorted keys, fixed indent): byte-identical
-    for the same seed at any worker count once the manifest's ``volatile``
-    keys are stripped (:func:`repro.obs.manifest.strip_volatile`).
-    ``wall_time_s`` lands under the manifest's ``volatile`` part."""
-    document = {
-        "schema": "ROBUSTNESS_v1",
-        "preset": asdict(preset),
-        "manifest": build_manifest(preset, wall_time_s=wall_time_s),
-        "rows": [asdict(row) for row in rows],
-    }
-    return dump_document(document)
+def payload(rows: Sequence[RobustnessRow], preset: RobustnessPreset) -> dict:
+    """ROBUSTNESS_v1's own keys: the preset and one row per grid cell."""
+    return {"preset": asdict(preset), "rows": [asdict(row) for row in rows]}
+
+
+def gate_messages(rows: Sequence[RobustnessRow]) -> list[str]:
+    """The claim ``repro faults`` guards: frequency-aware selection keeps a
+    positive hop reduction under >= 5% message loss on every overlay."""
+    return [
+        f"{row.overlay} loses at loss={row.value:g} ({row.improvement_pct:.1f}% reduction)"
+        for row in rows
+        if row.axis == "loss" and row.value >= 0.05 and row.improvement_pct <= 0.0
+    ]
 
 
 def rows_to_table(rows: Sequence[RobustnessRow]) -> str:
@@ -216,11 +216,16 @@ def rows_to_table(rows: Sequence[RobustnessRow]) -> str:
                 "-" if row.optimal_p95 is None else f"{row.optimal_p95:g}",
             ]
         )
-    table = [header] + body
-    widths = [max(len(line[col]) for line in table) for col in range(len(header))]
-    lines = []
-    for index, line in enumerate(table):
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
+    return render_aligned([header] + body)
+
+
+#: ``repro faults``.
+EXPERIMENT = Experiment(
+    schema="ROBUSTNESS_v1",
+    preset=presets(RobustnessPreset, "workload"),
+    run=lambda preset, args: robustness(preset, jobs=args.jobs),
+    payload=payload,
+    render=lambda rows, args: rows_to_table(rows),
+    gates=gate_messages,
+    noun="grid",
+)

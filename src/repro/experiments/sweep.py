@@ -19,12 +19,14 @@ import io
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
-from repro.obs.manifest import build_manifest, dump_document, json_float
+from repro.analysis.ascii_chart import render_aligned
+from repro.experiments.driver import Experiment
+from repro.obs.manifest import config_payload, json_float
 from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
 from repro.util.errors import ConfigurationError
 from repro.util.parallel import run_tasks
 
-__all__ = ["SweepRow", "sweep", "rows_to_csv", "rows_to_json", "rows_to_table"]
+__all__ = ["EXPERIMENT", "SweepRow", "payload", "sweep", "rows_to_csv", "rows_to_table"]
 
 
 @dataclass(frozen=True)
@@ -116,21 +118,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return buffer.getvalue()
 
 
-def rows_to_json(rows: list[SweepRow], base: ExperimentConfig | ChurnConfig) -> str:
-    """Canonical SWEEP_v1 JSON with a MANIFEST_v1 provenance block.
-
-    Strip the manifest's ``volatile`` keys before byte-comparing two
-    documents produced from the same base config and values.
-    """
-    document = {
-        "schema": "SWEEP_v1",
-        "base": {**asdict(base), "__type__": type(base).__name__},
-        "manifest": build_manifest(base),
-        "rows": [{key: json_float(value) for key, value in asdict(row).items()} for row in rows],
-    }
-    return dump_document(document, default=str)
-
-
 def rows_to_table(rows: list[SweepRow]) -> str:
     """Human-readable aligned table of sweep rows."""
     if not rows:
@@ -145,11 +132,50 @@ def rows_to_table(rows: list[SweepRow]) -> str:
         ]
         for row in rows
     ]
-    table = [header] + body
-    widths = [max(len(line[col]) for line in table) for col in range(len(header))]
-    lines = []
-    for index, line in enumerate(table):
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
+    return render_aligned([header] + body)
+
+
+def payload(rows: list[SweepRow], base: ExperimentConfig | ChurnConfig) -> dict:
+    """SWEEP_v1's own keys: the base config and one row per value."""
+    return {
+        "base": config_payload(base),
+        "rows": [{key: json_float(value) for key, value in asdict(row).items()} for row in rows],
+    }
+
+
+def _base(args) -> ExperimentConfig:
+    return ExperimentConfig(
+        overlay=args.overlay,
+        n=args.n,
+        bits=args.bits,
+        queries=args.queries,
+        seed=args.seed,
+        engine=args.engine,
+        workload=args.workload,
+    )
+
+
+def _convert(text: str) -> object:
+    """A swept value from the command line: int, float, bool or text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            continue
+    return {"true": True, "false": False}.get(text.lower(), text)
+
+
+def _run(base: ExperimentConfig, args) -> list[SweepRow]:
+    return sweep(base, args.parameter, [_convert(value) for value in args.values], jobs=args.jobs)
+
+
+#: ``repro sweep``: no preset, so no footer, and ``--csv`` prints pure CSV.
+EXPERIMENT = Experiment(
+    schema="SWEEP_v1",
+    preset=_base,
+    run=_run,
+    payload=payload,
+    render=lambda rows, args: rows_to_csv(rows) if args.csv else rows_to_table(rows),
+    noun="sweep document",
+    footer=False,
+)

@@ -36,19 +36,20 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.experiments.driver import Experiment, presets
 from repro.extensions.item_cache import simulate_item_churn
-from repro.obs.manifest import build_manifest, dump_document, json_float
+from repro.obs.manifest import json_float
 from repro.sim.runner import OVERLAYS, ExperimentConfig, stable_cell, stable_universe
 from repro.util.parallel import run_tasks
 
 __all__ = [
+    "EXPERIMENT",
     "SELECTIONS",
-    "WorkloadCell",
     "WorkloadPreset",
     "WorkloadRow",
     "CacheRow",
     "run_workloads",
-    "rows_to_json",
+    "payload",
     "rows_to_table",
     "cache_rows_to_table",
     "gate_messages",
@@ -127,21 +128,6 @@ class WorkloadPreset:
 
 
 @dataclass(frozen=True)
-class WorkloadCell:
-    """One (scenario, overlay, selection) cell — frozen so it pickles
-    for process fan-out."""
-
-    scenario: str
-    overlay: str
-    selection: str
-    n: int
-    bits: int
-    queries: int
-    warmup: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class WorkloadRow:
     """Measured outcome of one cell."""
 
@@ -164,34 +150,36 @@ class CacheRow:
     stale_answer_rate: float
 
 
-def _run_workload_cell(cell: WorkloadCell) -> WorkloadRow:
-    """Execute one cell. Module-level so it pickles for ``run_tasks``.
+def _run_workload_cell(cell: tuple[WorkloadPreset, str, str, str]) -> WorkloadRow:
+    """Execute one (preset, scenario, overlay, selection) cell.
+    Module-level so it pickles for ``run_tasks``.
 
-    All three selections of a (scenario, overlay) pair share the cell
+    All three selections of a (scenario, overlay) pair share the preset
     seed, hence the same overlay, catalog, rankings and measured query
     stream — the comparison isolates pointer selection exactly like
     :func:`repro.sim.runner.run_stable` does for its two policies.
     """
-    uniform = cell.selection == "uniform"
-    adaptive = cell.selection == "adaptive"
+    preset, scenario, overlay, selection = cell
+    uniform = selection == "uniform"
+    adaptive = selection == "adaptive"
     config = ExperimentConfig(
-        overlay=cell.overlay,
-        n=cell.n,
-        bits=cell.bits,
-        queries=cell.queries,
-        seed=cell.seed,
-        workload=cell.scenario,
+        overlay=overlay,
+        n=preset.n,
+        bits=preset.bits,
+        queries=preset.queries,
+        seed=preset.seed,
+        workload=scenario,
         engine="objects",
         # Frequency-aware selections learn from the scenario itself, so
         # the eq.-1 tables reflect where this workload's queries actually
         # land (not an assumed static model); uniform pointers ignore
         # frequencies.
         learned_frequencies=not uniform,
-        warmup_queries=cell.warmup,
+        warmup_queries=preset.warmup,
     )
     bench = stable_universe(config)
-    rng_name = f"policy-rng-{cell.selection}"
-    refresh = max(1, cell.queries // 8)
+    rng_name = f"policy-rng-{selection}"
+    refresh = max(1, preset.queries // 8)
 
     def refresh_tables(index: int) -> None:
         # Mid-stream refresh from the online-learned frequencies — the
@@ -209,24 +197,24 @@ def _run_workload_cell(cell: WorkloadCell) -> WorkloadRow:
         rng_name=rng_name,
     ).stats
     return WorkloadRow(
-        scenario=cell.scenario,
-        overlay=cell.overlay,
-        selection=cell.selection,
+        scenario=scenario,
+        overlay=overlay,
+        selection=selection,
         mean_hops=stats.mean_hops,
         failure_rate=stats.failure_rate,
         lookups=stats.lookups,
     )
 
 
-def _run_cache_cell(task: tuple[str, str, dict, int, int, int, int]) -> list[CacheRow]:
+def _run_cache_cell(task: tuple[WorkloadPreset, str, str, dict]) -> list[CacheRow]:
     """One scenario × cache-discipline run of the item-churn comparator."""
-    scenario, label, kwargs, n, queries, capacity, seed = task
+    preset, scenario, label, kwargs = task
     reports = simulate_item_churn(
-        n=n,
+        n=preset.cache_n,
         bits=16,
-        queries=queries,
-        cache_capacity=capacity,
-        seed=seed,
+        queries=preset.cache_queries,
+        cache_capacity=preset.cache_capacity,
+        seed=preset.seed,
         workload=scenario,
         **kwargs,
     )
@@ -255,24 +243,6 @@ def _run_cache_cell(task: tuple[str, str, dict, int, int, int, int]) -> list[Cac
     return rows
 
 
-def _cells(preset: WorkloadPreset) -> list[WorkloadCell]:
-    return [
-        WorkloadCell(
-            scenario=scenario,
-            overlay=overlay,
-            selection=selection,
-            n=preset.n,
-            bits=preset.bits,
-            queries=preset.queries,
-            warmup=preset.warmup,
-            seed=preset.seed,
-        )
-        for scenario in preset.scenarios
-        for overlay in preset.overlays
-        for selection in SELECTIONS
-    ]
-
-
 def run_workloads(
     preset: WorkloadPreset, jobs: int | None = None
 ) -> tuple[list[WorkloadRow], list[CacheRow]]:
@@ -281,17 +251,14 @@ def run_workloads(
     Returns ``(selection_rows, cache_rows)`` in deterministic plan order
     regardless of ``jobs``.
     """
-    cells = _cells(preset)
+    cells = [
+        (preset, scenario, overlay, selection)
+        for scenario in preset.scenarios
+        for overlay in preset.overlays
+        for selection in SELECTIONS
+    ]
     cache_tasks = [
-        (
-            scenario,
-            label,
-            kwargs,
-            preset.cache_n,
-            preset.cache_queries,
-            preset.cache_capacity,
-            preset.seed,
-        )
+        (preset, scenario, label, kwargs)
         for scenario in preset.scenarios
         for label, kwargs in CACHE_VARIANTS
     ]
@@ -386,22 +353,14 @@ def cache_rows_to_table(rows: list[CacheRow]) -> str:
     return "\n".join(lines)
 
 
-def rows_to_json(
-    rows: list[WorkloadRow],
-    cache_rows: list[CacheRow],
-    preset: WorkloadPreset,
-    wall_time_s: float | None = None,
-) -> str:
-    """Canonical WORKLOAD_v1 JSON with a MANIFEST_v1 provenance block.
-
-    Strip the manifest's volatile keys
-    (:func:`repro.obs.manifest.strip_volatile`) before byte-comparing two
-    documents from the same preset — the CI jobs-determinism gate does.
-    """
-    document = {
-        "schema": "WORKLOAD_v1",
+def payload(
+    grid: tuple[list[WorkloadRow], list[CacheRow]], preset: WorkloadPreset
+) -> dict:
+    """WORKLOAD_v1's own keys: the preset, the selection rows with their
+    reductions, and the §II-C cache grid."""
+    rows, cache_rows = grid
+    return {
         "preset": asdict(preset),
-        "manifest": build_manifest(preset, wall_time_s=wall_time_s),
         "rows": [
             {key: json_float(value) for key, value in asdict(row).items()} for row in rows
         ],
@@ -411,4 +370,28 @@ def rows_to_json(
             for row in cache_rows
         ],
     }
-    return dump_document(document)
+
+
+def _render(grid: tuple[list[WorkloadRow], list[CacheRow]], args) -> str:
+    rows, cache_rows = grid
+    return "\n".join(
+        [
+            "selection policies per workload scenario (mean hops):",
+            rows_to_table(rows),
+            "",
+            "item caching vs pointer caching per scenario (§II-C grid):",
+            cache_rows_to_table(cache_rows),
+        ]
+    )
+
+
+#: ``repro workload``.
+EXPERIMENT = Experiment(
+    schema="WORKLOAD_v1",
+    preset=presets(WorkloadPreset),
+    run=lambda preset, args: run_workloads(preset, jobs=args.jobs),
+    payload=payload,
+    render=_render,
+    gates=lambda grid: gate_messages(grid[0]),
+    noun="workload document",
+)

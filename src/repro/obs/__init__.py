@@ -35,7 +35,7 @@ from repro.obs.recorder import (
 # layers for their forwarding rules, so it sits in the same cycle. PEP
 # 562 lazy exports break both while keeping ``from repro.obs import
 # trace_cell`` (and ``AttributionRecorder``) working.
-_DRIVER_EXPORTS = ("TRACE_SCHEMA", "trace_cell", "trace_cells")
+_DRIVER_EXPORTS = ("TRACE_SCHEMA", "trace_cell")
 _ATTRIBUTION_EXPORTS = (
     "OVERLAY_KINDS",
     "AttributionRecorder",
@@ -82,5 +82,4 @@ __all__ = [
     "oblivious_route_length",
     "strip_volatile",
     "trace_cell",
-    "trace_cells",
 ]

@@ -9,24 +9,16 @@ only observe, the aggregate statistics of a traced cell are
 bit-identical to the untraced run under every workload and budget;
 ``tests/obs`` pins this, which is what lets traces explain production
 numbers rather than numbers-of-a-slightly-different-run.
-
-:func:`trace_cells` fans multiple cells over worker processes with the
-same order-preserving, seed-rebuilding machinery as the experiment
-drivers, so trace documents are bit-identical (after
-:func:`~repro.obs.manifest.strip_volatile`) at any ``--jobs`` value.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.obs.manifest import build_manifest, json_float
 from repro.obs.recorder import LookupTracer
 from repro.sim.runner import ExperimentConfig, stable_cell
-from repro.util.parallel import run_tasks
 from repro.util.rng import substream_seed
 
-__all__ = ["TRACE_SCHEMA", "trace_cell", "trace_cells"]
+__all__ = ["TRACE_SCHEMA", "trace_cell"]
 
 TRACE_SCHEMA = "TRACE_v1"
 
@@ -62,24 +54,3 @@ def trace_cell(
         "traces": [trace.to_dict() for trace in tracer.traces],
         "fault_counters": run.plane.counters() if run.plane is not None else None,
     }
-
-
-def _trace_task(task: tuple[ExperimentConfig, str, int | None]) -> dict:
-    config, policy, sample = task
-    return trace_cell(config, policy=policy, sample=sample)
-
-
-def trace_cells(
-    configs: Sequence[ExperimentConfig],
-    policy: str = "optimal",
-    sample: int | None = None,
-    jobs: int | None = None,
-) -> list[dict]:
-    """Trace several cells, optionally across worker processes.
-
-    Each cell rebuilds its own registry from its config-embedded seed, so
-    the returned documents are identical (manifest volatile block aside)
-    at any worker count — the same contract the experiment drivers hold.
-    """
-    tasks = [(config, policy, sample) for config in configs]
-    return run_tasks(_trace_task, tasks, jobs=jobs)

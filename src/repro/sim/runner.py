@@ -47,6 +47,7 @@ from repro.sim.metrics import ComparisonResult, HopStatistics
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.rng import SeedSequenceRegistry
+from repro.util.validation import require_positive
 from repro.workload.items import ItemCatalog, PopularityModel
 from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec, WorkloadStream
 
@@ -270,11 +271,21 @@ class ChurnConfig(ExperimentConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.warmup >= self.duration:
-            raise ConfigurationError("warmup must be shorter than duration")
-        if self.rebalance_interval <= 0:
+        # NaN passes every comparison and infinity never ends the
+        # simulation, so each rate, interval and time must be finite.
+        for name in (
+            "duration",
+            "queries_per_second",
+            "stabilize_interval",
+            "recompute_interval",
+            "rebalance_interval",
+            "mean_uptime",
+            "mean_downtime",
+        ):
+            require_positive(getattr(self, name), name)
+        if not 0 <= self.warmup < self.duration:
             raise ConfigurationError(
-                f"rebalance_interval must be positive, got {self.rebalance_interval}"
+                f"warmup must be in [0, duration={self.duration:g}), got {self.warmup!r}"
             )
         if self.engine == "columnar":
             raise ConfigurationError(

@@ -19,7 +19,6 @@ from repro.telemetry.export import (
     build_metrics_document,
     parse_openmetrics,
     to_openmetrics,
-    write_metrics,
 )
 from repro.telemetry.registry import (
     LATENCY_BUCKET_EDGES,
@@ -49,5 +48,4 @@ __all__ = [
     "normalize",
     "parse_openmetrics",
     "to_openmetrics",
-    "write_metrics",
 ]

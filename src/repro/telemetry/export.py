@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.obs.manifest import build_manifest, dump_document
+from repro.obs.manifest import build_manifest
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -66,11 +65,6 @@ def build_metrics_document(config, cells: dict[str, dict], round_clock: dict) ->
         "round_clock": round_clock,
         "cells": {name: cells[name] for name in sorted(cells)},
     }
-
-
-def write_metrics(document: dict, path) -> None:
-    """Write a METRICS_v1 document as canonical, diff-friendly JSON."""
-    Path(path).write_text(dump_document(document), encoding="utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -425,7 +425,7 @@ def check_selection_qos(problem: SelectionProblem, overlay: str) -> list[str]:
     # Bind the two hottest peers to the latency the unconstrained optimum
     # already achieves for them — feasible by construction.
     peers = sorted(
-        problem.candidates, key=lambda p: (-problem.frequencies[p], p)
+        problem.candidates, key=lambda p: (-problem.frequencies.get(p, 0.0), p)
     )[:2]
     bounds = {
         peer: 1 + _peer_distance(problem, overlay, peer, base_pointers)

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.util.errors import ConfigurationError
+from repro.util.validation import require_positive
 from repro.workload.dynamics import DynamicPopularity, FlashCrowd
 from repro.workload.items import ItemCatalog, PopularityModel
 from repro.workload.queries import Query, QueryGenerator
@@ -323,18 +324,14 @@ class TraceStream(WorkloadStream):
 # ----------------------------------------------------------------------
 
 
-def _parse_float(name: str, param: str, minimum: float) -> float:
+def _parse_float(name: str, param: str) -> float:
     try:
         value = float(param)
     except ValueError:
         raise ConfigurationError(
             f"workload {name!r} expects a numeric parameter, got {param!r}"
         ) from None
-    if value <= minimum:
-        raise ConfigurationError(
-            f"workload {name!r} parameter must be > {minimum:g}, got {value:g}"
-        )
-    return value
+    return require_positive(value, f"workload {name!r} parameter")
 
 
 def _parse_int(name: str, param: str, minimum: int) -> int:
@@ -358,7 +355,7 @@ def _build_static(context: WorkloadContext, param: str | None) -> WorkloadStream
 
 
 def _build_drifting(context: WorkloadContext, param: str | None) -> WorkloadStream:
-    interval = _parse_float("drifting-zipf", param, 0.0) if param else 30.0
+    interval = _parse_float("drifting-zipf", param) if param else 30.0
     return DriftingZipfStream(context, swap_interval=interval)
 
 
@@ -368,16 +365,12 @@ def _build_flash_crowd(context: WorkloadContext, param: str | None) -> WorkloadS
 
 
 def _build_diurnal(context: WorkloadContext, param: str | None) -> WorkloadStream:
-    period = (
-        _parse_float("diurnal", param, 0.0)
-        if param
-        else max(context.horizon / 2.0, 1.0)
-    )
+    period = _parse_float("diurnal", param) if param else max(context.horizon / 2.0, 1.0)
     return DiurnalStream(context, period=period)
 
 
 def _build_hotspot(context: WorkloadContext, param: str | None) -> WorkloadStream:
-    period = _parse_float("hotspot-rotation", param, 0.0) if param else 120.0
+    period = _parse_float("hotspot-rotation", param) if param else 120.0
     return HotspotRotationStream(context, period=period)
 
 
@@ -416,10 +409,13 @@ class WorkloadSpec:
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
         """Parse ``NAME`` or ``NAME:PARAM`` (``trace:PATH`` keeps the
-        whole remainder — paths may contain colons)."""
+        whole remainder — paths may contain colons). A ``:`` with nothing
+        after it is an error, not the default parameter."""
         if not isinstance(text, str) or not text:
             raise ConfigurationError(f"workload must be a non-empty string, got {text!r}")
         name, sep, param = text.partition(":")
+        if sep and not param:
+            raise ConfigurationError(f"workload {name!r} has an empty parameter after ':'")
         return cls(name, param if sep else None)
 
     @property

@@ -89,9 +89,9 @@ class QueryTrace:
         source = Path(path)
         try:
             handle = source.open("r", encoding="utf-8")
-        except OSError as error:
+        except (OSError, ValueError) as error:  # ValueError: a NUL in the path
             raise ConfigurationError(
-                f"cannot read trace {source}: {error.strerror or error}"
+                f"cannot read trace {source}: {getattr(error, 'strerror', None) or error}"
             ) from error
         with handle:
             header_line = handle.readline()

@@ -167,7 +167,8 @@ class TestFigureDeterminism:
     def test_figure_cell_json_identical_across_jobs(self):
         """The three-overlay figure-7 document is byte-identical at one
         worker and four, after stripping volatile manifest keys."""
-        from repro.experiments.figures import FigurePreset, result_to_json, run_figure
+        from repro.experiments.driver import document
+        from repro.experiments.figures import EXPERIMENT, FigurePreset, run_figure
         from repro.obs.manifest import strip_volatile
 
         preset = FigurePreset(
@@ -187,7 +188,7 @@ class TestFigureDeterminism:
         documents = []
         for jobs in (1, 4):
             result = run_figure("7", preset, jobs=jobs)
-            payload = json.loads(result_to_json(result, preset))
+            payload = document(EXPERIMENT, result, preset)
             documents.append(
                 json.dumps(strip_volatile(payload), sort_keys=True, indent=2)
             )

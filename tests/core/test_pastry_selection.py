@@ -195,12 +195,24 @@ class TestQoS:
         result = select_pastry_dp(problem)
         assert result.auxiliary == {0b1011, 0b0011}
         assert result.cost == 6.0
-        # Brute force sees the bounded peer as an observed zero-frequency one.
-        widened = problem_from_lists(
-            4, 0, {0b1010: 1.0, 0b0011: 4.0, 0b1011: 0.0}, [], k=2,
-            bounds={0b1010: 3, 0b1011: 1},
-        )
-        assert brute_force_optimal(widened, "pastry").cost == result.cost
+        # The never-queried bounded peer is a candidate for brute force too.
+        assert brute_force_optimal(problem, "pastry").cost == result.cost
+
+    @pytest.mark.parametrize(
+        "solver", [select_pastry_dp, select_pastry, select_kademlia, select_chord_dp]
+    )
+    def test_never_queried_bounded_peer_is_a_candidate(self, solver):
+        # Pointing at 6 is the only way to reach it in one hop, so every
+        # solver picks it although it was never queried; brute force used
+        # to call the problem infeasible.
+        problem = problem_from_lists(3, 0, {1: 1.0}, [], k=1, bounds={6: 1})
+        assert problem.candidates == {1, 6}
+        result = solver(problem)
+        assert result.auxiliary == {6}
+        assert result.cost == 4.0
+        for overlay in ("pastry", "chord"):
+            reference = brute_force_optimal(problem, overlay)
+            assert (reference.auxiliary, reference.cost) == ({6}, 4.0)
 
     def test_greedy_rejects_bounds(self):
         problem = problem_from_lists(8, 0, {1: 1.0}, [], k=1, bounds={1: 3})
@@ -287,6 +299,77 @@ class TestIncremental:
                 incremental = selector.selection()
                 fresh = select_pastry_greedy(selector.problem())
                 assert incremental.cost == pytest.approx(fresh.cost)
+
+    def test_bound_marker_follows_an_edge_split(self):
+        # Inserting 3 splits the edge above the vertex marked for 2's
+        # bound; the marker must move up, or {2} is forced at cost 5.
+        selector = IncrementalPastrySelector(IdSpace(3), 0, [], k=1)
+        selector.observe(2, 1.0)
+        selector.set_delay_bound(2, 2)
+        selector.observe(3, 2.0)
+        result = selector.selection()
+        assert (result.auxiliary, result.cost) == ({3}, 4.0)
+        assert select_pastry_dp(selector.problem()).cost == 4.0
+        assert brute_force_optimal(selector.problem(), "pastry").cost == 4.0
+
+    def test_removed_peer_leaves_no_bound_marker(self):
+        # The trie used to move 5's marker onto its surviving sibling 6.
+        selector = IncrementalPastrySelector(IdSpace(3), 1, [], k=1)
+        selector.observe(5, 1.0)
+        selector.observe(6, 1.0)
+        selector.set_delay_bound(5, 3)
+        selector.remove_peer(5)
+        selector.observe(3, 2.0)
+        result = selector.selection()
+        assert (result.auxiliary, result.cost) == ({3}, 6.0)
+        assert select_pastry_dp(selector.problem()).cost == 6.0
+        assert brute_force_optimal(selector.problem(), "pastry").cost == 6.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=st.integers(3, 6),
+        source=st.integers(0, 63),
+        k=st.integers(0, 3),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["observe", "set_frequency", "remove_peer", "set_delay_bound",
+                     "add_core_neighbor"]
+                ),
+                st.integers(0, 63),
+                st.integers(0, 6),
+            ),
+            max_size=14,
+        ),
+    )
+    def test_matches_fresh_dp_under_any_mutation_sequence(self, bits, source, k, ops):
+        space = IdSpace(bits)
+        source %= space.size
+        selector = IncrementalPastrySelector(space, source, [], k=k)
+        for op, peer, value in ops:
+            peer %= space.size
+            if peer == source:
+                continue
+            if op == "observe":
+                selector.observe(peer, float(value))
+            elif op == "set_frequency":
+                selector.set_frequency(peer, float(value))
+            elif op == "remove_peer":
+                selector.remove_peer(peer)
+            elif op == "set_delay_bound":
+                selector.set_delay_bound(peer, value + 1)
+            else:
+                selector.add_core_neighbor(peer)
+        problem = selector.problem()
+        try:
+            expected = select_pastry_dp(problem).cost
+        except InfeasibleConstraintError:
+            with pytest.raises(InfeasibleConstraintError):
+                selector.selection()
+            return
+        assert selector.selection().cost == pytest.approx(expected)
+        if bits <= 4:
+            assert brute_force_optimal(problem, "pastry").cost == pytest.approx(expected)
 
     def test_observe_source_is_ignored(self):
         selector = IncrementalPastrySelector(IdSpace(8), source=5, core_neighbors=[], k=1)

@@ -14,7 +14,8 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.experiments.figures import FigurePreset, result_to_json, run_figure
+from repro.experiments.driver import document
+from repro.experiments.figures import EXPERIMENT, FigurePreset, run_figure
 from repro.experiments.sweep import sweep
 from repro.obs.manifest import strip_volatile
 from repro.sim.runner import ExperimentConfig, run_stable
@@ -75,7 +76,7 @@ class TestFigureCrossEngine:
         documents = {}
         for engine in ("objects", "columnar"):
             result = run_figure("3", preset, jobs=1, engine=engine)
-            payload = json.loads(result_to_json(result, preset, wall_time_s=1.0))
+            payload = document(EXPERIMENT, result, preset)
             documents[engine] = json.dumps(strip_volatile(payload), sort_keys=True)
         assert documents["objects"] == documents["columnar"]
 

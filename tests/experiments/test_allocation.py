@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.allocation import (
+    EXPERIMENT,
     AllocationPlan,
     AllocationPreset,
     allocation,
@@ -13,10 +14,10 @@ from repro.experiments.allocation import (
     load_gate_messages,
     measured_gate_messages,
     plans_to_table,
-    rows_to_json,
     rows_to_table,
 )
-from repro.obs.manifest import strip_volatile
+from repro.experiments.driver import document
+from repro.obs.manifest import dump_document, strip_volatile
 from repro.util.errors import ConfigurationError
 
 
@@ -98,21 +99,22 @@ class TestGrid:
         preset = tiny_preset(seed=5)
         serial = allocation(preset, jobs=1)
         parallel = allocation(preset, jobs=2)
-        strip = lambda pair: strip_volatile(json.loads(rows_to_json(*pair, preset)))
+        strip = lambda grid: strip_volatile(document(EXPERIMENT, grid, preset))
         assert json.dumps(strip(serial), sort_keys=True) == json.dumps(
             strip(parallel), sort_keys=True
         )
 
     def test_json_round_trips(self):
         preset = tiny_preset()
-        plans, rows = allocation(preset, jobs=1)
-        document = json.loads(rows_to_json(plans, rows, preset, wall_time_s=1.0))
-        assert document["schema"] == "ALLOCATION_v1"
-        assert document["preset"]["name"] == "tiny"
-        assert document["manifest"]["schema"] == "MANIFEST_v1"
-        assert document["manifest"]["seed"] == preset.seed
-        assert len(document["rows"]) == 4
-        assert len(document["plans"]) == 1
+        payload = json.loads(
+            dump_document(document(EXPERIMENT, allocation(preset, jobs=1), preset))
+        )
+        assert payload["schema"] == "ALLOCATION_v1"
+        assert payload["preset"]["name"] == "tiny"
+        assert payload["manifest"]["schema"] == "MANIFEST_v1"
+        assert payload["manifest"]["seed"] == preset.seed
+        assert len(payload["rows"]) == 4
+        assert len(payload["plans"]) == 1
 
 
 class TestTables:

@@ -6,15 +6,16 @@ import json
 import pytest
 
 from repro.experiments.cachestats import (
+    EXPERIMENT,
     CachestatsPreset,
-    cells_to_json,
     cells_to_table,
     gate_messages,
     run_cachestats,
     top_pointers_table,
     utilization_series,
 )
-from repro.obs.manifest import strip_volatile
+from repro.experiments.driver import document
+from repro.obs.manifest import dump_document, strip_volatile
 
 
 def tiny_preset(seed: int = 0, overlays=("chord",), **overrides):
@@ -104,21 +105,19 @@ class TestGates:
 class TestDeterminism:
     def test_json_identical_across_job_counts(self):
         preset = tiny_preset(seed=4, overlays=("chord", "pastry", "kademlia"))
-        serial = cells_to_json(run_cachestats(preset, jobs=1), preset)
-        parallel = cells_to_json(run_cachestats(preset, jobs=4), preset)
-        canonical = lambda text: json.dumps(
-            strip_volatile(json.loads(text)), sort_keys=True
-        )
+        serial = document(EXPERIMENT, run_cachestats(preset, jobs=1), preset)
+        parallel = document(EXPERIMENT, run_cachestats(preset, jobs=4), preset)
+        canonical = lambda doc: json.dumps(strip_volatile(doc), sort_keys=True)
         assert canonical(serial) == canonical(parallel)
 
     def test_json_round_trips(self, full_grid):
         preset = tiny_preset(overlays=("chord", "pastry", "kademlia"))
-        document = json.loads(cells_to_json(full_grid, preset, wall_time_s=1.0))
-        assert document["schema"] == "CACHESTATS_v1"
-        assert document["preset"]["name"] == "tiny"
-        assert document["manifest"]["schema"] == "MANIFEST_v1"
-        assert document["manifest"]["seed"] == preset.seed
-        assert len(document["cells"]) == 3
+        payload = json.loads(dump_document(document(EXPERIMENT, full_grid, preset)))
+        assert payload["schema"] == "CACHESTATS_v1"
+        assert payload["preset"]["name"] == "tiny"
+        assert payload["manifest"]["schema"] == "MANIFEST_v1"
+        assert payload["manifest"]["seed"] == preset.seed
+        assert len(payload["cells"]) == 3
 
 
 class TestTables:

@@ -304,6 +304,9 @@ class TestExecution:
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
+#: A cell small enough that a bad value which slips through still ends fast.
+TINY = ["compare", "chord", "--n", "16", "--bits", "12", "--queries", "50"]
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -335,6 +338,32 @@ class TestBadInput:
                 "--budget total must be an integer, got 'x'",
             ),
             (["compare", "chord", "--budget", "bogus"], "unknown budget_mode 'bogus'"),
+            # Non-finite and empty numeric input used to run or hang.
+            (
+                [*TINY, "--workload", "diurnal:nan"],
+                "workload 'diurnal' parameter must be a positive finite number, got nan",
+            ),
+            (
+                [*TINY, "--workload", "hotspot-rotation:inf"],
+                "workload 'hotspot-rotation' parameter must be a positive finite number, got inf",
+            ),
+            ([*TINY, "--workload", "drifting-zipf:"], "'drifting-zipf' has an empty parameter"),
+            (
+                ["trace", "--n", "16", "--bits", "12", "--queries", "50", "--loss", "nan"],
+                "loss_rate must be in [0, 1), got nan",
+            ),
+            (
+                [*TINY, "--churn", "--duration", "nan"],
+                "duration must be a positive finite number, got nan",
+            ),
+            (
+                [*TINY, "--churn", "--duration", "inf"],
+                "duration must be a positive finite number, got inf",
+            ),
+            (
+                ["cachestats", "--smoke", "--top", "-1"],
+                "--top must be a non-negative integer, got -1",
+            ),
         ],
     )
     def test_one_diagnostic_line_and_exit_2(self, argv, message):

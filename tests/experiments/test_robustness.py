@@ -2,13 +2,16 @@
 
 import json
 
+from repro.experiments.driver import document
 from repro.experiments.robustness import (
+    EXPERIMENT,
     RobustnessPreset,
+    RobustnessRow,
+    gate_messages,
     robustness,
-    rows_to_json,
     rows_to_table,
 )
-from repro.obs.manifest import strip_volatile
+from repro.obs.manifest import dump_document, strip_volatile
 
 
 def tiny_preset(seed: int = 3) -> RobustnessPreset:
@@ -52,18 +55,20 @@ class TestGrid:
         # The manifest's volatile block (timestamps, argv) legitimately
         # differs between runs; everything else must be byte-identical.
         preset = tiny_preset(seed=5)
-        serial = strip_volatile(json.loads(rows_to_json(robustness(preset, jobs=1), preset)))
-        parallel = strip_volatile(json.loads(rows_to_json(robustness(preset, jobs=2), preset)))
+        serial = strip_volatile(document(EXPERIMENT, robustness(preset, jobs=1), preset))
+        parallel = strip_volatile(document(EXPERIMENT, robustness(preset, jobs=2), preset))
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
     def test_json_round_trips(self):
         preset = tiny_preset()
-        document = json.loads(rows_to_json(robustness(preset, jobs=1), preset))
-        assert document["schema"] == "ROBUSTNESS_v1"
-        assert document["preset"]["name"] == "tiny"
-        assert document["manifest"]["schema"] == "MANIFEST_v1"
-        assert document["manifest"]["seed"] == preset.seed
-        assert len(document["rows"]) == 3
+        payload = json.loads(
+            dump_document(document(EXPERIMENT, robustness(preset, jobs=1), preset))
+        )
+        assert payload["schema"] == "ROBUSTNESS_v1"
+        assert payload["preset"]["name"] == "tiny"
+        assert payload["manifest"]["schema"] == "MANIFEST_v1"
+        assert payload["manifest"]["seed"] == preset.seed
+        assert len(payload["rows"]) == 3
 
     def test_table_renders_every_row(self):
         rows = robustness(tiny_preset(), jobs=1)
@@ -73,6 +78,40 @@ class TestGrid:
 
     def test_empty_table(self):
         assert rows_to_table([]) == "(empty grid)"
+
+
+def synthetic_row(overlay: str, axis: str, value: float, improvement: float) -> RobustnessRow:
+    return RobustnessRow(
+        overlay=overlay, axis=axis, value=value, improvement_pct=improvement,
+        optimal_mean_hops=2.0, baseline_mean_hops=3.0,
+        optimal_failure_rate=0.0, baseline_failure_rate=0.0,
+        optimal_timeout_rate=0.0, baseline_timeout_rate=0.0,
+        optimal_p50=None, optimal_p95=None, optimal_p99=None, baseline_p95=None,
+    )
+
+
+class TestGate:
+    def test_positive_reductions_pass(self):
+        rows = [synthetic_row("chord", "loss", rate, 12.0) for rate in (0.0, 0.05, 0.1)]
+        assert gate_messages(rows) == []
+
+    def test_loss_at_or_above_five_percent_must_win(self):
+        rows = [
+            synthetic_row("chord", "loss", 0.05, 0.0),
+            synthetic_row("pastry", "loss", 0.1, -3.25),
+            synthetic_row("kademlia", "loss", 0.1, 4.0),
+        ]
+        assert gate_messages(rows) == [
+            "chord loses at loss=0.05 (0.0% reduction)",
+            "pastry loses at loss=0.1 (-3.2% reduction)",
+        ]
+
+    def test_light_loss_and_bursts_are_not_gated(self):
+        rows = [
+            synthetic_row("chord", "loss", 0.01, -5.0),
+            synthetic_row("chord", "burst", 8.0, -5.0),
+        ]
+        assert gate_messages(rows) == []
 
 
 class TestPresets:

@@ -5,17 +5,18 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.driver import document
 from repro.experiments.workload import (
+    EXPERIMENT,
     SELECTIONS,
     WorkloadPreset,
     WorkloadRow,
     cache_rows_to_table,
     gate_messages,
-    rows_to_json,
     rows_to_table,
     run_workloads,
 )
-from repro.obs.manifest import strip_volatile
+from repro.obs.manifest import dump_document, strip_volatile
 
 
 def tiny_preset(seed: int = 3) -> WorkloadPreset:
@@ -81,14 +82,14 @@ class TestGrid:
         preset = tiny_preset(seed=5)
         documents = []
         for jobs in (1, 2):
-            rows, cache_rows = run_workloads(preset, jobs=jobs)
-            payload = strip_volatile(json.loads(rows_to_json(rows, cache_rows, preset)))
+            grid = run_workloads(preset, jobs=jobs)
+            payload = strip_volatile(document(EXPERIMENT, grid, preset))
             documents.append(json.dumps(payload, sort_keys=True))
         assert documents[0] == documents[1]
 
     def test_json_schema_and_round_trip(self, grid):
         rows, cache_rows = grid
-        payload = json.loads(rows_to_json(rows, cache_rows, tiny_preset(), wall_time_s=1.5))
+        payload = json.loads(dump_document(document(EXPERIMENT, grid, tiny_preset())))
         assert payload["schema"] == "WORKLOAD_v1"
         assert payload["manifest"]["schema"] == "MANIFEST_v1"
         assert payload["preset"]["scenarios"] == ["static-zipf", "hotspot-rotation:30"]

@@ -6,8 +6,6 @@ The contracts defended here are the tentpole's acceptance criteria:
   ``run_stable`` of the same config (recorders only observe);
 * routing results are bit-identical whether ``trace`` is ``None``, a
   ``NullRecorder`` or a live tracer;
-* ``trace_cells`` documents are identical at any worker count once the
-  manifest's volatile block is stripped;
 * with the default single-attempt ``RetryPolicy()`` the hop/timeout
   accounting visible in trace events matches the legacy (pre-fault-plane)
   totals bit for bit.
@@ -19,8 +17,7 @@ import pytest
 
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
-from repro.obs.driver import trace_cell, trace_cells
-from repro.obs.manifest import strip_volatile
+from repro.obs.driver import trace_cell
 from repro.obs.recorder import LookupTracer, NullRecorder
 from repro.sim.runner import ExperimentConfig, run_stable
 
@@ -107,26 +104,6 @@ class TestTraceDocuments:
         assert set(chord) <= {"core", "successor", "auxiliary", "unknown"}
         assert set(pastry) <= {"core", "leaf", "auxiliary", "fallback", "unknown"}
         assert chord and pastry
-
-
-class TestJobsDeterminism:
-    def test_documents_identical_at_any_worker_count(self):
-        configs = [cell_config(seed=seed) for seed in (1, 2, 3, 4)]
-        serial = trace_cells(configs, sample=4, jobs=1)
-        parallel = trace_cells(configs, sample=4, jobs=2)
-        canonical = lambda docs: json.dumps(
-            [strip_volatile(doc) for doc in docs], sort_keys=True
-        )
-        assert canonical(serial) == canonical(parallel)
-
-    def test_faulty_cells_are_also_jobs_invariant(self):
-        configs = [
-            cell_config(seed=9, faults=FaultSchedule(loss_rate=0.05)),
-            cell_config("pastry", seed=9, faults=FaultSchedule(crash_burst_size=2)),
-        ]
-        serial = trace_cells(configs, policy="oblivious", sample=2, jobs=1)
-        parallel = trace_cells(configs, policy="oblivious", sample=2, jobs=2)
-        assert [strip_volatile(d) for d in serial] == [strip_volatile(d) for d in parallel]
 
 
 class TestRetryExactness:

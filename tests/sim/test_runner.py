@@ -77,6 +77,25 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ChurnConfig(overlay="chord", duration=100.0, warmup=200.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"duration": float("nan")},
+            {"duration": float("inf")},
+            {"warmup": -1.0},
+            {"warmup": float("nan")},
+            {"queries_per_second": 0.0},
+            {"stabilize_interval": float("nan")},
+            {"recompute_interval": float("inf")},
+            {"mean_uptime": -5.0},
+            {"mean_downtime": float("nan")},
+        ],
+    )
+    def test_churn_rejects_non_finite_times(self, overrides):
+        # A NaN duration passed the warmup check and never ended the run.
+        with pytest.raises(ConfigurationError):
+            ChurnConfig(overlay="chord", **overrides)
+
     def test_budget_mode_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(overlay="chord", budget_mode="clever")

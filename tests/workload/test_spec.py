@@ -99,6 +99,43 @@ class TestParse:
         with pytest.raises(ConfigurationError, match="path"):
             WorkloadSpec.parse("trace").build(make_context())
 
+    @pytest.mark.parametrize(
+        "text", ["diurnal:nan", "hotspot-rotation:inf", "drifting-zipf:-inf", "diurnal:1e999"]
+    )
+    def test_non_finite_parameters_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="positive finite number"):
+            WorkloadSpec.parse(text).build(make_context())
+
+    @pytest.mark.parametrize("text", ["drifting-zipf:", "diurnal:", "trace:", "static-zipf:"])
+    def test_empty_parameter_rejected(self, text):
+        # Previously "drifting-zipf:" ran the default interval under the
+        # label "drifting-zipf:".
+        with pytest.raises(ConfigurationError, match="empty parameter"):
+            WorkloadSpec.parse(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.one_of(
+            st.sampled_from(sorted(WORKLOADS)),
+            st.text(st.characters(exclude_characters=":"), max_size=6),
+        ),
+        param=st.one_of(
+            st.none(),
+            # Free text stays short: the largest count it can spell
+            # ("flash-crowd:99999") still builds in milliseconds.
+            st.text(max_size=5),
+            st.integers(-3, 10_000).map(str),
+            st.floats().map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "", " 2", "1e-3"]),
+        ),
+    )
+    def test_any_selector_builds_or_names_the_workload(self, name, param):
+        text = name if param is None else f"{name}:{param}"
+        try:
+            WorkloadSpec.parse(text).build(make_context())
+        except ConfigurationError as error:
+            assert name in str(error) or repr(name) in str(error)
+
     def test_is_static_only_for_default(self):
         assert WorkloadSpec.parse("static-zipf").is_static
         assert not WorkloadSpec.parse("drifting-zipf:9").is_static
