@@ -26,11 +26,18 @@ Solvers:
      index lookup;
   2. segment splitting at core neighbors with cumulative full-segment
      costs (eq. 10), so any ``s(j, m)`` costs ``O(log n + log b)``;
-  3. a divide-and-conquer layer solver in place of the paper's reference
-     [9]: ``s`` satisfies the Monge/concavity condition (extending the
-     span by one peer costs less under a closer pointer), hence the
-     optimal ``j`` is monotone in ``m`` and each of the ``k`` layers
-     resolves in ``O(n log n)`` evaluations.
+  3. a layer solver in place of the paper's reference [9]. ``s``
+     satisfies the Monge/concavity condition (extending the span by one
+     peer costs less under a closer pointer), hence the optimal ``j`` is
+     monotone in ``m``. Up to :data:`_DENSE_MAX_PEERS` peers with ids of
+     at most 53 bits, the whole ``s(j, m)`` matrix is built once from the
+     eq. 9/10 tables, bit-identical to the scalar queries, and each of the
+     ``k`` layers is one masked leftmost argmin per column ``m``. Larger
+     or wider instances use divide and conquer over the scalar queries
+     (``O(n log n)`` evaluations per layer). Divide and conquer is also
+     the exact fallback: it picks the leftmost column minima whenever
+     they are non-decreasing in ``m``, so a layer whose minima are not
+     (float rounding under heavy ties can do that) is solved by it.
 
 :func:`select_chord` dispatches: QoS bounds or tiny instances use the DP,
 everything else the fast solver.
@@ -38,8 +45,9 @@ everything else the fast solver.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.types import SelectionProblem, SelectionResult
@@ -53,6 +61,11 @@ except ImportError:  # pragma: no cover - exercised only on stripped installs
 __all__ = ["select_chord", "select_chord_dp", "select_chord_fast"]
 
 _INF = float("inf")
+
+#: Largest instance :func:`select_chord_fast` solves on the dense ``s(j, m)``
+#: matrix (the default ``frequency_limit``; a 512 KB float64 matrix).
+#: Larger or wider-id instances keep the divide-and-conquer layer solver.
+_DENSE_MAX_PEERS = 256
 
 
 @dataclass
@@ -234,6 +247,38 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
     return _result(problem, inst, chosen, current[n], "chord-dp")
 
 
+def _anchor_tables(
+    inst: _ChordInstance,
+) -> tuple[_np.ndarray, _np.ndarray, _np.ndarray, _np.ndarray]:
+    """The eq. 9 tables of every anchor, as arrays (``_vectorizable`` only).
+
+    Returns ``(anchors, reach, hops, prefix)``: the sorted anchor gaps
+    (each peer gap and each core gap); per anchor row and hop distance
+    ``r = 0 .. b`` the paper's ``p_w(r)`` (``reach``) and the prefix sum
+    ``sum_{r'<=r} r' * (F(p_w(r')) - F(p_w(r'-1)))`` (``hops``); and the
+    cumulative frequencies ``prefix[c]`` of the first ``c`` peers. All
+    anchors × all radii resolve with one ``searchsorted`` and a row-wise
+    cumulative sum; every sum runs left to right, as the scalar loop in
+    :class:`_SpanOracle` does.
+    """
+    gaps = _np.asarray(inst.gaps, dtype=_np.int64)
+    prefix = _np.cumsum(_np.concatenate(([0.0], _np.asarray(inst.weights, dtype=_np.float64))))
+    anchors = _np.union1d(gaps, _np.asarray(inst.core_gaps, dtype=_np.int64))
+    radii = _np.arange(1, inst.bits + 1, dtype=_np.int64)
+    limits = anchors[:, None] + ((_np.int64(1) << radii) - 1)[None, :]
+    reach = _np.concatenate(
+        [
+            _np.searchsorted(gaps, anchors, side="right")[:, None],
+            _np.searchsorted(gaps, limits, side="right"),
+        ],
+        axis=1,
+    )
+    shells = prefix[reach[:, 1:]] - prefix[reach[:, :-1]]
+    hops = _np.zeros(reach.shape, dtype=_np.float64)
+    _np.cumsum(radii * shells, axis=1, out=hops[:, 1:])
+    return anchors, reach, hops, prefix
+
+
 class _SpanOracle:
     """Answers ``s(j, m)`` queries in ``O(log n + log b)`` (Section V-B).
 
@@ -253,43 +298,28 @@ class _SpanOracle:
     def __init__(self, inst: _ChordInstance) -> None:
         self.inst = inst
         self.gaps = inst.gaps
-        bits = inst.bits
-        # Cumulative peer frequencies: F[c] = total weight of first c peers.
-        self.freq_prefix = [0.0]
-        for weight in inst.weights:
-            self.freq_prefix.append(self.freq_prefix[-1] + weight)
-        # Anchor tables for every peer gap and every core gap. The
-        # vectorized build resolves all anchors × all radii with one
-        # searchsorted and a row-wise cumulative sum (eq. 9 batched);
-        # the scalar loop below it is the reference/fallback.
-        self._reach: dict[int, list[int]] = {}
-        self._hops: dict[int, list[float]] = {}
+        self._reach: dict[int, list[int]]
+        self._hops: dict[int, list[float]]
+        # Keyed by the instance's own int objects: a lookup then matches
+        # by identity before it needs an ``==``.
         anchors = sorted(set(inst.gaps) | set(inst.core_gaps))
-        if _vectorizable(inst) and anchors:
-            gaps_arr = _np.asarray(self.gaps, dtype=_np.int64)
-            prefix_arr = _np.asarray(self.freq_prefix, dtype=_np.float64)
-            anchor_arr = _np.asarray(anchors, dtype=_np.int64)
-            radii = _np.arange(1, bits + 1, dtype=_np.int64)
-            limits = anchor_arr[:, None] + ((_np.int64(1) << radii) - 1)[None, :]
-            outer = _np.searchsorted(gaps_arr, limits.ravel(), side="right")
-            reach = _np.concatenate(
-                [
-                    _np.searchsorted(gaps_arr, anchor_arr, side="right")[:, None],
-                    outer.reshape(len(anchors), bits),
-                ],
-                axis=1,
-            )
-            shells = prefix_arr[reach[:, 1:]] - prefix_arr[reach[:, :-1]]
-            hops = _np.zeros((len(anchors), bits + 1), dtype=_np.float64)
-            _np.cumsum(radii * shells, axis=1, out=hops[:, 1:])
-            for row, gap in enumerate(anchors):
-                self._reach[gap] = reach[row].tolist()
-                self._hops[gap] = hops[row].tolist()
+        if _vectorizable(inst):
+            __, reach, hops, prefix = _anchor_tables(inst)
+            self.freq_prefix = prefix.tolist()
+            self._reach = dict(zip(anchors, reach.tolist()))
+            self._hops = dict(zip(anchors, hops.tolist()))
         else:
+            # Scalar reference for ids over 53 bits or without NumPy.
+            # Cumulative peer frequencies: F[c] = total weight of first c peers.
+            self.freq_prefix = [0.0]
+            for weight in inst.weights:
+                self.freq_prefix.append(self.freq_prefix[-1] + weight)
+            self._reach = {}
+            self._hops = {}
             for gap in anchors:
                 reach = [bisect_right(self.gaps, gap)]
                 hops = [0.0]
-                for r in range(1, bits + 1):
+                for r in range(1, inst.bits + 1):
                     limit = gap + (1 << r) - 1
                     index = bisect_right(self.gaps, limit)
                     shell = self.freq_prefix[index] - self.freq_prefix[reach[-1]]
@@ -334,6 +364,56 @@ class _SpanOracle:
         middle = self.segment_prefix[hi - 1] - self.segment_prefix[lo]
         tail = self._corefree_span(cores[hi - 1], limit)
         return head + middle + tail
+
+
+def _span_matrix(inst: _ChordInstance) -> _np.ndarray:
+    """Every ``s(j, m)`` as an ``n × n`` array: ``S[j-1, m-1]`` equals
+    ``_SpanOracle(inst).span_cost(j, m)`` bit for bit (``_vectorizable``
+    only). The returned array is the transpose of an ``m``-major one, so
+    ``S.T`` is C-contiguous.
+
+    Each entry repeats the oracle's float operations in the oracle's
+    order: ``inner + outer`` for a core-free span (eq. 9), and ``(head +
+    (segment[hi-1] - segment[lo])) + tail`` for a span split at the cores
+    strictly inside it (eq. 10), over the same left-to-right segment
+    prefix. A reordered sum would move costs by an ulp and flip tied picks.
+    """
+    anchors, reach, hops, prefix = _anchor_tables(inst)
+    width = reach.shape[1]
+    # Flat tables at ``anchor row * width + d_max``: the oracle's
+    # ``hops[d_max - 1]`` and ``F[reach[d_max - 1]]``, and 0.0 at
+    # ``d_max = 0``, where an empty span then costs ``0.0 + 0 * x == 0.0``.
+    inner_at = _np.zeros_like(hops)
+    inner_at[:, 1:] = hops[:, :-1]
+    reached_at = _np.zeros_like(hops)
+    reached_at[:, 1:] = prefix[reach[:, :-1]]
+    inner_at, reached_at = inner_at.ravel(), reached_at.ravel()
+    gaps = _np.asarray(inst.gaps, dtype=_np.int64)
+
+    def corefree(anchor, limit):
+        """Elementwise ``_SpanOracle._corefree_span`` over broadcast gaps."""
+        # Gaps are below 2**53, so the float difference is exact and its
+        # frexp exponent is ``int.bit_length`` (0 where limit <= anchor).
+        span = _np.maximum(limit.astype(_np.float64) - anchor.astype(_np.float64), 0.0)
+        d_max = _np.frexp(span)[1]
+        cell = _np.searchsorted(anchors, anchor) * width + d_max
+        upper = prefix[_np.searchsorted(gaps, limit, side="right")]
+        return inner_at.take(cell) + d_max * (upper - reached_at.take(cell))
+
+    # matrix[m-1, j-1] = s(j, m): anchors along the columns.
+    matrix = corefree(gaps[None, :], gaps[:, None])
+    cores = _np.asarray(inst.core_gaps, dtype=_np.int64)
+    if cores.size:
+        segment = _np.cumsum(_np.concatenate(([0.0], corefree(cores[:-1], cores[1:] - 1))))
+        # span_cost's lo/hi: the number of cores at or before each peer gap.
+        covered = _np.searchsorted(cores, gaps, side="right")
+        lo = _np.minimum(covered, cores.size - 1)
+        hi = _np.maximum(covered, 1)
+        head = corefree(gaps, cores[lo] - 1)
+        tail = corefree(cores[hi - 1], gaps)
+        split = (head[None, :] + (segment[hi - 1][:, None] - segment[lo][None, :])) + tail[:, None]
+        matrix = _np.where(covered[:, None] > covered[None, :], split, matrix)
+    return matrix.T
 
 
 def _solve_layer_dc(
@@ -384,9 +464,39 @@ def _solve_layer_dc(
         solve(1, n, 0, len(candidates) - 1)
 
 
+def _solve_layer_dense(
+    spans: _np.ndarray, rows: _np.ndarray, previous: Sequence[float]
+) -> tuple[_np.ndarray, _np.ndarray] | None:
+    """One DP layer as a masked leftmost argmin per column ``m``, or ``None``.
+
+    ``spans[m-1, c]`` is ``s(j, m)`` for the candidate ``j = rows[c] + 1``,
+    ``inf`` where ``j > m`` (one row per ``m``, so each argmin reads
+    contiguous memory). When the leftmost minima are non-decreasing in
+    ``m``, :func:`_solve_layer_dc` picks exactly them: each midpoint's
+    candidate range runs from its left ancestor's pick to its right
+    ancestor's, so it holds its leftmost minimum. ``s`` is Monge, so that
+    always holds in real arithmetic; when float rounding breaks it under
+    heavy ties, the caller solves the layer by divide and conquer instead.
+    """
+    previous = _np.asarray(previous)
+    values = spans + previous[rows]
+    picks = values.argmin(axis=1)
+    if (picks[1:] < picks[:-1]).any():
+        return None
+    best = values[_np.arange(picks.size), picks]
+    improve = best < previous[1:]  # the `<` test of _solve_layer_dc
+    current = previous.copy()
+    current[1:] = _np.where(improve, best, previous[1:])
+    parent_row = _np.zeros(previous.size, dtype=_np.int64)
+    parent_row[1:] = _np.where(improve, rows[picks] + 1, 0)
+    return current, parent_row
+
+
 def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
-    """Optimal selection via the fast algorithm of Section V-B
-    (``O(n (b + k log b) log n)``-flavoured; see module docstring).
+    """Optimal selection via the fast algorithm of Section V-B: dense
+    layers on the ``s(j, m)`` matrix up to :data:`_DENSE_MAX_PEERS` peers,
+    divide and conquer (``O(n (b + k log b) log n)``-flavoured) above it
+    and as the exact fallback; see the module docstring.
 
     Does not accept QoS bounds — use :func:`select_chord_dp` for those.
     """
@@ -394,25 +504,36 @@ def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
         raise ConfigurationError("fast solver does not support delay bounds; use select_chord_dp")
     inst = _normalize(problem)
     n = inst.n
-    oracle = _SpanOracle(inst)
     current = _base_costs(inst)
     candidates = [index + 1 for index in range(n) if inst.candidate_flags[index]]
     k_eff = min(problem.k, len(candidates))
-    parents: list[list[int]] = [[0] * (n + 1)]
+    spans = rows = None
+    if k_eff and n <= _DENSE_MAX_PEERS and _vectorizable(inst):
+        rows = _np.asarray(candidates, dtype=_np.int64) - 1
+        spans = _span_matrix(inst).T.take(rows, axis=1)
+        spans[_np.arange(n)[:, None] < rows[None, :]] = _INF
+    oracle = None
+    parents: list = [[0] * (n + 1)]
     for _layer in range(k_eff):
-        previous = current
-        current = list(previous)
-        parent_row = [0] * (n + 1)
-        _solve_layer_dc(oracle, previous, candidates, current, parent_row)
+        layer = _solve_layer_dense(spans, rows, current) if spans is not None else None
+        if layer is None:
+            if oracle is None:
+                oracle = _SpanOracle(inst)
+            # Python floats, whether the last layer was dense or not.
+            previous = [float(cost) for cost in current]
+            current, parent_row = list(previous), [0] * (n + 1)
+            _solve_layer_dc(oracle, previous, candidates, current, parent_row)
+        else:
+            current, parent_row = layer
         parents.append(parent_row)
     chosen = _reconstruct(parents, k_eff, n)
-    return _result(problem, inst, chosen, current[n], "chord-fast")
+    return _result(problem, inst, chosen, float(current[n]), "chord-fast")
 
 
 def select_chord(problem: SelectionProblem) -> SelectionResult:
     """Solve a Chord selection problem with the appropriate algorithm:
     the quadratic DP for QoS-constrained or tiny instances, the fast
-    divide-and-conquer solver otherwise."""
+    solver (dense layers or divide and conquer) otherwise."""
     if problem.delay_bounds or len(problem.frequencies) <= 32:
         return select_chord_dp(problem)
     return select_chord_fast(problem)

@@ -356,11 +356,28 @@ def _build_static(context: WorkloadContext, param: str | None) -> WorkloadStream
 
 def _build_drifting(context: WorkloadContext, param: str | None) -> WorkloadStream:
     interval = _parse_float("drifting-zipf", param) if param else 30.0
+    # ``advance`` applies every due drift step in turn (each draws from
+    # the drift stream, so none can be skipped): allow at most one step
+    # per nominal query gap, or a tiny interval spins there.
+    minimum = 1.0 / context.rate
+    if interval < minimum:
+        raise ConfigurationError(
+            f"workload 'drifting-zipf' swap interval must be at least {minimum:g} s "
+            f"(one drift step per query at {context.rate:g} queries/s), got {interval:g}"
+        )
     return DriftingZipfStream(context, swap_interval=interval)
 
 
 def _build_flash_crowd(context: WorkloadContext, param: str | None) -> WorkloadStream:
     crowds = _parse_int("flash-crowd", param, 1) if param else 3
+    # Victims come from the cold tail, one crowd object each.
+    items = len(context.catalog)
+    tail = items - items // 2
+    if crowds > tail:
+        raise ConfigurationError(
+            f"workload 'flash-crowd' takes at most {tail} crowds "
+            f"(the cold tail of {items} items), got {crowds}"
+        )
     return FlashCrowdStream(context, crowds=crowds)
 
 

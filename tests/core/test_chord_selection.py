@@ -1,15 +1,19 @@
 """Tests for the Chord auxiliary-neighbor selection algorithms."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import chord_selection
 from repro.core.chord_selection import select_chord, select_chord_dp, select_chord_fast
 from repro.core.cost import brute_force_optimal, chord_cost
+from repro.core.types import SelectionProblem
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
-from tests.helpers import problem_from_lists, random_problem
+from repro.util.ids import IdSpace
+from tests.helpers import chord_divide_and_conquer, problem_from_lists, random_problem
 
 
 def assert_valid(problem, result):
@@ -29,7 +33,7 @@ class TestHandPicked:
     def test_far_hot_peer_gets_pointer(self):
         # Core at gap 1; hot peer far away benefits most from a pointer.
         problem = problem_from_lists(8, 0, {200: 50.0, 3: 1.0}, [1], k=1)
-        for solver in (select_chord_dp, select_chord_fast):
+        for solver in (select_chord_dp, select_chord_fast, chord_divide_and_conquer):
             result = solver(problem)
             assert result.auxiliary == {200}
             assert_valid(problem, result)
@@ -89,9 +93,9 @@ class TestOptimality:
             rng, bits=10, peers=rng.randint(5, 50), cores=rng.randint(0, 5), k=rng.randint(0, 6)
         )
         dp = select_chord_dp(problem)
-        fast = select_chord_fast(problem)
-        assert fast.cost == pytest.approx(dp.cost)
-        assert_valid(problem, fast)
+        for fast in (select_chord_fast(problem), chord_divide_and_conquer(problem)):
+            assert fast.cost == pytest.approx(dp.cost)
+            assert_valid(problem, fast)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -100,8 +104,8 @@ class TestOptimality:
         rng = random.Random(seed)
         problem = random_problem(rng, bits=7, peers=60, cores=6, k=8)
         dp = select_chord_dp(problem)
-        fast = select_chord_fast(problem)
-        assert fast.cost == pytest.approx(dp.cost)
+        for fast in (select_chord_fast(problem), chord_divide_and_conquer(problem)):
+            assert fast.cost == pytest.approx(dp.cost)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -165,3 +169,177 @@ class TestQoS:
         problem = problem_from_lists(8, 0, {128: 1.0}, [], k=1, bounds={128: 2})
         result = select_chord(problem)
         assert result.auxiliary == {128}
+
+
+#: Weight profiles that tie heavily. Sums of the non-dyadic weights
+#: (0.1, 0.7, ...) round, which is what can break the monotone minima.
+TIED_WEIGHTS = {
+    "ties": (0.1, 0.2, 0.3),
+    "ties-and-zeros": (0.0, 0.1, 0.2, 0.3),
+    "non-dyadic": (0.0, 0.7, 1.0),
+    "zeros": (0.0, 0.0, 1.0, 2.0),
+}
+
+
+def seeded_problem(seed, bits, peers, k, cores=0, weights=None):
+    """``peers`` random peers on ``bits``-bit ids plus ``cores`` other core
+    neighbours, weighted by ``weights`` (a choice set) or random floats."""
+    rng = random.Random(seed)
+    drawn: dict[int, None] = {}
+    while len(drawn) < peers + cores + 1:
+        drawn[rng.randrange(1 << bits)] = None
+    ids = list(drawn)
+    draw = (lambda: rng.choice(weights)) if weights else rng.random
+    return SelectionProblem(
+        space=IdSpace(bits),
+        source=ids[0],
+        frequencies={peer: draw() for peer in ids[1 : peers + 1]},
+        core_neighbors=frozenset(ids[peers + 1 :]),
+        k=k,
+    )
+
+
+@st.composite
+def dense_problems(draw):
+    """Problems on the dense path's domain, skewed to its edge cases: tied
+    and zero weights, core-only and core-free neighbourhoods, budgets above
+    the candidate count, 6- to 53-bit ids and problems of exactly the cap."""
+    at_cap = draw(st.booleans())
+    peers = chord_selection._DENSE_MAX_PEERS if at_cap else draw(st.integers(1, 40))
+    bits = draw(st.integers(10 if at_cap else 6, 53))
+    k = draw(st.integers(0, 10) if at_cap else st.integers(0, peers + 3))
+    weights = draw(st.sampled_from([None, *TIED_WEIGHTS.values()]))
+    problem = seeded_problem(
+        draw(st.integers(0, 2**32)), bits, peers, k, cores=draw(st.integers(0, 8)), weights=weights
+    )
+    neighbourhood = draw(st.sampled_from(["given", "none", "all", "some"]))
+    if neighbourhood == "given":
+        return problem
+    peer_ids = sorted(problem.frequencies)
+    core = {
+        "none": frozenset(),
+        "all": frozenset(peer_ids),
+        "some": problem.core_neighbors | frozenset(peer_ids[:: draw(st.integers(2, 9))]),
+    }[neighbourhood]
+    return SelectionProblem(
+        space=problem.space,
+        source=problem.source,
+        frequencies=problem.frequencies,
+        core_neighbors=core,
+        k=problem.k,
+    )
+
+
+def solve_with_parents(solve, problem):
+    """``solve(problem)`` and the DP parent rows it reconstructed from."""
+    rows = []
+    reconstruct = chord_selection._reconstruct
+
+    def record(parents, layers, n):
+        rows.extend([int(j) for j in row] for row in parents)
+        return reconstruct(parents, layers, n)
+
+    with mock.patch.object(chord_selection, "_reconstruct", record):
+        return solve(problem), rows
+
+
+def solver_routes(problem):
+    """How many dense matrices and divide-and-conquer layers one fast
+    solve of ``problem`` used."""
+    with mock.patch.object(
+        chord_selection, "_span_matrix", wraps=chord_selection._span_matrix
+    ) as dense, mock.patch.object(
+        chord_selection, "_solve_layer_dc", wraps=chord_selection._solve_layer_dc
+    ) as divide_and_conquer:
+        select_chord_fast(problem)
+    return dense.call_count, divide_and_conquer.call_count
+
+
+def assert_matrix_matches_oracle(problem):
+    inst = chord_selection._normalize(problem)
+    oracle = chord_selection._SpanOracle(inst)
+    expected = [
+        [oracle.span_cost(j, m) for m in range(1, inst.n + 1)] for j in range(1, inst.n + 1)
+    ]
+    assert chord_selection._span_matrix(inst).tolist() == expected
+
+
+class TestDenseLayerSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_problems())
+    def test_dense_matches_divide_and_conquer_bit_for_bit(self, problem):
+        dense, dense_rows = solve_with_parents(select_chord_fast, problem)
+        reference, reference_rows = solve_with_parents(chord_divide_and_conquer, problem)
+        assert dense.auxiliary == reference.auxiliary
+        assert dense.cost == reference.cost
+        assert dense_rows == reference_rows
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # Cores that coincide with peers (4, 17), sit right after an
+            # anchor (11 after 10: empty head), end a span (17: empty
+            # tail), precede the first peer (1) and follow the last (201).
+            problem_from_lists(
+                8,
+                0,
+                {3: 0.1, 4: 0.7, 10: 0.3, 17: 0.2, 64: 0.1, 130: 0.3, 200: 0.7, 255: 0.1},
+                [1, 4, 11, 17, 128, 201],
+                k=2,
+            ),
+            problem_from_lists(8, 0, {3: 1.0, 4: 2.0, 10: 0.5, 130: 0.1, 255: 1.0}, [], k=2),
+            problem_from_lists(8, 250, {3: 0.1, 249: 0.2, 251: 0.3, 5: 0.0}, [252], k=1),
+            problem_from_lists(6, 7, {8: 1.0}, [9, 40], k=1),
+            problem_from_lists(
+                53, 1, {2: 0.3, 2**40: 0.1, 2**52 + 3: 0.2, 2**53 - 1: 0.7}, [2**41], k=3
+            ),
+        ],
+        ids=["cores-everywhere", "no-cores", "wraparound", "one-peer", "53-bit"],
+    )
+    def test_matrix_equals_oracle_on_hand_made_instances(self, problem):
+        assert_matrix_matches_oracle(problem)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_equals_oracle_on_random_instances(self, seed):
+        rng = random.Random(seed)
+        problem = seeded_problem(
+            seed,
+            bits=rng.choice((6, 16, 32, 53)),
+            peers=rng.randint(1, 40),
+            k=2,
+            cores=rng.randint(0, 8),
+            weights=rng.choice([None, *TIED_WEIGHTS.values()]),
+        )
+        assert_matrix_matches_oracle(problem)
+
+    def test_decreasing_column_minima_fall_back_to_divide_and_conquer(self):
+        # Ties from {0.1, 0.2, 0.3}: float rounding makes the leftmost
+        # column minima of this problem's third layer decrease somewhere,
+        # where a plain argmin would pick a different set of equal cost.
+        rng = random.Random(21)
+        base = random_problem(rng, bits=10, peers=24, cores=2, k=4)
+        problem = problem_from_lists(
+            10,
+            base.source,
+            {peer: rng.choice((0.1, 0.2, 0.3)) for peer in sorted(base.frequencies)},
+            sorted(base.core_neighbors),
+            k=4,
+        )
+        dense_matrices, fallback_layers = solver_routes(problem)
+        assert (dense_matrices, fallback_layers) == (1, 1)
+        dense, dense_rows = solve_with_parents(select_chord_fast, problem)
+        reference, reference_rows = solve_with_parents(chord_divide_and_conquer, problem)
+        assert (dense.auxiliary, dense.cost, dense_rows) == (
+            reference.auxiliary,
+            reference.cost,
+            reference_rows,
+        )
+
+    def test_dispatch_by_size_and_id_width(self):
+        cap = chord_selection._DENSE_MAX_PEERS
+        assert cap == 256
+        assert solver_routes(seeded_problem(1, bits=32, peers=cap, k=3, cores=8)) == (1, 0)
+        # Above the cap, and on ids NumPy cannot hold exactly, every
+        # layer is divide and conquer.
+        assert solver_routes(seeded_problem(2, bits=32, peers=cap + 1, k=3, cores=8)) == (0, 3)
+        assert solver_routes(seeded_problem(3, bits=64, peers=40, k=3, cores=4)) == (0, 3)

@@ -6,9 +6,10 @@ These encode the paper's structural claims as executable properties:
 * the nesting property (P) of Section IV-B, observed on actual outputs;
 * marginal gains: each extra pointer helps, but by (weakly) less;
 * the three-way oracle: the DP, the Lemma-4.1 greedy and the exponential
-  brute force must agree on optimal cost (Pastry), and the Monge-D&C fast
-  path must match the quadratic DP (Chord) — including on adversarial
-  weight profiles (ties everywhere, zero-frequency peers).
+  brute force must agree on optimal cost (Pastry), and the fast path —
+  both its dense layer solve and the Monge divide and conquer — must
+  match the quadratic DP (Chord), including on adversarial weight
+  profiles (ties everywhere, zero-frequency peers).
 """
 
 import math
@@ -22,7 +23,7 @@ from repro.core.chord_selection import select_chord_dp, select_chord_fast
 from repro.core.cost import brute_force_optimal, evaluate
 from repro.core.oblivious import select_chord_oblivious, select_pastry_oblivious
 from repro.core.pastry_selection import select_pastry_dp, select_pastry_greedy
-from tests.helpers import random_problem
+from tests.helpers import chord_divide_and_conquer, random_problem
 
 
 def with_weights(problem, weights):
@@ -146,10 +147,10 @@ def test_chord_fast_matches_dp_with_ties_and_zero_frequencies(seed):
         base,
         {peer: float(rng.choice((0, 0, 1, 2))) for peer in base.frequencies},
     )
-    fast = select_chord_fast(tied)
     dp = select_chord_dp(tied)
-    assert math.isclose(fast.cost, dp.cost, abs_tol=1e-9)
-    assert math.isclose(evaluate(tied, fast.auxiliary, "chord"), fast.cost, abs_tol=1e-9)
+    for fast in (select_chord_fast(tied), chord_divide_and_conquer(tied)):
+        assert math.isclose(fast.cost, dp.cost, abs_tol=1e-9)
+        assert math.isclose(evaluate(tied, fast.auxiliary, "chord"), fast.cost, abs_tol=1e-9)
     assert math.isclose(evaluate(tied, dp.auxiliary, "chord"), dp.cost, abs_tol=1e-9)
 
 
@@ -162,9 +163,9 @@ def test_chord_fast_matches_brute_force_on_tiny_instances(seed):
         base,
         {peer: float(rng.choice((0, 1, 1, 3))) for peer in base.frequencies},
     )
-    fast = select_chord_fast(tied)
     brute = brute_force_optimal(tied, "chord")
-    assert math.isclose(fast.cost, brute.cost, abs_tol=1e-9)
+    for fast in (select_chord_fast(tied), chord_divide_and_conquer(tied)):
+        assert math.isclose(fast.cost, brute.cost, abs_tol=1e-9)
 
 
 @settings(max_examples=15, deadline=None)

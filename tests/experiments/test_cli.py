@@ -364,6 +364,16 @@ class TestBadInput:
                 ["cachestats", "--smoke", "--top", "-1"],
                 "--top must be a non-negative integer, got -1",
             ),
+            # A tiny drift interval spun and a huge crowd count ran for
+            # seconds to minutes.
+            (
+                [*TINY, "--workload", "drifting-zipf:1e-9"],
+                "workload 'drifting-zipf' swap interval must be at least 0.25 s",
+            ),
+            (
+                [*TINY, "--workload", "flash-crowd:100000"],
+                "workload 'flash-crowd' takes at most 32 crowds",
+            ),
         ],
     )
     def test_one_diagnostic_line_and_exit_2(self, argv, message):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
-from repro.core.types import SelectionProblem
+from repro.core import chord_selection
+from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.ids import IdSpace
 
 
@@ -57,3 +59,10 @@ def problem_from_lists(
         k=k,
         delay_bounds=bounds or {},
     )
+
+
+def chord_divide_and_conquer(problem: SelectionProblem) -> SelectionResult:
+    """``select_chord_fast`` with its dense layer solve switched off, so
+    every layer runs the Section V-B divide and conquer."""
+    with mock.patch.object(chord_selection, "_DENSE_MAX_PEERS", 0):
+        return chord_selection.select_chord_fast(problem)

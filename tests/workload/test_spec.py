@@ -99,6 +99,22 @@ class TestParse:
         with pytest.raises(ConfigurationError, match="path"):
             WorkloadSpec.parse("trace").build(make_context())
 
+    def test_drift_interval_at_least_one_query_gap(self):
+        # A smaller interval used to spin in DynamicPopularity.advance,
+        # one drift step at a time.
+        minimum = 1.0 / DEFAULT_RATE
+        WorkloadSpec.parse(f"drifting-zipf:{minimum}").build(make_context())
+        for text in (f"drifting-zipf:{minimum / 2}", "drifting-zipf:1e-9"):
+            with pytest.raises(ConfigurationError, match="'drifting-zipf' .* at least 0.25 s"):
+                WorkloadSpec.parse(text).build(make_context())
+
+    def test_flash_crowds_at_most_the_cold_tail(self):
+        # 40 items: victims come from the 20-item cold tail.
+        WorkloadSpec.parse("flash-crowd:20").build(make_context())
+        for text in ("flash-crowd:21", "flash-crowd:1000000"):
+            with pytest.raises(ConfigurationError, match="'flash-crowd' takes at most 20 crowds"):
+                WorkloadSpec.parse(text).build(make_context())
+
     @pytest.mark.parametrize(
         "text", ["diurnal:nan", "hotspot-rotation:inf", "drifting-zipf:-inf", "diurnal:1e999"]
     )
@@ -121,8 +137,9 @@ class TestParse:
         ),
         param=st.one_of(
             st.none(),
-            # Free text stays short: the largest count it can spell
-            # ("flash-crowd:99999") still builds in milliseconds.
+            # Free text stays short; any flash-crowd count above the
+            # 20-item cold tail, however long, is rejected before a
+            # crowd is built.
             st.text(max_size=5),
             st.integers(-3, 10_000).map(str),
             st.floats().map(repr),
