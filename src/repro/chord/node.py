@@ -22,12 +22,13 @@ from bisect import bisect_left
 
 from repro.chord.routing import RingTable
 from repro.core.frequency import ExactFrequencyTable
+from repro.overlay import OverlayNode
 from repro.util.ids import IdSpace
 
 __all__ = ["ChordNode"]
 
 
-class ChordNode:
+class ChordNode(OverlayNode):
     """One Chord peer.
 
     Parameters
@@ -40,28 +41,13 @@ class ChordNode:
         Number of immediate successors tracked besides the fingers.
     """
 
-    __slots__ = (
-        "node_id",
-        "space",
-        "alive",
-        "successor_list_size",
-        "core",
-        "successors",
-        "auxiliary",
-        "table",
-        "tracker",
-    )
+    __slots__ = ("successor_list_size", "successors", "table")
 
     def __init__(self, node_id: int, space: IdSpace, successor_list_size: int = 4) -> None:
-        self.node_id = space.validate(node_id, "node id")
-        self.space = space
-        self.alive = True
+        super().__init__(node_id, space)
         self.successor_list_size = successor_list_size
-        self.core: set[int] = set()
         self.successors: list[int] = []
-        self.auxiliary: set[int] = set()
         self.table = RingTable(node_id, space)
-        self.tracker = ExactFrequencyTable()
 
     # ------------------------------------------------------------------
     # Table maintenance
@@ -153,25 +139,6 @@ class ChordNode:
         self.auxiliary.clear()
         self.table.clear()
         self.tracker = ExactFrequencyTable()
-
-    def rejoin(self, alive_ids: list[int]) -> None:
-        """Come back with fresh (empty) auxiliary state and rebuilt core."""
-        self.alive = True
-        self.rebuild_core(alive_ids)
-
-    # ------------------------------------------------------------------
-    # Frequency tracking
-    # ------------------------------------------------------------------
-    def record_access(self, destination: int) -> None:
-        """Note the node that held a queried item (Section III)."""
-        if destination != self.node_id:
-            self.tracker.observe(destination)
-
-    def frequency_snapshot(self, limit: int | None = None) -> dict[int, float]:
-        """Observed per-peer frequencies, optionally top-``limit`` only."""
-        snapshot = self.tracker.snapshot(limit)
-        snapshot.pop(self.node_id, None)
-        return snapshot
 
 
 def _first_in_interval(sorted_ids: list[int], start: int, width: int, space: IdSpace) -> int | None:

@@ -358,38 +358,49 @@ def _parse_budget(text: str | None) -> dict:
     return kwargs
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
+def _cell_config(
+    args: argparse.Namespace,
+    churn: bool = False,
+    *,
+    n: int | None = None,
+    queries: int | None = None,
+    duration: float | None = None,
+    engine: str = "auto",
+    **fields,
+):
+    """The one cell a command's overlay, n, k, alpha, bits and seed flags
+    describe, plus the command's own ``fields``: a churn cell, warmed up
+    for a quarter of its ``duration`` (at most 300 s), or a stable cell of
+    ``queries`` lookups on ``engine``. ``n``, ``queries`` and ``duration``
+    override the flags (``--smoke`` sizes)."""
+    from repro.sim.runner import ChurnConfig, ExperimentConfig
 
-    budget_kwargs = _parse_budget(args.budget)
-    if args.churn:
-        config = ChurnConfig(
-            overlay=args.overlay,
-            n=args.n,
-            k=args.k,
-            alpha=args.alpha,
-            bits=args.bits,
-            seed=args.seed,
-            duration=args.duration,
-            warmup=min(args.duration / 4, 300.0),
-            workload=args.workload,
-            **budget_kwargs,
-        )
-        result = run_churn(config)
-    else:
-        config = ExperimentConfig(
-            overlay=args.overlay,
-            n=args.n,
-            k=args.k,
-            alpha=args.alpha,
-            bits=args.bits,
-            queries=args.queries,
-            seed=args.seed,
-            engine=args.engine,
-            workload=args.workload,
-            **budget_kwargs,
-        )
-        result = run_stable(config)
+    fields.update(
+        overlay=args.overlay,
+        n=args.n if n is None else n,
+        k=args.k,
+        alpha=args.alpha,
+        bits=args.bits,
+        seed=args.seed,
+    )
+    if churn:
+        duration = args.duration if duration is None else duration
+        return ChurnConfig(duration=duration, warmup=min(duration / 4, 300.0), **fields)
+    queries = args.queries if queries is None else queries
+    return ExperimentConfig(queries=queries, engine=engine, **fields)
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.sim.runner import run_churn, run_stable
+
+    config = _cell_config(
+        args,
+        args.churn,
+        engine=args.engine,
+        workload=args.workload,
+        **_parse_budget(args.budget),
+    )
+    result = (run_churn if args.churn else run_stable)(config)
     print(result.summary())
     print(
         f"  failure rates: ours {result.optimized.failure_rate:.4f}, "
@@ -469,18 +480,8 @@ def _fault_schedule(args: argparse.Namespace):
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.driver import write
     from repro.obs.driver import trace_cell
-    from repro.sim.runner import ExperimentConfig
 
-    config = ExperimentConfig(
-        overlay=args.overlay,
-        n=args.n,
-        k=args.k,
-        alpha=args.alpha,
-        bits=args.bits,
-        queries=args.queries,
-        seed=args.seed,
-        faults=_fault_schedule(args),
-    )
+    config = _cell_config(args, faults=_fault_schedule(args))
     watch = Stopwatch()
     document = trace_cell(config, policy=args.policy, sample=args.sample)
     stats = document["stats"]
@@ -616,42 +617,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.experiments.driver import write
-    from repro.sim.runner import ChurnConfig, ExperimentConfig
     from repro.telemetry.driver import metrics_document
     from repro.telemetry.export import to_openmetrics
 
-    schedule = _fault_schedule(args)
     # --smoke shrinks the cell to CI scale; it is still a fixed (config,
     # seed), so smoke documents are byte-identical across runs and jobs.
-    n = 64 if args.smoke else args.n
+    smoke = dict(n=64, queries=1500, duration=240.0) if args.smoke else {}
     rounds = min(args.rounds, 6) if args.smoke else args.rounds
     watch = Stopwatch()
-    if args.churn:
-        duration = 240.0 if args.smoke else args.duration
-        config = ChurnConfig(
-            overlay=args.overlay,
-            n=n,
-            k=args.k,
-            alpha=args.alpha,
-            bits=args.bits,
-            seed=args.seed,
-            duration=duration,
-            warmup=min(duration / 4, 300.0),
-            faults=schedule,
-            workload=args.workload,
-        )
-    else:
-        config = ExperimentConfig(
-            overlay=args.overlay,
-            n=n,
-            k=args.k,
-            alpha=args.alpha,
-            bits=args.bits,
-            queries=1500 if args.smoke else args.queries,
-            seed=args.seed,
-            faults=schedule,
-            workload=args.workload,
-        )
+    config = _cell_config(
+        args, args.churn, faults=_fault_schedule(args), workload=args.workload, **smoke
+    )
     document = metrics_document(config, rounds=rounds, jobs=args.jobs)
     print(_render_metrics_dashboard(document))
     if args.json:

@@ -98,8 +98,10 @@ def _normalize(problem: SelectionProblem) -> _ChordInstance:
     entries: dict[int, float] = dict(problem.frequencies)
     for peer in problem.delay_bounds:
         entries.setdefault(peer, 0.0)
-    order = sorted(entries, key=lambda peer: space.gap(source, peer))
-    gaps = [space.gap(source, peer) for peer in order]
+    # Distinct peers have distinct gaps, so the gaps key the peers.
+    peer_at = {space.gap(source, peer): peer for peer in entries}
+    gaps = sorted(peer_at)
+    order = [peer_at[gap] for gap in gaps]
     weights = [float(entries[peer]) for peer in order]
     core = set(problem.core_neighbors)
     candidate_flags = [peer not in core for peer in order]

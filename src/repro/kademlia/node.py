@@ -25,6 +25,7 @@ Two structures live here:
 from __future__ import annotations
 
 from repro.core.frequency import ExactFrequencyTable
+from repro.overlay import OverlayNode
 from repro.util.ids import IdSpace
 
 __all__ = ["KBucket", "RoutingTable", "KademliaNode"]
@@ -152,7 +153,7 @@ class RoutingTable:
         return sum(len(bucket.entries) for bucket in self.buckets)
 
 
-class KademliaNode:
+class KademliaNode(OverlayNode):
     """One Kademlia peer.
 
     Parameters
@@ -165,29 +166,15 @@ class KademliaNode:
         The protocol's ``k``: contacts retained per bucket.
     """
 
-    __slots__ = (
-        "node_id",
-        "space",
-        "bucket_size",
-        "alive",
-        "classes",
-        "core",
-        "auxiliary",
-        "tracker",
-    )
+    __slots__ = ("bucket_size", "classes")
 
     def __init__(self, node_id: int, space: IdSpace, bucket_size: int = 8) -> None:
-        self.node_id = space.validate(node_id, "node id")
-        self.space = space
+        super().__init__(node_id, space)
         self.bucket_size = bucket_size
-        self.alive = True
         #: prefix length -> set of known contacts in that XOR distance
         #: class (``class = space.bits - prefix``); capacity-free view of
         #: ``core | auxiliary`` the routing loop scans.
         self.classes: dict[int, set[int]] = {}
-        self.core: set[int] = set()
-        self.auxiliary: set[int] = set()
-        self.tracker = ExactFrequencyTable()
 
     # ------------------------------------------------------------------
     # Class bookkeeping
@@ -264,17 +251,3 @@ class KademliaNode:
         self.core.clear()
         self.auxiliary.clear()
         self.tracker = ExactFrequencyTable()
-
-    # ------------------------------------------------------------------
-    # Frequency tracking
-    # ------------------------------------------------------------------
-    def record_access(self, destination: int) -> None:
-        """Note the node that held a queried item (Section III)."""
-        if destination != self.node_id:
-            self.tracker.observe(destination)
-
-    def frequency_snapshot(self, limit: int | None = None) -> dict[int, float]:
-        """Observed per-peer frequencies, optionally top-``limit`` only."""
-        snapshot = self.tracker.snapshot(limit)
-        snapshot.pop(self.node_id, None)
-        return snapshot

@@ -1,29 +1,26 @@
-"""The Pastry overlay: membership, responsibility, maintenance, policies.
+"""The Pastry overlay on the shared skeleton (:mod:`repro.overlay`).
 
 Keys are assigned to the *numerically closest* live node (Section II-A).
 Core routing tables are rebuilt locality-aware, as in FreePastry: for each
 ``(row, digit)`` cell a few candidates from the matching id range are
 sampled and the proximally closest one becomes the entry (DESIGN.md §5
 documents this as the sampling approximation of FreePastry's table
-maintenance).
-
-Churn semantics mirror the Chord substrate: crashes leave stale pointers at
-other nodes until a lookup timeout or the next stabilization round cleans
-them up.
+maintenance). Stabilization rebuilds those cells and the leaf set from
+the live ids; membership, churn and the entry points are the skeleton's,
+apart from :meth:`PastryNetwork.lookup`, which takes a routing ``mode``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from functools import partial
 from typing import Iterable
 
 from repro import selection
-from repro.core.frequency import ExactFrequencyTable
 from repro.core.oblivious import select_pastry_oblivious
 from repro.core.pastry_selection import select_pastry
-from repro.core.types import SelectionProblem, SelectionResult
+from repro.overlay import Overlay
 from repro.pastry.node import PastryNode
 from repro.pastry.proximity import ProximityModel
 from repro.pastry.routing import ROUTING_MODES, circular_distance, next_hop
@@ -34,24 +31,12 @@ from repro.util.validation import require_positive_int
 
 __all__ = ["PastryNetwork", "optimal_policy", "oblivious_policy"]
 
-
-def optimal_policy(
-    problem: SelectionProblem, rng: random.Random, overlay: "PastryNetwork | None" = None
-) -> SelectionResult:
-    """The paper's frequency-aware optimal selection (rng/overlay unused)."""
-    return select_pastry(problem)
+#: The frequency-aware optimum and the oblivious baseline (random nodes
+#: per prefix class).
+optimal_policy, oblivious_policy = selection.policies(select_pastry, select_pastry_oblivious)
 
 
-def oblivious_policy(
-    problem: SelectionProblem, rng: random.Random, overlay: "PastryNetwork | None" = None
-) -> SelectionResult:
-    """The frequency-oblivious baseline of Section VI-A: random nodes per
-    prefix class, drawn from the live population when available."""
-    pool = overlay.alive_ids() if overlay is not None else None
-    return select_pastry_oblivious(problem, rng, pool=pool)
-
-
-class PastryNetwork:
+class PastryNetwork(Overlay):
     """A complete Pastry overlay with explicit, inspectable state.
 
     Example
@@ -70,7 +55,7 @@ class PastryNetwork:
         core_samples: int = 4,
         proximity_seed: int = 0,
     ) -> None:
-        self.space = space or IdSpace()
+        super().__init__(space or IdSpace())
         require_positive_int(digit_bits, "digit_bits")
         require_positive_int(leaf_radius, "leaf_radius")
         require_positive_int(core_samples, "core_samples")
@@ -78,21 +63,8 @@ class PastryNetwork:
         self.leaf_radius = leaf_radius
         self.core_samples = core_samples
         self.proximity = ProximityModel(proximity_seed)
-        self.nodes: dict[int, PastryNode] = {}
-        self._alive: list[int] = []
         self._maintenance_rng = random.Random(proximity_seed ^ 0x5A5A5A)
-        self._telemetry = None  # set via attach_telemetry
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Attach (or detach with ``None``) a telemetry runtime; feeds the
-        maintenance spans. Observe-only — never touches routing state or
-        randomness (see :meth:`repro.chord.ring.ChordRing.attach_telemetry`).
-        """
-        self._telemetry = telemetry if telemetry is not None and telemetry.enabled else None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def build(
         cls,
@@ -103,54 +75,22 @@ class PastryNetwork:
         leaf_radius: int = 8,
     ) -> "PastryNetwork":
         """Create a stabilized network of ``n`` nodes with random ids."""
-        require_positive_int(n, "n")
         network = cls(space, digit_bits=digit_bits, leaf_radius=leaf_radius, proximity_seed=seed)
-        rng = random.Random(seed)
-        if n > network.space.size:
-            raise ConfigurationError(f"cannot place {n} nodes in a {network.space.bits}-bit space")
-        for node_id in rng.sample(range(network.space.size), n):
-            network.add_node(node_id)
-        network.stabilize_all()
-        return network
+        return network.populate(n, seed)
 
-    def add_node(self, node_id: int) -> PastryNode:
-        """Add a brand-new node (not yet known to others)."""
-        self.space.validate(node_id, "node id")
-        if node_id in self.nodes:
-            raise ConfigurationError(f"node {node_id} already exists")
-        node = PastryNode(node_id, self.space, self.digit_bits, self.leaf_radius)
-        self.nodes[node_id] = node
-        insort(self._alive, node_id)
-        self._rebuild_tables(node)
-        return node
+    def _new_node(self, node_id: int) -> PastryNode:
+        return PastryNode(node_id, self.space, self.digit_bits, self.leaf_radius)
 
-    def join_via(self, node_id: int, bootstrap: int) -> PastryNode:
-        """Protocol-faithful join (Section II-A): route a join message from
+    def _join(self, node: PastryNode, bootstrap: int) -> None:
+        """Pastry's join (Section II-A): route a join message from
         ``bootstrap`` toward the new node's own id and assemble state from
-        the nodes on the path.
-
-        As in Pastry, the node encountered at hop ``i`` shares at least
-        ``i`` digits with the newcomer, so its routing rows seed the
-        newcomer's corresponding rows; the final node — numerically
-        closest to the new id — donates its leaf set. Other nodes learn
-        about the newcomer only via their later stabilization rounds.
+        the nodes on the path. As in Pastry, the node encountered at hop
+        ``i`` shares at least ``i`` digits with the newcomer, so its
+        routing rows seed the newcomer's corresponding rows; the final
+        node — numerically closest to the new id — donates its leaf set.
         """
-        self.space.validate(node_id, "node id")
-        if node_id in self.nodes and self.nodes[node_id].alive:
-            raise ConfigurationError(f"node {node_id} already exists")
-        boot = self.nodes.get(bootstrap)
-        if boot is None or not boot.alive:
-            raise NodeAbsentError(f"bootstrap node {bootstrap} is not alive")
-
-        existing = self.nodes.get(node_id)
-        if existing is not None:
-            # Keep the node unroutable while the join message travels.
-            existing.alive = False
+        node_id = node.node_id
         answer = route(self, bootstrap, node_id, next_hop, record_access=False)
-        node = existing
-        if node is None:
-            node = PastryNode(node_id, self.space, self.digit_bits, self.leaf_radius)
-            self.nodes[node_id] = node
         node.cells.clear()
         node.core.clear()
         node.auxiliary.clear()
@@ -179,24 +119,6 @@ class PastryNetwork:
         donated = {leaf for leaf in closest.leaves if leaf != node_id}
         donated.add(closest.node_id)
         node.set_leaves(donated)
-
-        node.alive = True
-        insort(self._alive, node_id)
-        return node
-
-    # ------------------------------------------------------------------
-    # Membership queries
-    # ------------------------------------------------------------------
-    def node(self, node_id: int) -> PastryNode:
-        """Fetch a node object by id (KeyError when unknown)."""
-        return self.nodes[node_id]
-
-    def alive_ids(self) -> list[int]:
-        """Sorted ids of live nodes (a copy)."""
-        return list(self._alive)
-
-    def alive_count(self) -> int:
-        return len(self._alive)
 
     def responsible(self, key: int) -> int:
         """The live node numerically closest to ``key`` (lower id on ties)."""
@@ -237,78 +159,6 @@ class PastryNetwork:
         ]
 
     # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    def crash(self, node_id: int) -> None:
-        """Abruptly fail a node; others keep stale pointers to it."""
-        node = self.nodes[node_id]
-        if not node.alive:
-            raise NodeAbsentError(f"node {node_id} is already down")
-        node.crash()
-        index = bisect_left(self._alive, node_id)
-        del self._alive[index]
-
-    def rejoin(self, node_id: int) -> None:
-        """Bring a crashed node back with fresh state and rebuilt tables."""
-        node = self.nodes[node_id]
-        if node.alive:
-            raise NodeAbsentError(f"node {node_id} is already up")
-        node.alive = True
-        insort(self._alive, node_id)
-        self._rebuild_tables(node)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def stabilize(self, node_id: int) -> None:
-        """One node's maintenance round: rebuild core entries and leaf set
-        from the current population and drop dead auxiliaries (the ping
-        process of Section III extended to auxiliary entries)."""
-        node = self.nodes[node_id]
-        if not node.alive:
-            raise NodeAbsentError(f"cannot stabilize dead node {node_id}")
-        tel = self._telemetry
-        if tel is not None:
-            with tel.span("maintenance.stabilize"):
-                stale_aux = {aux for aux in node.auxiliary if not self.nodes[aux].alive}
-                node.set_auxiliary(node.auxiliary - stale_aux)
-                self._rebuild_tables(node)
-            # One ping per auxiliary pointer plus the table re-init sweep.
-            tel.add_work("maintenance.stabilize_messages", len(node.auxiliary) + len(stale_aux))
-            tel.add_work("maintenance.stale_evictions", len(stale_aux))
-            return
-        stale_aux = {aux for aux in node.auxiliary if not self.nodes[aux].alive}
-        node.set_auxiliary(node.auxiliary - stale_aux)
-        self._rebuild_tables(node)
-
-    def stabilize_all(self) -> None:
-        """Stabilize every live node (used to reach a steady state)."""
-        for node_id in self.alive_ids():
-            self.stabilize(node_id)
-
-    def recompute_auxiliary(
-        self,
-        node_id: int,
-        k: int,
-        policy: selection.AuxiliaryPolicy,
-        rng: random.Random,
-        frequency_limit: int | None = None,
-    ) -> SelectionResult:
-        """Run ``policy`` at one node and install the result; see
-        :func:`repro.selection.recompute`."""
-        return selection.recompute(self, node_id, k, policy, rng, frequency_limit, self._telemetry)
-
-    def recompute_all_auxiliary(
-        self,
-        k: int,
-        policy: selection.AuxiliaryPolicy,
-        rng: random.Random,
-        frequency_limit: int | None = None,
-    ) -> None:
-        """Recompute auxiliary sets at every live node, in ascending id order."""
-        selection.install(self, k, policy, rng, frequency_limit)
-
-    # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
     def lookup(
@@ -338,10 +188,6 @@ class PastryNetwork:
             faults=faults,
             trace=trace,
         )
-
-    def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
-        """Pre-load a node's tracker with a destination distribution."""
-        self.nodes[node_id].tracker = ExactFrequencyTable.seeded(frequencies, node_id)
 
     # ------------------------------------------------------------------
     # Internals

@@ -15,12 +15,13 @@ each side and both finishes deliveries and guarantees routing progress.
 from __future__ import annotations
 
 from repro.core.frequency import ExactFrequencyTable
+from repro.overlay import OverlayNode
 from repro.util.ids import IdSpace
 
 __all__ = ["PastryNode"]
 
 
-class PastryNode:
+class PastryNode(OverlayNode):
     """One Pastry peer.
 
     Parameters
@@ -35,19 +36,7 @@ class PastryNode:
         Leaf-set entries maintained on each side.
     """
 
-    __slots__ = (
-        "node_id",
-        "space",
-        "digit_bits",
-        "leaf_radius",
-        "alive",
-        "cells",
-        "core",
-        "auxiliary",
-        "leaves",
-        "tracker",
-        "_leaf_cache",
-    )
+    __slots__ = ("digit_bits", "leaf_radius", "cells", "leaves", "_leaf_cache")
 
     def __init__(
         self,
@@ -56,17 +45,12 @@ class PastryNode:
         digit_bits: int = 1,
         leaf_radius: int = 8,
     ) -> None:
-        self.node_id = space.validate(node_id, "node id")
-        self.space = space
+        super().__init__(node_id, space)
         self.digit_bits = digit_bits
         self.leaf_radius = leaf_radius
-        self.alive = True
         #: (row, digit) -> set of neighbor ids usable for that prefix repair.
         self.cells: dict[tuple[int, int], set[int]] = {}
-        self.core: set[int] = set()
-        self.auxiliary: set[int] = set()
         self.leaves: set[int] = set()
-        self.tracker = ExactFrequencyTable()
         #: Routing-layer cache of leaf-set geometry (see
         #: :func:`repro.pastry.routing._leaf_geometry`); any mutation of
         #: ``leaves`` must reset it to ``None``.
@@ -177,17 +161,3 @@ class PastryNode:
         self.leaves.clear()
         self._leaf_cache = None
         self.tracker = ExactFrequencyTable()
-
-    # ------------------------------------------------------------------
-    # Frequency tracking
-    # ------------------------------------------------------------------
-    def record_access(self, destination: int) -> None:
-        """Note the node that held a queried item (Section III)."""
-        if destination != self.node_id:
-            self.tracker.observe(destination)
-
-    def frequency_snapshot(self, limit: int | None = None) -> dict[int, float]:
-        """Observed per-peer frequencies, optionally top-``limit`` only."""
-        snapshot = self.tracker.snapshot(limit)
-        snapshot.pop(self.node_id, None)
-        return snapshot

@@ -17,12 +17,13 @@ module owns everything around that rule:
   ``selection.recompute`` span and ``selection.pointer_updates`` count
   when telemetry is attached;
 * :func:`install` — the ascending-id walk over every live node, at a
-  uniform ``k`` or at a budget plan's per-node quotas.
+  uniform ``k`` or at a budget plan's per-node quotas;
+* :func:`policies` — an overlay's optimal/oblivious policy pair.
 
-Each overlay keeps ``recompute_auxiliary`` and ``recompute_all_auxiliary``
-as one-line delegates, and :func:`install` calls the former through the
-overlay instance, so anything wrapping those methods sees every per-node
-recompute.
+Every overlay reaches this module through the ``recompute_auxiliary`` and
+``recompute_all_auxiliary`` entry points of :class:`repro.overlay.Overlay`,
+and :func:`install` calls the former through the overlay instance, so
+anything wrapping those methods sees every per-node recompute.
 """
 
 from __future__ import annotations
@@ -35,12 +36,34 @@ from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import NodeAbsentError
 from repro.util.validation import require_non_negative_int
 
-__all__ = ["AuxiliaryPolicy", "install", "node_problem", "plan_problems", "recompute"]
+__all__ = ["AuxiliaryPolicy", "install", "node_problem", "plan_problems", "policies", "recompute"]
 
 #: Signature of an auxiliary-selection policy: (problem, rng, overlay).
 #: The overlay lets frequency-oblivious baselines draw random nodes per
 #: distance class from the whole live population, as the paper specifies.
 AuxiliaryPolicy = Callable[[SelectionProblem, random.Random, Any], SelectionResult]
+
+
+def policies(
+    select: Callable[[SelectionProblem], SelectionResult],
+    select_oblivious: Callable[..., SelectionResult],
+) -> tuple[AuxiliaryPolicy, AuxiliaryPolicy]:
+    """An overlay's ``(optimal_policy, oblivious_policy)`` pair.
+
+    The first is the paper's frequency-aware solver ``select`` (rng and
+    overlay unused). The second is the frequency-oblivious baseline of
+    Section VI-A: ``select_oblivious`` draws random nodes per distance
+    class, from the overlay's live population when one is given.
+    """
+
+    def optimal_policy(problem: SelectionProblem, rng: random.Random, overlay=None) -> SelectionResult:
+        return select(problem)
+
+    def oblivious_policy(problem: SelectionProblem, rng: random.Random, overlay=None) -> SelectionResult:
+        pool = overlay.alive_ids() if overlay is not None else None
+        return select_oblivious(problem, rng, pool=pool)
+
+    return optimal_policy, oblivious_policy
 
 
 def node_problem(

@@ -65,7 +65,10 @@ __all__ = [
     "stable_universe",
 ]
 
-OVERLAYS = ("chord", "pastry", "kademlia")
+#: Overlay name -> class; each module's policy pair is imported above as
+#: ``{overlay}_optimal`` / ``{overlay}_oblivious``.
+OVERLAY_CLASSES = {"chord": ChordRing, "pastry": PastryNetwork, "kademlia": KademliaNetwork}
+OVERLAYS = tuple(OVERLAY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -342,12 +345,7 @@ class _Bench:
         config = self.config
         space = IdSpace(config.bits)
         overlay_seed = self.registry.stream("overlay").randrange(2**31)
-        if config.overlay == "chord":
-            self.overlay = ChordRing.build(config.n, space=space, seed=overlay_seed)
-        elif config.overlay == "kademlia":
-            self.overlay = KademliaNetwork.build(config.n, space=space, seed=overlay_seed)
-        else:
-            self.overlay = PastryNetwork.build(config.n, space=space, seed=overlay_seed)
+        self.overlay = OVERLAY_CLASSES[config.overlay].build(config.n, space=space, seed=overlay_seed)
         catalog = ItemCatalog(space, config.effective_items, seed=self.registry.stream("items").randrange(2**31))
         self.popularity = PopularityModel(
             catalog,
@@ -406,13 +404,7 @@ class _Bench:
     def policy(self, name: str):
         """The ``optimal`` or ``oblivious`` selection policy for the
         configured overlay, read from this module's globals at call time."""
-        if self.config.overlay == "chord":
-            optimal, oblivious = chord_optimal, chord_oblivious
-        elif self.config.overlay == "kademlia":
-            optimal, oblivious = kademlia_optimal, kademlia_oblivious
-        else:
-            optimal, oblivious = pastry_optimal, pastry_oblivious
-        return optimal if name == "optimal" else oblivious
+        return globals()[f"{self.config.overlay}_{name}"]
 
     def install(self, policy: str, rng: random.Random) -> None:
         """Install one policy's auxiliary tables: the plan's per-node

@@ -16,6 +16,7 @@ pass it around separately.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +72,20 @@ class IdSpace:
         if not self.contains(value):
             raise IdSpaceError(f"{what} {value!r} outside [0, 2**{self.bits})")
         return value
+
+    def sample(self, rng: random.Random, count: int) -> list[int]:
+        """``count`` distinct random ids drawn from ``rng``.
+
+        ``range`` objects wider than ``ssize_t`` cannot be sampled, so
+        spaces over 62 bits rejection-sample instead (collisions are
+        redrawn) and return the ids ascending.
+        """
+        if self.bits <= 62:
+            return rng.sample(range(self.size), count)
+        chosen: set[int] = set()
+        while len(chosen) < count:
+            chosen.add(rng.randrange(self.size))
+        return sorted(chosen)
 
     # ------------------------------------------------------------------
     # Ring arithmetic (Chord)

@@ -40,7 +40,7 @@ class ItemCatalog:
             )
         self.space = space
         rng = random.Random(seed)
-        self.item_ids: list[int] = rng.sample(range(space.size), num_items)
+        self.item_ids: list[int] = space.sample(rng, num_items)
 
     def __len__(self) -> int:
         return len(self.item_ids)

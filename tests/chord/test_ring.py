@@ -84,26 +84,6 @@ class TestChurnLifecycle:
         with pytest.raises(NodeAbsentError):
             ring.rejoin(victim)
 
-    def test_crash_loses_state(self):
-        ring = ChordRing.build(16, space=IdSpace(12), seed=2)
-        victim = ring.alive_ids()[0]
-        node = ring.node(victim)
-        node.record_access(ring.alive_ids()[1])
-        node.set_auxiliary({ring.alive_ids()[2]})
-        ring.crash(victim)
-        ring.rejoin(victim)
-        assert node.auxiliary == set()
-        assert node.frequency_snapshot() == {}
-
-    def test_stabilize_drops_dead_auxiliaries(self):
-        ring = ChordRing.build(16, space=IdSpace(12), seed=3)
-        ids = ring.alive_ids()
-        holder, target = ids[0], ids[5]
-        ring.node(holder).set_auxiliary({target})
-        ring.crash(target)
-        ring.stabilize(holder)
-        assert target not in ring.node(holder).auxiliary
-
     def test_stabilizing_dead_node_raises(self):
         ring = ChordRing.build(8, space=IdSpace(12), seed=4)
         victim = ring.alive_ids()[0]

@@ -12,6 +12,11 @@ copy-pasted per-overlay property tests that used to live in
 * hop counts respect the O(log n) bound (and never exceed the id length);
 * crash half / stabilize / rejoin / stabilize is idempotent: the live set,
   responsibility and full lookup correctness all come back;
+* the membership contract of the shared skeleton (:mod:`repro.overlay`):
+  repeated crashes and rejoins, stabilizing or joining through a dead node
+  and duplicate ids are rejected, a crash loses the tracker and the
+  auxiliaries, stabilization drops dead auxiliaries, and every class holds
+  its own copy of the entry points tracers wrap;
 * figure-cell JSON is byte-identical at ``--jobs 1`` vs ``--jobs 4`` once
   volatile manifest keys are stripped.
 
@@ -26,6 +31,7 @@ import random
 import pytest
 
 from repro.pastry.routing import circular_distance
+from repro.util.errors import ConfigurationError, NodeAbsentError
 
 OVERLAYS = ("chord", "pastry", "kademlia")
 
@@ -161,6 +167,79 @@ class TestCrashRejoinIdempotence:
             assert result.destination == _oracle_responsible(
                 overlay_kind, overlay.space, before, key
             )
+
+
+class TestLifecycle:
+    def test_crash_rejoin_stabilize_checks(self, small_universe, overlay_kind):
+        overlay = small_universe(overlay_kind, n=16, bits=12, seed=1)
+        victim = overlay.alive_ids()[3]
+        overlay.crash(victim)
+        assert not overlay.node(victim).alive
+        assert victim not in overlay.alive_ids()
+        with pytest.raises(NodeAbsentError):
+            overlay.crash(victim)
+        with pytest.raises(NodeAbsentError):
+            overlay.stabilize(victim)
+        overlay.rejoin(victim)
+        assert overlay.node(victim).alive
+        assert victim in overlay.alive_ids()
+        with pytest.raises(NodeAbsentError):
+            overlay.rejoin(victim)
+
+    def test_crash_drops_tracker_and_aux(self, small_universe, overlay_kind):
+        overlay = small_universe(overlay_kind, n=16, bits=12, seed=2)
+        ids = overlay.alive_ids()
+        node = overlay.node(ids[0])
+        node.record_access(ids[1])
+        node.set_auxiliary({ids[2]})
+        overlay.crash(ids[0])
+        overlay.rejoin(ids[0])
+        assert node.auxiliary == set()
+        assert node.frequency_snapshot() == {}
+
+    def test_stabilize_drops_dead_aux(self, small_universe, overlay_kind):
+        overlay = small_universe(overlay_kind, n=16, bits=12, seed=3)
+        ids = overlay.alive_ids()
+        holder, target = ids[0], ids[5]
+        overlay.node(holder).set_auxiliary({target})
+        overlay.crash(target)
+        overlay.stabilize(holder)
+        assert target not in overlay.node(holder).auxiliary
+
+    def test_duplicate_ids_rejected(self, small_universe, overlay_kind):
+        overlay = small_universe(overlay_kind, n=16, bits=12, seed=4)
+        ids = overlay.alive_ids()
+        with pytest.raises(ConfigurationError):
+            overlay.add_node(ids[0])
+        with pytest.raises(ConfigurationError):
+            overlay.join_via(ids[0], ids[1])
+
+    def test_join_needs_live_bootstrap(self, small_universe, overlay_kind):
+        overlay = small_universe(overlay_kind, n=16, bits=12, seed=5)
+        newcomer, unknown = [i for i in range(overlay.space.size) if i not in overlay.nodes][:2]
+        dead = overlay.alive_ids()[3]
+        overlay.crash(dead)
+        for bootstrap in (dead, unknown):
+            with pytest.raises(NodeAbsentError):
+                overlay.join_via(newcomer, bootstrap)
+        assert newcomer not in overlay.nodes
+
+    def test_disabled_telemetry_detaches(self, small_universe, overlay_kind):
+        from repro.telemetry.runtime import RoundTelemetry
+
+        overlay = small_universe(overlay_kind, n=8, bits=10)
+        overlay.attach_telemetry(RoundTelemetry.disabled())
+        assert overlay._telemetry is None
+
+    def test_entry_points_on_each_class(self, small_universe, overlay_kind):
+        """``perfbench/tracing.py`` wraps these names in each overlay
+        class's own ``__dict__``."""
+        cls = type(small_universe(overlay_kind, n=4, bits=8))
+        for name in (
+            "build", "seed_frequencies", "recompute_auxiliary", "recompute_all_auxiliary",
+            "lookup", "stabilize", "crash", "rejoin",
+        ):
+            assert name in vars(cls), name
 
 
 class TestFigureDeterminism:

@@ -301,6 +301,12 @@ class TestExecution:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "--figures", "9"])
 
+    @pytest.mark.parametrize("overlay", ["chord", "pastry", "kademlia"])
+    def test_compare_runs_on_ids_wider_than_62_bits(self, overlay, capsys):
+        code = main(["compare", overlay, "--n", "16", "--bits", "64", "--queries", "50"])
+        assert code == 0
+        assert "reduction" in capsys.readouterr().out
+
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 

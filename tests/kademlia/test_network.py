@@ -104,15 +104,6 @@ class TestJoinVia:
         assert result.found[0] == newcomer
         assert result.timeouts == 0
 
-    def test_dead_bootstrap_rejected(self):
-        network = _network()
-        victim = network.alive_ids()[3]
-        network.crash(victim)
-        with pytest.raises(NodeAbsentError):
-            network.join_via(self._free_id(network), victim)
-        with pytest.raises(NodeAbsentError):
-            network.join_via(self._free_id(network), self._free_id(network, seed=2))
-
     def test_live_duplicate_rejected(self):
         network = _network()
         ids = network.alive_ids()

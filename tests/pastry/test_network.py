@@ -6,7 +6,7 @@ import pytest
 
 from repro.pastry.network import PastryNetwork, oblivious_policy, optimal_policy
 from repro.pastry.routing import circular_distance
-from repro.util.errors import ConfigurationError, NodeAbsentError
+from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 
 
@@ -81,29 +81,6 @@ class TestTables:
         # true optimum (sampling keeps it within the candidate set).
         for entry in node.core:
             assert network.nodes[entry].alive
-
-
-class TestChurn:
-    def test_crash_rejoin_cycle(self):
-        network = PastryNetwork.build(32, space=IdSpace(16), seed=4)
-        victim = network.alive_ids()[5]
-        network.crash(victim)
-        assert victim not in network.alive_ids()
-        with pytest.raises(NodeAbsentError):
-            network.crash(victim)
-        network.rejoin(victim)
-        assert victim in network.alive_ids()
-        with pytest.raises(NodeAbsentError):
-            network.rejoin(victim)
-
-    def test_stabilize_drops_dead_aux(self):
-        network = PastryNetwork.build(32, space=IdSpace(16), seed=5)
-        ids = network.alive_ids()
-        holder, target = ids[0], ids[9]
-        network.node(holder).set_auxiliary({target})
-        network.crash(target)
-        network.stabilize(holder)
-        assert target not in network.node(holder).auxiliary
 
 
 class TestAuxiliaryPolicies:
