@@ -75,39 +75,49 @@ class ChordRing(Overlay):
 
     def _join(self, node: ChordNode, bootstrap: int) -> None:
         """Chord's join: the newcomer issues one lookup per finger
-        interval — for each ``i``, a lookup for ``node_id + 2**i`` whose
-        answering node's successor is the first live node in
-        ``[node_id + 2**i, node_id + 2**(i+1))`` if one exists — plus one
+        interval from ``bootstrap`` (see :meth:`_routed_fingers`) plus one
         for its own successor list. Existing nodes learn about it only
         through their own later stabilization rounds, so responsibility
         for its keys genuinely transfers over time, as in a deployed ring.
         """
         node_id = node.node_id
-        node.core.clear()
         node.successors.clear()
         node.auxiliary.clear()
-        for i in range(self.space.bits):
-            target = self.space.add(node_id, 1 << i)
-            answer = route(self, bootstrap, target, next_hop, record_access=False)
-            if answer.destination is None:
-                continue
-            owner = self.nodes[answer.destination]
-            finger = self._successor_of(owner, target)
-            if finger is None or finger == node_id:
-                continue
-            if self.space.gap(target, finger) < (1 << i):
-                node.core.add(finger)
+        node.core = self._routed_fingers(node_id, bootstrap)
         # Successor list: the answer for our own id's successor.
         answer = route(self, bootstrap, node_id, next_hop, record_access=False)
         if answer.destination is not None:
-            predecessor = self.nodes[answer.destination]
-            walker = self._successor_of(predecessor, self.space.add(node_id, 1))
-            while walker is not None and walker != node_id and len(node.successors) < self.successor_list_size:
-                node.successors.append(walker)
-                walker = self._successor_of(self.nodes[walker], self.space.add(walker, 1))
-                if walker in node.successors:
-                    break
+            self._walk_successors(node, self.nodes[answer.destination])
         node._rebuild_table()
+
+    def _routed_fingers(self, node_id: int, source: int) -> set[int]:
+        """``node_id``'s fingers as routing from ``source`` finds them: for
+        each ``i``, a lookup for ``node_id + 2**i`` whose answering node's
+        successor is the first live node in ``[node_id + 2**i, node_id +
+        2**(i+1))`` if one exists."""
+        fingers: set[int] = set()
+        for i in range(self.space.bits):
+            target = self.space.add(node_id, 1 << i)
+            answer = route(self, source, target, next_hop, record_access=False)
+            if answer.destination is None:
+                continue
+            finger = self._successor_of(self.nodes[answer.destination], target)
+            if finger is None or finger == node_id:
+                continue
+            if self.space.gap(target, finger) < (1 << i):
+                fingers.add(finger)
+        return fingers
+
+    def _walk_successors(self, node: ChordNode, start: ChordNode) -> None:
+        """Fill ``node``'s (empty) successor list by walking successor
+        pointers clockwise from what ``start`` knows of ``node_id + 1``."""
+        node_id = node.node_id
+        walker = self._successor_of(start, self.space.add(node_id, 1))
+        while walker is not None and walker != node_id and len(node.successors) < self.successor_list_size:
+            node.successors.append(walker)
+            walker = self._successor_of(self.nodes[walker], self.space.add(walker, 1))
+            if walker in node.successors:
+                break
 
     def _successor_of(self, node: ChordNode, target: int) -> int | None:
         """The first *live* entry at or clockwise-after ``target`` that
@@ -148,10 +158,8 @@ class ChordRing(Overlay):
                 return candidate
         return None
 
-    def responsible(self, key: int) -> int:
+    def _owner(self, key: int) -> int:
         """The node responsible for ``key``: its predecessor on the ring."""
-        if not self._alive:
-            raise NodeAbsentError("ring has no live nodes")
         index = bisect_right(self._alive, key) - 1
         return self._alive[index]  # wraps via [-1]
 
@@ -195,31 +203,9 @@ class ChordRing(Overlay):
         node = self.nodes[node_id]
         if not node.alive:
             raise NodeAbsentError(f"cannot refresh dead node {node_id}")
-        fingers: set[int] = set()
-        for i in range(self.space.bits):
-            target = self.space.add(node_id, 1 << i)
-            answer = route(self, node_id, target, next_hop, record_access=False)
-            if answer.destination is None:
-                continue
-            owner = self.nodes[answer.destination]
-            finger = self._successor_of(owner, target)
-            if finger is None or finger == node_id:
-                continue
-            if self.space.gap(target, finger) < (1 << i):
-                fingers.add(finger)
-        node.core = fingers
-        # Refresh the successor list by walking from the first finger.
+        node.core = self._routed_fingers(node_id, node_id)
+        # Refresh the successor list by walking from the node's own table.
         node.successors.clear()
-        walker = self._successor_of(node, self.space.add(node_id, 1))
-        while (
-            walker is not None
-            and walker != node_id
-            and len(node.successors) < self.successor_list_size
-        ):
-            node.successors.append(walker)
-            walker = self._successor_of(self.nodes[walker], self.space.add(walker, 1))
-            if walker in node.successors:
-                break
-        stale_aux = {aux for aux in node.auxiliary if not self.nodes[aux].alive}
-        node.auxiliary -= stale_aux
+        self._walk_successors(node, node)
+        self._drop_auxiliary(node, {aux for aux in node.auxiliary if not self.nodes[aux].alive})
         node._rebuild_table()

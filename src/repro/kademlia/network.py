@@ -3,13 +3,18 @@
 Keys are assigned to the live node *XOR-closest* to the key — XOR is
 injective for a fixed key, so the owner is always unique (no tie-break
 rule needed, unlike Chord's clockwise successor or Pastry's numeric
-proximity). Core routing tables are rebuilt through the k-bucket tree of
-:class:`repro.kademlia.node.RoutingTable`: every live id is offered to
-the tree in ascending order and the surviving bucket contents become the
-node's ``core`` contact set — fine-grained coverage near the own id
+proximity). A stabilization round installs, as the node's ``core``
+contact set, what the k-bucket tree of
+:class:`repro.kademlia.node.RoutingTable` keeps when every live id is
+offered to it in ascending order: fine-grained coverage near the own id
 (own-range buckets split instead of evicting), at most ``bucket_size``
-contacts per distant distance class. Membership, churn and the entry
-points are the skeleton's.
+contacts per distant distance class. Fed in ascending order, the tree
+keeps exactly the ``bucket_size`` highest live ids of each distance
+class, so :meth:`KademliaNetwork._rebuild_tables` reads them off the
+sorted live ids with two bisects per class; :meth:`reference_core`
+still feeds the tree, as the independent oracle verification compares
+with. Membership, churn, the memoized owner and the entry points are the
+skeleton's.
 
 The default id space is the protocol's 160-bit SHA-1 space
 (:data:`KADEMLIA_BITS`); experiments pass narrower spaces, which also
@@ -19,6 +24,7 @@ keeps the eq.-1 cost kernels on their NumPy fast path (exact only below
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 from repro import selection
@@ -27,7 +33,6 @@ from repro.core.oblivious import select_kademlia_oblivious
 from repro.kademlia.node import KademliaNode, RoutingTable
 from repro.kademlia.routing import FindNodeResult, iterative_find_node, next_hop
 from repro.overlay import Overlay
-from repro.util.errors import NodeAbsentError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_positive_int
 
@@ -91,9 +96,7 @@ class KademliaNetwork(Overlay):
         populate the newcomer's buckets from every contact the lookup
         surfaced."""
         answer = iterative_find_node(self, bootstrap, node.node_id, alpha=self.alpha)
-        node.classes.clear()
-        node.core.clear()
-        node.auxiliary.clear()
+        node.forget_contacts()
 
         # Feed every surfaced contact through a fresh bucket tree, in the
         # order the lookup heard of them (bootstrap first).
@@ -103,11 +106,9 @@ class KademliaNetwork(Overlay):
                 table.insert(contact)
         node.set_core(set(table.contacts()))
 
-    def responsible(self, key: int) -> int:
+    def _owner(self, key: int) -> int:
         """The live node XOR-closest to ``key`` (unique: XOR is injective
         for a fixed key)."""
-        if not self._alive:
-            raise NodeAbsentError("network has no live nodes")
         return min(self._alive, key=key.__xor__)
 
     # ------------------------------------------------------------------
@@ -120,8 +121,14 @@ class KademliaNetwork(Overlay):
     def reference_core(self, node_id: int) -> frozenset[int]:
         """Ground-truth core contacts from the global view — what a
         stabilization round installs. Verification compares per-node state
-        against this independent derivation."""
-        return frozenset(self._bucket_core(node_id))
+        against this independent derivation: every live id offered to a
+        fresh bucket tree in ascending order (deterministic recency:
+        higher ids read as fresher), the survivors kept."""
+        table = RoutingTable(node_id, self.space, self.bucket_size)
+        for other in self._alive:
+            if other != node_id:
+                table.insert(other)
+        return frozenset(table.contacts())
 
     def hop_distances(self, path: Iterable[int], key: int) -> list[int]:
         """XOR distance from each path node to ``key`` — the quantity
@@ -143,13 +150,26 @@ class KademliaNetwork(Overlay):
         )
 
     def _bucket_core(self, node_id: int) -> set[int]:
-        """Offer every live id to a fresh bucket tree in ascending order
-        (deterministic recency: higher ids read as fresher) and keep the
-        survivors. Own-range buckets split rather than evict, so every
-        distance class with live members keeps at least one contact — the
-        property greedy XOR routing's termination proof rests on."""
-        table = RoutingTable(node_id, self.space, self.bucket_size)
-        for other in self._alive:
-            if other != node_id:
-                table.insert(other)
-        return set(table.contacts())
+        """The ``bucket_size`` highest live ids of each XOR distance class
+        of ``node_id`` — what :meth:`reference_core`'s ascending-fed bucket
+        tree keeps. A split never drops a contact and an own-range bucket
+        splits rather than evicts, so only a full bucket covering exactly
+        one class evicts, and it drops its oldest entry: under ascending
+        inserts, its lowest id. Every distance class with live members
+        thus keeps at least one contact — the property greedy XOR
+        routing's termination proof rests on.
+
+        The class at bit ``h`` is the id range sharing ``node_id``'s bits
+        above ``h`` and differing at ``h``: a contiguous slice of the
+        sorted live ids.
+        """
+        alive = self._alive
+        kept: list[int] = []
+        for h in range(self.space.bits):
+            low = ((node_id >> h) ^ 1) << h
+            stop = bisect_left(alive, low + (1 << h))
+            start = bisect_left(alive, low, 0, stop)
+            kept.extend(alive[max(start, stop - self.bucket_size) : stop])
+        # Ascending, the order the bucket tree lists its contacts in, so the
+        # set is built in the same insertion order as the tree's.
+        return set(sorted(kept))

@@ -16,8 +16,9 @@ Two structures live here:
   planes consume, mirroring :class:`repro.pastry.node.PastryNode`: a
   ``core`` contact set (the rebuilt bucket contents), an ``auxiliary``
   pointer set (selection output), and a per-class candidate index keyed
-  by common prefix length (``class == b - bitlength(self XOR other)``).
-  The per-class index is capacity-free — it is the *view* routing scans,
+  by common prefix length (``class == b - bitlength(self XOR other)``)
+  with a bitmask of its non-empty classes. The per-class index is
+  capacity-free — it is the *view* routing walks, one class per step,
   while the bucket tree is the *policy* deciding which contacts the core
   retains.
 """
@@ -166,15 +167,19 @@ class KademliaNode(OverlayNode):
         The protocol's ``k``: contacts retained per bucket.
     """
 
-    __slots__ = ("bucket_size", "classes")
+    __slots__ = ("bucket_size", "classes", "class_mask")
 
     def __init__(self, node_id: int, space: IdSpace, bucket_size: int = 8) -> None:
         super().__init__(node_id, space)
         self.bucket_size = bucket_size
         #: prefix length -> set of known contacts in that XOR distance
         #: class (``class = space.bits - prefix``); capacity-free view of
-        #: ``core | auxiliary`` the routing loop scans.
+        #: ``core | auxiliary`` the forwarding rule walks.
         self.classes: dict[int, set[int]] = {}
+        #: Bit ``h`` is set iff ``classes[space.bits - 1 - h]`` is
+        #: non-empty: the contacts whose highest bit differing from
+        #: ``node_id`` is ``h``.
+        self.class_mask = 0
 
     # ------------------------------------------------------------------
     # Class bookkeeping
@@ -184,7 +189,9 @@ class KademliaNode(OverlayNode):
         return self.space.common_prefix_length(self.node_id, other)
 
     def _add_to_class(self, other: int) -> None:
-        self.classes.setdefault(self.class_key(other), set()).add(other)
+        key = self.class_key(other)
+        self.classes.setdefault(key, set()).add(other)
+        self.class_mask |= 1 << (self.space.bits - 1 - key)
 
     def _remove_from_class(self, other: int) -> None:
         key = self.class_key(other)
@@ -193,6 +200,7 @@ class KademliaNode(OverlayNode):
             bucket.discard(other)
             if not bucket:
                 del self.classes[key]
+                self.class_mask &= ~(1 << (self.space.bits - 1 - key))
 
     # ------------------------------------------------------------------
     # Neighbor-set maintenance
@@ -212,6 +220,13 @@ class KademliaNode(OverlayNode):
         self.auxiliary = {p for p in pointers if p != self.node_id}
         for pointer in self.auxiliary:
             self._add_to_class(pointer)
+
+    def forget_contacts(self) -> None:
+        """Drop every core and auxiliary contact and the class index."""
+        self.classes.clear()
+        self.class_mask = 0
+        self.core.clear()
+        self.auxiliary.clear()
 
     def evict(self, dead_id: int) -> None:
         """Drop a contact discovered dead via a lookup timeout."""
@@ -247,7 +262,5 @@ class KademliaNode(OverlayNode):
     def crash(self) -> None:
         """Fail abruptly, losing all volatile state."""
         self.alive = False
-        self.classes.clear()
-        self.core.clear()
-        self.auxiliary.clear()
+        self.forget_contacts()
         self.tracker = ExactFrequencyTable()

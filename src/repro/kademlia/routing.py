@@ -17,6 +17,16 @@ Kademlia's metric is ``d(u, v) = u XOR v``; its *distance class* is
   ``bucket_size`` entries of the *same* class; the owner-range bucket
   splits instead of evicting).
 
+  The rule reads one distance class per step, not every contact. Let
+  ``own = node XOR key``; a contact whose highest bit differing from
+  the node is ``h`` is strictly closer to the key iff bit ``h`` of
+  ``own`` is set, and then it beats every closer contact of a finer
+  class ``h' < h`` too: it agrees with ``own`` above ``h`` and clears
+  bit ``h``, which the finer contact keeps set. So the rule walks the
+  node's non-empty classes whose bit is set in ``own``, coarsest first,
+  and returns the XOR-closest eligible member of the first class that
+  has one.
+
 * :func:`iterative_find_node` — the protocol's α-parallel node lookup
   (Maymounkov & Mazières §2.3): keep a shortlist of the ``count``
   XOR-closest contacts heard of, query up to ``alpha`` of the closest
@@ -65,21 +75,27 @@ def next_hop(
     """Kademlia's forwarding rule: the known contact strictly XOR-closer
     to ``key`` than the node itself, or ``None`` when no contact
     improves. XOR is injective for a fixed key, so the minimizer is
-    unique — no tie-break needed.
+    unique — no tie-break needed. Walks the node's distance classes as
+    the module docstring derives, so a step costs one class, not the
+    whole table.
 
-    ``auxiliary=False`` scans the k-bucket contacts only; ``skip_dead``
-    passes over contacts whose node is down. The hop's pointer class
-    follows from plane membership (label ``None``).
+    ``auxiliary=False`` considers the k-bucket contacts only;
+    ``skip_dead`` passes over contacts whose node is down. The hop's
+    pointer class follows from plane membership (label ``None``).
     """
-    best = None
-    best_distance = node.node_id ^ key
-    for plane in (node.core, node.auxiliary) if auxiliary else (node.core,):
-        for neighbor in plane:
-            distance = neighbor ^ key
-            if distance < best_distance and (not skip_dead or network.node(neighbor).alive):
-                best = neighbor
-                best_distance = distance
-    return None if best is None else (best, None)
+    closer = (node.node_id ^ key) & node.class_mask
+    top = node.space.bits - 1
+    while closer:
+        h = closer.bit_length() - 1
+        closer ^= 1 << h
+        members = node.classes[top - h]
+        if not auxiliary:
+            members = members & node.core
+        if skip_dead:
+            members = [member for member in members if network.node(member).alive]
+        if members:
+            return min(members, key=key.__xor__), None
+    return None
 
 
 def iterative_find_node(

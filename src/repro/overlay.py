@@ -10,11 +10,14 @@ pointers ride the unmodified routing (Section II). Only the table rule,
 the ownership rule and the forwarding rule differ by overlay, so each
 overlay class states those — its node type (``_new_node``), how a
 node's core tables are rebuilt from the live ids (``_rebuild_tables``),
-``responsible``, its forwarding rule and its protocol join (``_join``)
-— and :class:`Overlay` owns everything around them:
+which live node owns a key (``_owner``), its forwarding rule and its
+protocol join (``_join``) — and :class:`Overlay` owns everything around
+them:
 
 * the live-id bookkeeping (``nodes`` and the sorted ``_alive`` ids) and
   the telemetry handle;
+* :meth:`Overlay.responsible`, which memoizes ``_owner`` per key until
+  the next membership change;
 * :meth:`Overlay.populate` (the stabilized overlay every ``build``
   returns) and :meth:`Overlay.add_node`;
 * the checks every :meth:`Overlay.join_via` starts with;
@@ -88,6 +91,9 @@ class Overlay:
         self.space = space
         self.nodes: dict[int, OverlayNode] = {}
         self._alive: list[int] = []  # sorted ids of live nodes
+        # key -> owner among the current ``_alive``; emptied right after
+        # every change to ``_alive`` (add_node, join_via, crash, rejoin).
+        self._owners: dict[int, int] = {}
         self._telemetry = None  # set via attach_telemetry
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -128,8 +134,8 @@ class Overlay:
         lookup starts."""
         raise NotImplementedError
 
-    def responsible(self, key: int) -> int:
-        """The live node that owns ``key``."""
+    def _owner(self, key: int) -> int:
+        """The live node that owns ``key``; ``_alive`` is non-empty."""
         raise NotImplementedError
 
     def _drop_auxiliary(self, node, stale: set[int]) -> None:
@@ -160,6 +166,7 @@ class Overlay:
         node = self._new_node(node_id)
         self.nodes[node_id] = node
         insort(self._alive, node_id)
+        self._owners.clear()
         self._rebuild_tables(node)
         return node
 
@@ -183,6 +190,9 @@ class Overlay:
         self._join(node, bootstrap)
         node.alive = True
         insort(self._alive, node_id)
+        # After the insort: ``_join`` may have routed (and memoized owners)
+        # while the node was still outside ``_alive``.
+        self._owners.clear()
         return node
 
     # ------------------------------------------------------------------
@@ -199,6 +209,16 @@ class Overlay:
     def alive_count(self) -> int:
         return len(self._alive)
 
+    def responsible(self, key: int) -> int:
+        """The live node that owns ``key`` under the overlay's own rule,
+        memoized until the live set next changes."""
+        owner = self._owners.get(key)
+        if owner is None:
+            if not self._alive:
+                raise NodeAbsentError("overlay has no live nodes")
+            owner = self._owners[key] = self._owner(key)
+        return owner
+
     # ------------------------------------------------------------------
     # Churn and maintenance
     # ------------------------------------------------------------------
@@ -209,6 +229,7 @@ class Overlay:
             raise NodeAbsentError(f"node {node_id} is already down")
         node.crash()
         del self._alive[bisect_left(self._alive, node_id)]
+        self._owners.clear()
 
     def rejoin(self, node_id: int) -> None:
         """Bring a crashed node back with fresh state and rebuilt tables."""
@@ -217,6 +238,7 @@ class Overlay:
             raise NodeAbsentError(f"node {node_id} is already up")
         node.alive = True
         insort(self._alive, node_id)
+        self._owners.clear()
         self._rebuild_tables(node)
 
     def stabilize(self, node_id: int) -> None:

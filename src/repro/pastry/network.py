@@ -25,7 +25,7 @@ from repro.pastry.node import PastryNode
 from repro.pastry.proximity import ProximityModel
 from repro.pastry.routing import ROUTING_MODES, circular_distance, next_hop
 from repro.routing import LookupResult, route
-from repro.util.errors import ConfigurationError, NodeAbsentError
+from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_positive_int
 
@@ -120,10 +120,8 @@ class PastryNetwork(Overlay):
         donated.add(closest.node_id)
         node.set_leaves(donated)
 
-    def responsible(self, key: int) -> int:
+    def _owner(self, key: int) -> int:
         """The live node numerically closest to ``key`` (lower id on ties)."""
-        if not self._alive:
-            raise NodeAbsentError("network has no live nodes")
         index = bisect_left(self._alive, key)
         candidates = {
             self._alive[index % len(self._alive)],

@@ -214,7 +214,8 @@ REGISTRY: dict[str, Invariant] = {
             ("kademlia",),
             "The Kademlia per-class index is a faithful view of core ∪ "
             "auxiliary (never containing self, every entry filed under its "
-            "true common-prefix-length class), the live-id list matches "
+            "true common-prefix-length class, the non-empty-class mask the "
+            "forwarding rule walks matching it), the live-id list matches "
             "per-node alive flags, and after stabilization every node's "
             "core equals a ground-truth k-bucket rebuild over the live set.",
         ),
@@ -750,8 +751,10 @@ def check_pastry_leaf_sets(network) -> list[str]:
 
 
 def check_kademlia_state(network) -> list[str]:
-    """Per-class index == core ∪ auxiliary, minus self, correctly filed."""
+    """Per-class index == core ∪ auxiliary, minus self, correctly filed,
+    and its non-empty-class mask matches it."""
     messages = _check_alive_bookkeeping(network)
+    top = network.space.bits - 1
     for node_id in network.alive_ids():
         node = network.node(node_id)
         expected = (node.core | node.auxiliary) - {node_id}
@@ -774,6 +777,12 @@ def check_kademlia_state(network) -> list[str]:
                         f"node {node_id} filed contact {entry} under prefix "
                         f"class {prefix}, true common prefix is {true_prefix}"
                     )
+        mask = sum(1 << (top - prefix) for prefix, entries in node.classes.items() if entries)
+        if node.class_mask != mask:
+            messages.append(
+                f"node {node_id} class mask {node.class_mask:b} does not match "
+                f"its non-empty classes {mask:b}"
+            )
     return messages
 
 

@@ -69,29 +69,6 @@ class TestFingers:
         assert ring.node(42).neighbor_ids() == set()
 
 
-class TestChurnLifecycle:
-    def test_crash_and_rejoin(self):
-        ring = ChordRing.build(16, space=IdSpace(12), seed=1)
-        victim = ring.alive_ids()[3]
-        ring.crash(victim)
-        assert not ring.node(victim).alive
-        assert victim not in ring.alive_ids()
-        with pytest.raises(NodeAbsentError):
-            ring.crash(victim)
-        ring.rejoin(victim)
-        assert ring.node(victim).alive
-        assert victim in ring.alive_ids()
-        with pytest.raises(NodeAbsentError):
-            ring.rejoin(victim)
-
-    def test_stabilizing_dead_node_raises(self):
-        ring = ChordRing.build(8, space=IdSpace(12), seed=4)
-        victim = ring.alive_ids()[0]
-        ring.crash(victim)
-        with pytest.raises(NodeAbsentError):
-            ring.stabilize(victim)
-
-
 class TestSuccessorLiveness:
     """Regression: a crash burst at the top of the ring must not leave
     crashed ids in the walkers' successor answers (``_successor_of``)."""

@@ -10,6 +10,9 @@ copy-pasted per-overlay property tests that used to live in
   distance metric (no bisect, no routing);
 * every delivered hop makes strict progress under that metric;
 * hop counts respect the O(log n) bound (and never exceed the id length);
+* the skeleton's memoized ``responsible`` never outlives a membership
+  change: after every ``add_node``, ``join_via``, ``crash`` and
+  ``rejoin`` it equals the oracle for keys asked before and after;
 * crash half / stabilize / rejoin / stabilize is idempotent: the live set,
   responsibility and full lookup correctness all come back;
 * the membership contract of the shared skeleton (:mod:`repro.overlay`):
@@ -29,6 +32,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.pastry.routing import circular_distance
 from repro.util.errors import ConfigurationError, NodeAbsentError
@@ -132,6 +137,57 @@ class TestResponsibility:
             )
 
 
+class TestResponsibilityMemo:
+    @pytest.mark.parametrize("overlay_kind", OVERLAYS)
+    # ``small_universe`` is a stateless factory, safe to share across examples.
+    @settings(
+        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(st.sampled_from(["add", "join", "crash", "rejoin"]), max_size=12),
+    )
+    def test_memo_follows_every_membership_change(self, small_universe, overlay_kind, seed, steps):
+        overlay = small_universe(overlay_kind, n=6, bits=10, seed=seed)
+        space = overlay.space
+        rng = random.Random(seed)
+        asked = [rng.randrange(space.size) for __ in range(12)]
+
+        def assert_oracle(keys):
+            alive = overlay.alive_ids()
+            for key in keys:
+                assert overlay.responsible(key) == _oracle_responsible(
+                    overlay_kind, space, alive, key
+                ), (key, alive)
+
+        assert_oracle(asked)
+        for step in steps:
+            alive = overlay.alive_ids()
+            down = [nid for nid in overlay.nodes if nid not in set(alive)]
+            fresh = rng.randrange(space.size)
+            while fresh in overlay.nodes:
+                fresh = rng.randrange(space.size)
+            if step == "add":
+                touched = fresh
+                overlay.add_node(fresh)
+            elif step == "join":
+                touched = rng.choice(down) if down and rng.random() < 0.5 else fresh
+                overlay.join_via(touched, rng.choice(alive))
+            elif step == "crash" and len(alive) > 1:
+                touched = rng.choice(alive)
+                overlay.crash(touched)
+            elif step == "rejoin" and down:
+                touched = rng.choice(down)
+                overlay.rejoin(touched)
+            else:
+                continue
+            # Keys asked before the change, the changed id itself (a join
+            # routes it while the joiner is still down) and new ones.
+            assert_oracle([*asked, touched, space.add(touched, 1)])
+            asked.append(rng.randrange(space.size))
+            assert_oracle(asked)
+
+
 class TestCrashRejoinIdempotence:
     def test_crash_half_then_rejoin_restores_everything(
         self, small_universe, overlay_kind
@@ -229,6 +285,8 @@ class TestLifecycle:
 
         overlay = small_universe(overlay_kind, n=8, bits=10)
         overlay.attach_telemetry(RoundTelemetry.disabled())
+        assert overlay._telemetry is None
+        overlay.attach_telemetry(None)
         assert overlay._telemetry is None
 
     def test_entry_points_on_each_class(self, small_universe, overlay_kind):

@@ -123,23 +123,6 @@ class TestJoinVia:
 
 
 class TestCrashAndRejoin:
-    def test_double_crash_and_double_rejoin_rejected(self):
-        network = _network()
-        victim = network.alive_ids()[0]
-        network.crash(victim)
-        with pytest.raises(NodeAbsentError):
-            network.crash(victim)
-        network.rejoin(victim)
-        with pytest.raises(NodeAbsentError):
-            network.rejoin(victim)
-
-    def test_stabilize_dead_node_rejected(self):
-        network = _network()
-        victim = network.alive_ids()[0]
-        network.crash(victim)
-        with pytest.raises(NodeAbsentError):
-            network.stabilize(victim)
-
     def test_recompute_at_dead_node_rejected(self):
         network = _network()
         victim = network.alive_ids()[0]
@@ -166,12 +149,3 @@ class TestTelemetry:
             if family["name"] == "repro_span_entries_total"
         }
         assert {"selection.recompute", "maintenance.stabilize"} <= spans
-
-    def test_disabled_telemetry_is_detached(self):
-        from repro.telemetry.runtime import RoundTelemetry
-
-        network = _network(n=16)
-        network.attach_telemetry(RoundTelemetry.disabled())
-        assert network._telemetry is None
-        network.attach_telemetry(None)
-        assert network._telemetry is None
