@@ -27,8 +27,9 @@ This module keeps that identity explicit rather than implicit:
   peer×pointer XOR matrix kernel of
   :func:`repro.core.cost.pastry_cost_vectorized`;
 * solver entry points (:func:`select_kademlia_dp`,
-  :func:`select_kademlia_greedy`, :func:`select_kademlia`) that delegate
-  to the trie solvers and relabel the result so provenance survives in
+  :func:`select_kademlia_greedy`, :func:`select_kademlia`, and the dense
+  batch form :func:`select_kademlia_greedy_batch`) that delegate to the
+  trie solvers and relabel the result so provenance survives in
   serialized documents.
 
 Note the 160-bit caveat: a full-width Kademlia space exceeds the float64
@@ -44,7 +45,11 @@ from dataclasses import replace
 from typing import Iterable, Mapping
 
 from repro.core import cost as _cost
-from repro.core.pastry_selection import select_pastry_dp, select_pastry_greedy
+from repro.core.pastry_selection import (
+    select_pastry_dp,
+    select_pastry_greedy,
+    select_pastry_greedy_batch,
+)
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.ids import IdSpace
 
@@ -57,6 +62,7 @@ __all__ = [
     "select_kademlia",
     "select_kademlia_dp",
     "select_kademlia_greedy",
+    "select_kademlia_greedy_batch",
 ]
 
 
@@ -145,6 +151,12 @@ def select_kademlia_greedy(problem: SelectionProblem) -> SelectionResult:
     greedy (Lemma 4.1 holds verbatim: distance classes are prefix
     lengths). Does not accept QoS bounds — use the DP for those."""
     return _relabel(select_pastry_greedy(problem), "kademlia-greedy")
+
+
+def select_kademlia_greedy_batch(problems: list[SelectionProblem]) -> list[SelectionResult]:
+    """:func:`select_kademlia_greedy` on many problems in one dense pass
+    (:func:`repro.core.pastry_selection.select_pastry_greedy_batch`)."""
+    return [_relabel(result, "kademlia-greedy") for result in select_pastry_greedy_batch(problems)]
 
 
 def select_kademlia(problem: SelectionProblem) -> SelectionResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.cost import chord_cost, pastry_cost
 from repro.core.types import SelectionProblem, SelectionResult
@@ -36,26 +36,33 @@ __all__ = [
 ]
 
 
-def _candidate_pool(problem: SelectionProblem, pool: Sequence[int] | None) -> set[int]:
-    """The baseline's eligible pointer targets.
+def _candidate_pool(problem: SelectionProblem, pool: Sequence[int] | None) -> list[int]:
+    """The baseline's eligible pointer targets, ascending.
 
     The paper's frequency-oblivious scheme picks *random nodes per
     distance class* — it does not restrict itself to previously-queried
     peers (any Chord/Pastry node can discover a random node in a range
     with one lookup, exactly as core-table maintenance does). Callers that
-    know the node population pass it via ``pool``; without one we fall
-    back to the observed candidates.
+    know the node population pass its distinct ids via ``pool``; without
+    one we fall back to the observed candidates.
     """
     if pool is None:
-        return problem.candidates
-    return set(pool) - set(problem.core_neighbors) - {problem.source}
+        return sorted(problem.candidates)
+    core = problem.core_neighbors
+    source = problem.source
+    # An overlay's pool is its ascending live ids, which the filter keeps
+    # ascending: the sort is then linear, and only reorders other pools.
+    return sorted([peer for peer in pool if peer != source and peer not in core])
 
 
-def _fill_remaining(chosen: set[int], candidates: Iterable[int], k: int, rng: random.Random) -> None:
-    """Top up ``chosen`` to ``k`` entries from the unused candidates."""
-    leftovers = sorted(set(candidates) - chosen)
+def _fill_remaining(chosen: set[int], candidates: list[int], k: int, rng: random.Random) -> None:
+    """Top up ``chosen`` to ``k`` entries from the unused ``candidates``
+    (ascending)."""
     missing = k - len(chosen)
-    if missing > 0 and leftovers:
+    if missing <= 0:
+        return
+    leftovers = [peer for peer in candidates if peer not in chosen]
+    if leftovers:
         chosen.update(rng.sample(leftovers, min(missing, len(leftovers))))
 
 
@@ -91,7 +98,7 @@ def select_chord_oblivious(
     source = problem.source
     candidates = _candidate_pool(problem, pool)
     by_range: dict[int, list[int]] = defaultdict(list)
-    for peer in sorted(candidates):
+    for peer in candidates:
         gap = space.gap(source, peer)
         if gap:
             by_range[gap.bit_length() - 1].append(peer)
@@ -118,9 +125,11 @@ def select_pastry_oblivious(
     space = problem.space
     source = problem.source
     candidates = _candidate_pool(problem, pool)
+    bits = space.bits
     by_class: dict[int, list[int]] = defaultdict(list)
-    for peer in sorted(candidates):
-        by_class[space.common_prefix_length(source, peer)].append(peer)
+    for peer in candidates:
+        # The common prefix length of two valid ids, without re-validating.
+        by_class[bits - (source ^ peer).bit_length()].append(peer)
     quotas = _class_quotas(problem.k, len(by_class))
     chosen: set[int] = set()
     # Short-prefix classes hold most peers; cover them first.
@@ -157,7 +166,7 @@ def select_uniform_random(
     pool: Sequence[int] | None = None,
 ) -> SelectionResult:
     """Ablation baseline: ``k`` pointers uniformly at random among candidates."""
-    candidates = sorted(_candidate_pool(problem, pool))
+    candidates = _candidate_pool(problem, pool)
     chosen = set(rng.sample(candidates, min(problem.k, len(candidates))))
     if overlay in ("pastry", "kademlia"):
         cost = pastry_cost(problem.space, problem.frequencies, problem.core_neighbors, chosen)

@@ -9,7 +9,7 @@ bottom-up (eq. 2/3):
 ``C(T_a, j) = min over splits (i, j-i) of
 C(L_a, i) + F(L_a)·[no pointer in L_a] + C(R_a, j-i) + F(R_a)·[no pointer in R_a]``
 
-Three solvers are provided:
+Four solvers are provided:
 
 * :func:`select_pastry_dp` — the paper's ``O(n k^2 b)`` dynamic program
   (``O(n k^2)`` here thanks to path compression), trying every split at
@@ -19,6 +19,11 @@ Three solvers are provided:
   exploiting the nesting property (P): the optimal ``j-1``-pointer set is
   a subset of the optimal ``j``-pointer set, so each vertex only compares
   two candidate splits per budget level (eq. 4).
+* :func:`select_pastry_greedy_batch` — the same greedy over many problems
+  in one dense NumPy pass, vertex by vertex the same float64 operations
+  in the same order, so sets and costs are bit-identical; it solves the
+  problems of an install chunk (:mod:`repro.selection`), where one
+  problem alone is too small for NumPy to pay.
 * :class:`IncrementalPastrySelector` — Section IV-C: maintains the trie
   and all memoized cost tables across frequency updates, peer joins and
   peer leaves, recomputing only the ``O(b)`` vertices on the affected
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.trie import PeerTrie, TrieVertex
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
@@ -47,6 +53,8 @@ __all__ = [
     "select_pastry",
     "select_pastry_dp",
     "select_pastry_greedy",
+    "select_pastry_greedy_batch",
+    "dense_batchable",
     "IncrementalPastrySelector",
 ]
 
@@ -281,6 +289,192 @@ def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
     trie = _build_trie(problem)
     _fill_tables(trie.root, problem.k, _merge_greedy)
     return _result_from_trie(trie, problem.k, "pastry-greedy")
+
+
+def dense_batchable(problem: SelectionProblem) -> bool:
+    """Whether :func:`select_pastry_greedy_batch` takes ``problem``: no
+    delay bounds (those need the DP), ids of at most 53 bits (the exact
+    range of the float64 bit lengths) and NumPy present."""
+    return _np is not None and not problem.delay_bounds and problem.space.bits <= _MAX_VECTOR_BITS
+
+
+def select_pastry_greedy_batch(problems: Sequence[SelectionProblem]) -> list[SelectionResult]:
+    """:func:`select_pastry_greedy` on many problems in one dense pass,
+    bit for bit: the same sets and ``==`` costs.
+
+    The problems' sorted leaves are laid end to end. Each adjacent pair
+    of leaves of one problem is one binary trie vertex, at depth
+    ``bits - bitlen(a ^ b)``; the pairs of one depth merge disjoint
+    adjacent segments, so the vertices are merged level by level, deepest
+    first, all vertices of a level at once. A segment keeps its table,
+    frequency sum, core flag, eligible count and top depth at its start
+    index. Each vertex pads and merges with the same float64 operations,
+    in the same order, as :func:`_merge_greedy` (ties go left), and the
+    root is padded by its child's depth when every id shares the top bit,
+    as :func:`_unary_table` does. The splits are then read back top down.
+    Raises :class:`ConfigurationError` on a problem
+    :func:`dense_batchable` rejects.
+    """
+    for problem in problems:
+        if not dense_batchable(problem):
+            raise ConfigurationError(
+                "the dense greedy needs ids of at most 53 bits, NumPy and no delay bounds"
+            )
+    owner, id_array, frequency, has_core = _laid_out_leaves(problems)
+    if not len(id_array):
+        return [SelectionResult(frozenset(), 0.0, "pastry-greedy") for _ in problems]
+
+    np = _np
+    leaf_count = len(id_array)
+    sizes = np.bincount(owner, minlength=len(problems))
+    offsets = np.cumsum(sizes) - sizes
+    problem_bits = np.array([problem.space.bits for problem in problems], dtype=np.int64)
+    # A budget past the peer count buys nothing more (and may not fit int64).
+    problem_k = np.array(
+        [min(problem.k, size) for problem, size in zip(problems, sizes.tolist())], dtype=np.int64
+    )
+    # Per segment, at its start index (each leaf is one at first): the
+    # frequency sum and core flag above, the eligible count, the top
+    # depth, the end index and the top vertex (a pair, -1 for a leaf).
+    eligible = (~has_core).astype(np.int64)
+    top = problem_bits[owner]
+    segment_end = np.arange(leaf_count)
+    top_pair = np.full(leaf_count, -1)
+    # The start of each segment, at its end index.
+    segment_start = np.arange(leaf_count)
+
+    # One spare column: every table reads INF past its last entry, the
+    # value the scalar merge takes for a side that cannot grow.
+    width = int(np.minimum(problem_k, np.bincount(owner, eligible, len(problems))).max()) + 2
+    tables = np.full((leaf_count, width), _INF)
+    tables[:, 0] = 0.0
+    tables[(eligible > 0) & (problem_k[owner] > 0), 1] = 0.0
+    splits = np.zeros((leaf_count, width), dtype=np.min_scalar_type(width))
+    left_child = np.full(leaf_count, -1)
+    right_child = np.full(leaf_count, -1)
+
+    pairs = np.flatnonzero(owner[:-1] == owner[1:])
+    pair_depth = top[pairs] - _bit_lengths(id_array[pairs] ^ id_array[pairs + 1])
+    order = np.argsort(-pair_depth, kind="stable")
+    pairs, pair_depth = pairs[order], pair_depth[order]
+    cuts = np.flatnonzero(pair_depth[1:] != pair_depth[:-1]) + 1
+    levels = [
+        (int(depths[0]), level)
+        for depths, level in zip(np.split(pair_depth, cuts), np.split(pairs, cuts))
+        if len(level)
+    ]
+
+    flat = tables.ravel()
+    for depth, pair in levels:
+        first, second = segment_start[pair], pair + 1
+        jmax = np.minimum(problem_k[owner[pair]], eligible[first] + eligible[second])
+        # Largest budget first: the vertices still merging at step j are
+        # a prefix, and ``merging[j]`` counts them.
+        rank = np.argsort(-jmax, kind="stable")
+        pair, first, second, jmax = pair[rank], first[rank], second[rank], jmax[rank]
+        merging = np.cumsum(np.bincount(jmax)[::-1])[::-1].tolist()
+        # _padded_costs in place: no child table is read after its merge.
+        for child in (first, second):
+            tables[child, 0] = np.where(
+                has_core[child],
+                tables[child, 0],
+                tables[child, 0] + (top[child] - depth) * frequency[child],
+            )
+        # Flat indices of fc[left] and sc[right], row by row.
+        row_start = first * width
+        at_left, at_right = row_start.copy(), second * width
+        merged = np.full((len(pair), width), _INF)
+        merged[:, 0] = flat[at_left] + flat[at_right]
+        shares = np.empty((len(pair), width), dtype=np.int64)
+        shares[:] = row_start[:, None]
+        for j in range(1, len(merging)):
+            count = merging[j]
+            left, right = at_left[:count], at_right[:count]
+            grow_left = flat[left + 1] + flat[right]
+            grow_right = flat[left] + flat[right + 1]
+            take_left = grow_left <= grow_right
+            merged[:count, j] = np.where(take_left, grow_left, grow_right)
+            left += take_left
+            right += ~take_left
+            shares[:count, j] = left
+        tables[first] = merged
+        splits[pair] = shares - row_start[:, None]
+        frequency[first] = frequency[first] + frequency[second]
+        has_core[first] |= has_core[second]
+        eligible[first] += eligible[second]
+        top[first] = depth
+        end = segment_end[second]
+        segment_end[first] = end
+        segment_start[end] = first
+        left_child[pair] = top_pair[first]
+        right_child[pair] = top_pair[second]
+        top_pair[first] = pair
+
+    nonempty = sizes > 0
+    roots = offsets[nonempty]
+    root_costs = tables[roots]
+    unary = ~has_core[roots] & (top[roots] > 0)
+    root_costs[:, 0] = np.where(
+        unary, root_costs[:, 0] + top[roots] * frequency[roots], root_costs[:, 0]
+    )
+    budgets = np.minimum(problem_k[nonempty], eligible[roots])
+    costs = np.zeros(len(problems))
+    costs[nonempty] = root_costs[np.arange(len(roots)), budgets] + frequency[roots]
+
+    shares_at = np.zeros(leaf_count, dtype=np.int64)
+    chosen = np.zeros(leaf_count, dtype=bool)
+    root_pair = top_pair[roots]
+    leaf_root = root_pair < 0
+    chosen[roots[leaf_root]] = budgets[leaf_root] > 0
+    shares_at[root_pair[~leaf_root]] = budgets[~leaf_root]
+    for _depth, pair in reversed(levels):
+        given = shares_at[pair]
+        first_share = splits[pair, given]
+        for child, leaf, share in (
+            (left_child[pair], pair, first_share),
+            (right_child[pair], pair + 1, given - first_share),
+        ):
+            inner = child >= 0
+            shares_at[child[inner]] = share[inner]
+            chosen[leaf[~inner]] = share[~inner] > 0
+
+    picked = np.flatnonzero(chosen)
+    groups = np.split(id_array[picked], np.searchsorted(picked, offsets[1:]))
+    return [
+        SelectionResult(frozenset(group.tolist()), cost, "pastry-greedy")
+        for group, cost in zip(groups, costs.tolist())
+    ]
+
+
+def _laid_out_leaves(problems: Sequence[SelectionProblem]):
+    """Every problem's leaves, ascending per problem, laid end to end:
+    the arrays ``(problem index, id, frequency, core flag)``. A queried
+    core neighbor's core entry sorts right after its frequency entry and
+    folds into it."""
+    ids: list[int] = []
+    weights: list[float] = []
+    entries: list[int] = []
+    for problem in problems:
+        frequencies = problem.frequencies
+        ids += frequencies
+        ids += problem.core_neighbors
+        weights += frequencies.values()
+        entries += (len(frequencies), len(problem.core_neighbors))
+    np = _np
+    kinds = np.arange(2 * len(problems))
+    owner = np.repeat(kinds // 2, entries)
+    core_entry = np.repeat(kinds % 2 == 1, entries)
+    id_array = np.array(ids, dtype=np.int64)
+    frequency = np.zeros(len(ids))
+    frequency[~core_entry] = np.array(weights, dtype=np.float64)
+    order = np.lexsort((core_entry, id_array, owner))
+    owner, id_array, frequency = owner[order], id_array[order], frequency[order]
+    has_core = core_entry[order]
+    repeated = (owner[1:] == owner[:-1]) & (id_array[1:] == id_array[:-1])
+    has_core[:-1] |= repeated
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = ~repeated
+    return owner[keep], id_array[keep], frequency[keep], has_core[keep]
 
 
 def select_pastry(problem: SelectionProblem) -> SelectionResult:

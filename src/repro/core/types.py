@@ -41,6 +41,10 @@ class SelectionProblem:
         Optional QoS constraints: ``{peer_id: max_hops}`` requiring the
         estimated lookup distance ``1 + d(...)`` for that peer to be at most
         ``max_hops`` (Sections IV-D and V-C). Must not contain ``source``.
+    chunk:
+        The :class:`repro.selection.InstallChunk` this problem was built
+        in, if any: an optimal policy with a batch form solves the chunk's
+        problems together. Not part of the problem (ignored by ``==``).
     """
 
     space: IdSpace
@@ -49,13 +53,20 @@ class SelectionProblem:
     core_neighbors: frozenset[int]
     k: int
     delay_bounds: Mapping[int, int] = field(default_factory=dict)
+    chunk: object | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.space.validate(self.source, "source id")
+        space = self.space
+        space.validate(self.source, "source id")
         require_non_negative_int(self.k, "k")
         require_frequencies(self.frequencies)
-        for peer in self.frequencies:
-            self.space.validate(peer, "peer id")
+        # The keys are ints (checked above), so one min/max range-checks
+        # them all; the per-id loop only runs to raise the first bad id.
+        if self.frequencies and not (
+            0 <= min(self.frequencies) and max(self.frequencies) < space.size
+        ):
+            for peer in self.frequencies:
+                space.validate(peer, "peer id")
         if self.source in self.frequencies:
             raise ConfigurationError("frequencies must not include the source node itself")
         for neighbor in self.core_neighbors:

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from typing import Iterable
 
 from repro import selection
-from repro.core.kademlia_selection import select_kademlia
+from repro.core.kademlia_selection import select_kademlia, select_kademlia_greedy_batch
 from repro.core.oblivious import select_kademlia_oblivious
 from repro.kademlia.node import KademliaNode, RoutingTable
 from repro.kademlia.routing import FindNodeResult, iterative_find_node, next_hop
@@ -43,7 +43,9 @@ KADEMLIA_BITS = 160
 
 #: The frequency-aware optimum and the oblivious baseline (random nodes
 #: per XOR distance class).
-optimal_policy, oblivious_policy = selection.policies(select_kademlia, select_kademlia_oblivious)
+optimal_policy, oblivious_policy = selection.policies(
+    select_kademlia, select_kademlia_oblivious, select_kademlia_greedy_batch
+)
 
 
 class KademliaNetwork(Overlay):

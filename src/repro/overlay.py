@@ -38,7 +38,7 @@ from bisect import bisect_left, insort
 
 from repro import selection
 from repro.core.frequency import ExactFrequencyTable
-from repro.core.types import SelectionResult
+from repro.core.types import SelectionProblem, SelectionResult
 from repro.routing import ForwardingRule, LookupResult, route
 from repro.util.errors import ConfigurationError, NodeAbsentError
 from repro.util.ids import IdSpace
@@ -286,10 +286,13 @@ class Overlay:
         policy: selection.AuxiliaryPolicy,
         rng: random.Random,
         frequency_limit: int | None = None,
+        problem: SelectionProblem | None = None,
     ) -> SelectionResult:
         """Run ``policy`` at one node and install the result; see
         :func:`repro.selection.recompute`."""
-        return selection.recompute(self, node_id, k, policy, rng, frequency_limit, self._telemetry)
+        return selection.recompute(
+            self, node_id, k, policy, rng, frequency_limit, self._telemetry, problem
+        )
 
     def recompute_all_auxiliary(
         self,

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from repro import selection
 from repro.core.oblivious import select_pastry_oblivious
-from repro.core.pastry_selection import select_pastry
+from repro.core.pastry_selection import select_pastry, select_pastry_greedy_batch
 from repro.overlay import Overlay
 from repro.pastry.node import PastryNode
 from repro.pastry.proximity import ProximityModel
@@ -33,7 +33,9 @@ __all__ = ["PastryNetwork", "optimal_policy", "oblivious_policy"]
 
 #: The frequency-aware optimum and the oblivious baseline (random nodes
 #: per prefix class).
-optimal_policy, oblivious_policy = selection.policies(select_pastry, select_pastry_oblivious)
+optimal_policy, oblivious_policy = selection.policies(
+    select_pastry, select_pastry_oblivious, select_pastry_greedy_batch
+)
 
 
 class PastryNetwork(Overlay):

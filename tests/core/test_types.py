@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.types import SelectionProblem, SelectionResult
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, IdSpaceError
 from repro.util.ids import IdSpace
 
 
@@ -52,6 +52,19 @@ class TestSelectionProblem:
             make(core_neighbors=frozenset({999}))
         with pytest.raises(ConfigurationError):
             make(source=999)
+
+    def test_bad_frequency_id_messages(self):
+        # The range check runs once over all ids; a bad one still gets
+        # the per-id error, naming the first bad id in mapping order.
+        with pytest.raises(IdSpaceError, match=r"^peer id -1 outside \[0, 2\*\*8\)$"):
+            make(frequencies={2: 1.0, -1: 1.0})
+        with pytest.raises(IdSpaceError, match=r"^peer id 256 outside \[0, 2\*\*8\)$"):
+            make(frequencies={2: 1.0, 256: 1.0, -3: 2.0})
+
+    def test_chunk_is_not_part_of_the_problem(self):
+        problem = make()
+        assert make(chunk=object()) == problem
+        assert "chunk" not in repr(problem)
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(ConfigurationError):

@@ -156,3 +156,52 @@ class TestInstall:
             allocation.quota(node_id) for node_id in overlay.alive_ids()
         ]
         assert overlay.node(left_out).auxiliary == set()
+
+
+class TestChunkedInstall:
+    """``install`` builds each chunk's problems first, then installs them
+    one node at a time, exactly as the per-node loop would."""
+
+    N = 2 * selection.INSTALL_CHUNK + 1
+
+    @staticmethod
+    def per_node(overlay, k, policy, rng, frequency_limit):
+        for node_id in overlay.alive_ids():
+            overlay.recompute_auxiliary(node_id, k, policy, rng, frequency_limit)
+
+    @staticmethod
+    def tables(overlay):
+        return {node_id: set(overlay.node(node_id).auxiliary) for node_id in overlay.alive_ids()}
+
+    @pytest.mark.parametrize("overlay_kind", OVERLAYS)
+    def test_a_problem_ignores_other_nodes_auxiliaries(self, small_universe, overlay_kind):
+        overlay = seeded(small_universe, overlay_kind)
+        before = {
+            node_id: selection.node_problem(overlay, node_id, 3, 64) for node_id in overlay.alive_ids()
+        }
+        self.per_node(overlay, 3, POLICIES[overlay_kind][0], random.Random(0), 64)
+        assert any(self.tables(overlay).values())
+        for node_id, problem in before.items():
+            assert selection.node_problem(overlay, node_id, 3, 64) == problem
+
+    @pytest.mark.parametrize("overlay_kind", OVERLAYS)
+    def test_policy_called_once_per_node_ascending_in_chunks(self, small_universe, overlay_kind):
+        overlay = seeded(small_universe, overlay_kind, n=self.N)
+        policy = Recording(POLICIES[overlay_kind][0])
+        selection.install(overlay, 2, policy, random.Random(1), 64)
+        assert [problem.source for problem in policy.problems] == overlay.alive_ids()
+        chunks = [problem.chunk for problem in policy.problems]
+        sizes = [chunks.count(chunk) for chunk in dict.fromkeys(chunks)]
+        # The last chunk would hold one node, so it joins the one before.
+        assert sizes == [selection.INSTALL_CHUNK, selection.INSTALL_CHUNK + 1]
+
+    @pytest.mark.parametrize("overlay_kind", OVERLAYS)
+    def test_same_tables_and_rng_state_as_the_per_node_loop(self, small_universe, overlay_kind):
+        for policy in POLICIES[overlay_kind]:
+            chunked = seeded(small_universe, overlay_kind, n=self.N)
+            looped = seeded(small_universe, overlay_kind, n=self.N)
+            chunked_rng, looped_rng = random.Random(9), random.Random(9)
+            selection.install(chunked, 3, policy, chunked_rng, 64)
+            self.per_node(looped, 3, policy, looped_rng, 64)
+            assert self.tables(chunked) == self.tables(looped)
+            assert chunked_rng.getstate() == looped_rng.getstate()

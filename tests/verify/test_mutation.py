@@ -385,3 +385,26 @@ class TestRoutingMutation:
             violation.invariant == "trace.reconciliation"
             for violation in report.violations
         )
+
+
+class TestDenseBatchMutation:
+    @pytest.mark.parametrize("overlay", ["pastry", "kademlia"])
+    def test_miscosted_dense_kernel_flagged_as_equivalence(self, monkeypatch, overlay):
+        """The dense trie batch must match the scalar greedy bit for bit;
+        ``selection.equivalence`` runs the kernel itself, so a planted
+        cost error there is caught even though installs never reach it
+        through the check's module attribute."""
+        scenario = first_scenario_with_selection(overlay)
+        assert run_scenario(scenario).passed
+        real = pastry_selection.select_pastry_greedy_batch
+
+        def miscosted_batch(problems):
+            return [dataclasses.replace(result, cost=result.cost + 0.5) for result in real(problems)]
+
+        monkeypatch.setattr(pastry_selection, "select_pastry_greedy_batch", miscosted_batch)
+        report = run_scenario(scenario)
+        assert not report.passed
+        assert any(
+            violation.invariant == "selection.equivalence" and "dense batch" in violation.message
+            for violation in report.violations
+        )
