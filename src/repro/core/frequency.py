@@ -19,14 +19,15 @@ This module provides three interchangeable trackers:
 All trackers expose the same small interface (:class:`FrequencyTracker`):
 ``observe(peer, weight)`` and ``snapshot(limit)`` returning a
 ``{peer: estimated_frequency}`` mapping suitable for building a
-:class:`repro.core.types.SelectionProblem`.
+:class:`repro.core.types.SelectionProblem`. A truncated snapshot keeps
+the ``limit`` largest estimates, ties broken by the lower peer id;
+:func:`snapshot_order` gives that order for a whole distribution.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
-from typing import Iterable, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require_positive_int
@@ -36,7 +37,10 @@ __all__ = [
     "ExactFrequencyTable",
     "SpaceSavingSketch",
     "LossyCountingSketch",
+    "snapshot_order",
 ]
+
+_INF = float("inf")
 
 
 class FrequencyTracker(Protocol):
@@ -55,12 +59,34 @@ class FrequencyTracker(Protocol):
         ...
 
 
-def _top_items(estimates: dict[int, float], limit: int | None) -> dict[int, float]:
+def _weight_error(weight: float) -> ConfigurationError:
+    return ConfigurationError(f"weight must be a finite non-negative number, got {weight!r}")
+
+
+def _rank(estimates: Mapping[int, float]) -> list[int]:
+    """The peers of ``estimates`` by descending estimate, ties by ascending
+    id: the order of ``heapq.nlargest`` with key ``(estimate, -peer)``,
+    from two C sorts (the second is stable, so equal estimates keep the
+    first's ascending ids)."""
+    order = sorted(estimates)
+    order.sort(key=estimates.__getitem__, reverse=True)
+    return order
+
+
+def _top_items(estimates: Mapping[int, float], limit: int | None) -> dict[int, float]:
     """Keep the ``limit`` highest-frequency entries (deterministic tie-break)."""
     if limit is None or len(estimates) <= limit:
         return dict(estimates)
-    top = heapq.nlargest(limit, estimates.items(), key=lambda kv: (kv[1], -kv[0]))
-    return dict(top)
+    return {peer: estimates[peer] for peer in _rank(estimates)[: max(limit, 0)]}
+
+
+def snapshot_order(weights: Mapping[int, float]) -> list[int]:
+    """The peers of ``weights`` in the order an :class:`ExactFrequencyTable`
+    holding them ranks its snapshot: descending ``float(weight)`` (so
+    counts above 2**53 tie as their snapshot values do), ties by
+    ascending id. Ranking a distribution shared by many nodes once lets
+    each node's :meth:`ExactFrequencyTable.seeded` table inherit it."""
+    return _rank({peer: float(weight) for peer, weight in weights.items()})
 
 
 class ExactFrequencyTable:
@@ -81,22 +107,49 @@ class ExactFrequencyTable:
         self._counts: Counter[int] = Counter()
         self._history: deque[tuple[int, float]] = deque()
         self._total = 0.0
+        #: The peers in snapshot order (:func:`snapshot_order`), ranked at
+        #: the first truncated snapshot and kept until the next
+        #: :meth:`observe` or :meth:`forget`.
+        self._order: list[int] | None = None
 
     @classmethod
-    def seeded(cls, weights: dict[int, float], owner: int) -> "ExactFrequencyTable":
+    def seeded(
+        cls, weights: Mapping[int, float], owner: int, order: list[int] | None = None
+    ) -> "ExactFrequencyTable":
         """A table pre-loaded with a destination distribution: each peer
         other than ``owner`` with positive weight, observed at that weight
         (stable-mode experiments hand every node its long-run
-        distribution directly instead of learning it)."""
+        distribution directly instead of learning it). A NaN or infinite
+        weight raises :class:`ConfigurationError`.
+
+        ``order``, when given, is ``snapshot_order(weights)``: the table
+        keeps the part of it that it holds instead of ranking its peers
+        again, so many nodes seeded from one distribution rank it once.
+        """
+        values = weights.values()
+        if not -_INF < sum(values) < _INF:
+            # A NaN or infinite weight, or finite ones whose sum overflows.
+            for weight in values:
+                if not -_INF < weight < _INF:
+                    raise _weight_error(weight)
+        counts = {peer: weight for peer, weight in weights.items() if peer != owner and weight > 0}
+        total = 0.0
+        for weight in counts.values():  # observe's left-to-right sum, not sum()
+            total += weight
         table = cls()
-        for peer, weight in weights.items():
-            if peer != owner and weight > 0:
-                table.observe(peer, weight)
+        table._counts = Counter(counts)
+        table._total = total
+        if order is not None:
+            kept = [peer for peer in order if peer in counts]
+            if len(kept) != len(counts):
+                raise ConfigurationError("order must rank every peer of weights")
+            table._order = kept
         return table
 
     def observe(self, peer: int, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ConfigurationError(f"weight must be non-negative, got {weight!r}")
+        if not 0 <= weight < _INF:
+            raise _weight_error(weight)
+        self._order = None
         self._counts[peer] += weight
         self._total += weight
         if self.window is not None:
@@ -115,6 +168,7 @@ class ExactFrequencyTable:
 
     def forget(self, peer: int) -> None:
         """Drop all state for ``peer`` (e.g. after it leaves the overlay)."""
+        self._order = None
         removed = self._counts.pop(peer, 0.0)
         self._total -= removed
         if self.window is not None and removed:
@@ -130,7 +184,12 @@ class ExactFrequencyTable:
         return float(self._counts.get(peer, 0.0))
 
     def snapshot(self, limit: int | None = None) -> dict[int, float]:
-        return _top_items({peer: float(count) for peer, count in self._counts.items()}, limit)
+        counts = self._counts
+        if limit is None or len(counts) <= limit:
+            return {peer: float(count) for peer, count in counts.items()}
+        if self._order is None:
+            self._order = snapshot_order(counts)
+        return {peer: float(counts[peer]) for peer in self._order[: max(limit, 0)]}
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -153,8 +212,8 @@ class SpaceSavingSketch:
         self._total = 0.0
 
     def observe(self, peer: int, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ConfigurationError(f"weight must be non-negative, got {weight!r}")
+        if not 0 <= weight < _INF:
+            raise _weight_error(weight)
         self._total += weight
         if peer in self._counts:
             self._counts[peer] += weight
@@ -203,7 +262,7 @@ class SpaceSavingSketch:
         return result
 
     def snapshot(self, limit: int | None = None) -> dict[int, float]:
-        return _top_items(dict(self._counts), limit)
+        return _top_items(self._counts, limit)
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -229,8 +288,8 @@ class LossyCountingSketch:
         self._bucket = 1
 
     def observe(self, peer: int, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ConfigurationError(f"weight must be non-negative, got {weight!r}")
+        if not 0 <= weight < _INF:
+            raise _weight_error(weight)
         self._seen += 1
         if peer in self._counts:
             self._counts[peer] += weight
@@ -262,7 +321,7 @@ class LossyCountingSketch:
         return self._counts.get(peer, 0.0)
 
     def snapshot(self, limit: int | None = None) -> dict[int, float]:
-        return _top_items(dict(self._counts), limit)
+        return _top_items(self._counts, limit)
 
     def __len__(self) -> int:
         return len(self._counts)

@@ -274,10 +274,15 @@ class Overlay:
     # ------------------------------------------------------------------
     # Entry points into the selection plane and the lookup loop
     # ------------------------------------------------------------------
-    def seed_frequencies(self, node_id: int, frequencies: dict[int, float]) -> None:
+    def seed_frequencies(
+        self, node_id: int, frequencies: dict[int, float], order: list[int] | None = None
+    ) -> None:
         """Pre-load a node's tracker (stable-mode experiments hand each
-        node its long-run destination distribution directly)."""
-        self.nodes[node_id].tracker = ExactFrequencyTable.seeded(frequencies, node_id)
+        node its long-run destination distribution directly; the node's
+        own entry is skipped). ``order`` is the distribution's
+        :func:`repro.core.frequency.snapshot_order`, when the caller
+        ranked it once for many nodes."""
+        self.nodes[node_id].tracker = ExactFrequencyTable.seeded(frequencies, node_id, order)
 
     def recompute_auxiliary(
         self,

@@ -218,16 +218,18 @@ class PastryNetwork(Overlay):
         up to ``core_samples`` live ids from it and keep the proximally
         closest — approximating FreePastry's proximity-aware table fill.
         """
-        space = self.space
+        bits = self.space.bits
+        digit_bits = self.digit_bits
         alive = self._alive
         entries: set[int] = set()
-        rows = space.num_digits(self.digit_bits)
-        for row in range(rows):
-            prefix_bits = row * self.digit_bits
-            width = min(self.digit_bits, space.bits - prefix_bits)
-            own_digit = space.digit_at(node_id, row, self.digit_bits)
-            suffix_bits = space.bits - prefix_bits - width
-            base = space.prefix(node_id, prefix_bits) << (space.bits - prefix_bits)
+        for row in range(self.space.num_digits(digit_bits)):
+            # The row's digit covers id bits [suffix_bits, rest) from the
+            # bottom; the last digit may be narrower (IdSpace.digit_at).
+            rest = bits - row * digit_bits
+            width = min(digit_bits, rest)
+            suffix_bits = rest - width
+            own_digit = (node_id >> suffix_bits) & ((1 << width) - 1)
+            base = (node_id >> rest) << rest
             for digit in range(1 << width):
                 if digit == own_digit:
                     continue
@@ -245,5 +247,5 @@ class PastryNetwork(Overlay):
                         alive[self._maintenance_rng.randrange(lo_index, hi_index)]
                         for __ in range(self.core_samples)
                     ]
-                entries.add(self.proximity.closest(node_id, list(sample)))
+                entries.add(self.proximity.closest(node_id, sample))
         return entries

@@ -60,10 +60,19 @@ class PastryNode(OverlayNode):
     # Cell bookkeeping
     # ------------------------------------------------------------------
     def cell_key(self, other: int) -> tuple[int, int]:
-        """The (row, digit) cell another node's id belongs to."""
+        """The (row, digit) cell another node's id belongs to: the row is
+        the shared prefix ``bits - bitlen(node ^ other)`` in digits, the
+        digit is ``other``'s digit there (the last one right-aligned, as
+        :meth:`IdSpace.digit_at` reads it)."""
         space = self.space
-        row = space.common_prefix_length(self.node_id, other) // self.digit_bits
-        return row, space.digit_at(other, row, self.digit_bits)
+        digit_bits = self.digit_bits
+        shared = space.bits - (space.validate(other, "id b") ^ self.node_id).bit_length()
+        row = shared // digit_bits
+        if other == self.node_id:
+            return row, space.digit_at(other, row, digit_bits)
+        high = space.bits - row * digit_bits
+        low = max(high - digit_bits, 0)
+        return row, (other >> low) & ((1 << (high - low)) - 1)
 
     def _add_to_cell(self, other: int) -> None:
         self.cells.setdefault(self.cell_key(other), set()).add(other)
@@ -81,10 +90,7 @@ class PastryNode(OverlayNode):
         of the cell addressed by the key's first digit mismatch."""
         if key == self.node_id:
             return set()
-        space = self.space
-        row = space.common_prefix_length(self.node_id, key) // self.digit_bits
-        digit = space.digit_at(key, row, self.digit_bits)
-        return self.cells.get((row, digit), set())
+        return self.cells.get(self.cell_key(key), set())
 
     # ------------------------------------------------------------------
     # Neighbor-set maintenance

@@ -47,5 +47,18 @@ class ProximityModel:
 
     def closest(self, origin: int, candidates: list[int]) -> int:
         """The candidate with the lowest latency to ``origin`` (ties break
-        on id for determinism). ``candidates`` must be non-empty."""
-        return min(candidates, key=lambda c: (self.latency(origin, c), c))
+        on id for determinism). ``candidates`` must be non-empty.
+
+        Each latency is :meth:`latency`'s, with ``origin``'s coordinates
+        read once per call."""
+        x, y = self.coordinates(origin)
+        coordinates = self.coordinates
+        hypot = math.hypot
+
+        def key(candidate: int) -> tuple[float, int]:
+            if candidate == origin:
+                return 0.0, candidate
+            cx, cy = coordinates(candidate)
+            return hypot(x - cx, y - cy), candidate
+
+        return min(candidates, key=key)

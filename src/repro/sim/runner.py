@@ -30,6 +30,7 @@ from repro.chord.ring import ChordRing
 from repro.chord.ring import oblivious_policy as chord_oblivious
 from repro.chord.ring import optimal_policy as chord_optimal
 from repro.core import budget as budget_mod
+from repro.core.frequency import snapshot_order
 from repro.engine.dispatch import ENGINES, resolve_engine
 from repro.faults.injector import apply_stable_faults, install_fault_events, maybe_corrupt
 from repro.faults.plane import FaultPlane
@@ -361,15 +362,16 @@ class _Bench:
             for index in range(self.popularity.num_rankings)
         ]
 
-    def seed_node(self, node_id: int) -> None:
-        """Give one node its converged destination distribution."""
-        weights = dict(self.ranking_destinations[self.assignment[node_id]])
-        weights.pop(node_id, None)
-        self.overlay.seed_frequencies(node_id, weights)
-
     def seed_all(self) -> None:
+        """Give every node its converged destination distribution. Each
+        ranking's distribution is ranked once; a node's tracker keeps
+        that order minus the node itself."""
+        orders = [snapshot_order(weights) for weights in self.ranking_destinations]
         for node_id in self.overlay.alive_ids():
-            self.seed_node(node_id)
+            ranking = self.assignment[node_id]
+            self.overlay.seed_frequencies(
+                node_id, self.ranking_destinations[ranking], orders[ranking]
+            )
 
     def learn(self) -> None:
         """Learn frequencies by observation (Section III): route the

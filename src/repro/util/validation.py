@@ -71,10 +71,35 @@ def require_unique(values: Iterable[int], name: str) -> list[int]:
     return items
 
 
+_INF = float("inf")
+_INT = frozenset({int})
+_FLOAT = frozenset({float})
+
+
 def require_frequencies(frequencies: Mapping[int, float], name: str = "frequencies") -> None:
-    """Validate a peer-frequency mapping: finite, non-negative weights."""
+    """Validate a peer-frequency mapping: integer ids, finite non-negative
+    weights.
+
+    ``int`` ids with ``float`` weights, the shape of every tracker
+    snapshot, are checked in bulk: one pass over the key types, one over
+    the value types, then ``min`` and ``sum`` of the values (the sum is
+    NaN or infinite when any weight is). Any other mapping, or one that
+    fails a bulk check, goes through the per-entry loop, which accepts
+    what it accepts and raises the first offender's message.
+    """
+    values = frequencies.values()
+    if (
+        _INT.issuperset(map(type, frequencies))
+        and _FLOAT.issuperset(map(type, values))
+        and (not values or (0.0 <= min(values) and sum(values) < _INF))
+    ):
+        return
     for peer, weight in frequencies.items():
         if not isinstance(peer, int) or isinstance(peer, bool):
             raise ConfigurationError(f"{name} key {peer!r} is not an integer id")
-        if not (weight >= 0) or weight == float("inf"):
+        try:
+            ok = weight >= 0 and weight != _INF
+        except TypeError:
+            ok = False
+        if not ok:
             raise ConfigurationError(f"{name}[{peer}] must be a finite non-negative number, got {weight!r}")

@@ -20,12 +20,6 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             ChordRing.build(20, space=IdSpace(4))
 
-    def test_duplicate_node_rejected(self):
-        ring = ChordRing(IdSpace(8))
-        ring.add_node(5)
-        with pytest.raises(ConfigurationError):
-            ring.add_node(5)
-
 
 class TestResponsibility:
     def test_key_assigned_to_predecessor(self):

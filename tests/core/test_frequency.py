@@ -1,12 +1,18 @@
 """Unit tests for the frequency trackers (exact, Space-Saving, Lossy Counting)."""
 
+import heapq
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.frequency import ExactFrequencyTable, LossyCountingSketch, SpaceSavingSketch
+from repro.core.frequency import (
+    ExactFrequencyTable,
+    LossyCountingSketch,
+    SpaceSavingSketch,
+    snapshot_order,
+)
 from repro.util.errors import ConfigurationError
 
 
@@ -168,3 +174,156 @@ def test_trackers_agree_on_small_streams(stream):
         saving.observe(peer)
         lossy.observe(peer)
     assert exact.snapshot() == saving.snapshot() == lossy.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Non-finite weights and the kept rank order
+# ----------------------------------------------------------------------
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _nlargest_snapshot(estimates: dict, limit) -> dict:
+    """The ``heapq.nlargest`` ranking snapshots used before the kept
+    order: the test oracle."""
+    if limit is None or len(estimates) <= limit:
+        return dict(estimates)
+    return dict(heapq.nlargest(limit, estimates.items(), key=lambda kv: (kv[1], -kv[0])))
+
+
+@pytest.mark.parametrize("weight", NON_FINITE)
+@pytest.mark.parametrize(
+    "make", [ExactFrequencyTable, lambda: SpaceSavingSketch(4), LossyCountingSketch]
+)
+def test_trackers_reject_non_finite_weights(make, weight):
+    tracker = make()
+    with pytest.raises(ConfigurationError, match="finite non-negative"):
+        tracker.observe(1, weight)
+    assert tracker.snapshot() == {}
+
+
+@pytest.mark.parametrize("weight", NON_FINITE)
+def test_seeded_rejects_non_finite_weights(weight):
+    with pytest.raises(ConfigurationError, match="finite non-negative"):
+        ExactFrequencyTable.seeded({1: 2.0, 2: weight, 3: 1.0}, owner=9)
+
+
+def test_seeded_skips_owner_and_non_positive_weights():
+    table = ExactFrequencyTable.seeded({4: 1.5, 9: 7.0, 5: 0.0, 6: -2.0, 7: 3}, owner=9)
+    assert list(table.snapshot().items()) == [(4, 1.5), (7, 3.0)]
+    assert table.total == 4.5
+
+
+def test_seeded_total_is_observe_order_sum():
+    weights = {peer: 0.1 * (peer % 7 + 1) for peer in range(60)}
+    expected = ExactFrequencyTable()
+    for peer, weight in weights.items():
+        expected.observe(peer, weight)
+    assert ExactFrequencyTable.seeded(weights, owner=-1).total == expected.total
+
+
+def test_seeded_rejects_an_order_missing_peers():
+    with pytest.raises(ConfigurationError, match="order"):
+        ExactFrequencyTable.seeded({1: 1.0, 2: 2.0}, owner=0, order=[2])
+
+
+# Counts with many ties, as ints and floats; 2**53 and 2**53 + 1 are
+# equal as floats, so a snapshot must tie them (ranked by float(count)).
+_COUNTS = st.sampled_from([1, 2, 3, 1.0, 2.5, 3.0, 0.5, 2**53, 2**53 + 1])
+_COUNT_DICTS = st.dictionaries(st.integers(0, 60), _COUNTS, max_size=24)
+_LIMITS = st.one_of(st.none(), st.integers(0, 26))
+
+
+def test_snapshot_ranks_counts_as_floats():
+    """2**53 + 1 and 2**53 snapshot as the same float, so they tie and
+    the lower id ranks first, as in the float-keyed nlargest oracle."""
+    table = ExactFrequencyTable()
+    table.observe(1, 2**53)
+    table.observe(2, 2**53 + 1)
+    table.observe(3, 1)
+    assert table.snapshot(1) == {1: float(2**53)}
+    seeded = ExactFrequencyTable.seeded({1: 2**53, 2: 2**53 + 1, 3: 1}, owner=0)
+    assert seeded.snapshot(1) == {1: float(2**53)}
+
+
+@given(_COUNT_DICTS, _LIMITS)
+def test_exact_snapshot_matches_nlargest(counts, limit):
+    table = ExactFrequencyTable()
+    for peer, count in counts.items():
+        table.observe(peer, count)
+    floats = {peer: float(count) for peer, count in counts.items()}
+    expected = _nlargest_snapshot(floats, limit)
+    assert list(table.snapshot(limit).items()) == list(expected.items())
+    # A second snapshot reads the kept order.
+    assert list(table.snapshot(limit).items()) == list(expected.items())
+
+
+@given(_COUNT_DICTS, _LIMITS)
+def test_sketch_snapshots_match_nlargest(counts, limit):
+    saving = SpaceSavingSketch(capacity=64)
+    lossy = LossyCountingSketch(epsilon=0.001)
+    for peer, count in counts.items():
+        saving.observe(peer, count)
+        lossy.observe(peer, count)
+    expected = list(_nlargest_snapshot(counts, limit).items())
+    assert list(saving.snapshot(limit).items()) == expected
+    assert list(lossy.snapshot(limit).items()) == expected
+
+
+@given(
+    st.dictionaries(st.integers(0, 60), _COUNTS | st.sampled_from([0, 0.0, -1.0]), max_size=24),
+    st.integers(0, 60),
+    st.lists(_LIMITS, max_size=4),
+)
+def test_seeded_with_order_equals_seeded_without(weights, owner, limits):
+    plain = ExactFrequencyTable.seeded(weights, owner)
+    ranked = ExactFrequencyTable.seeded(weights, owner, snapshot_order(weights))
+    assert (ranked.total, len(ranked)) == (plain.total, len(plain))
+    for limit in limits + [None, 0, 1, 5]:
+        assert list(ranked.snapshot(limit).items()) == list(plain.snapshot(limit).items())
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_snapshot_order_dropped_by_observe(seeded):
+    weights = {peer: float(peer) for peer in range(1, 11)}
+    if seeded:
+        table = ExactFrequencyTable.seeded(weights, owner=0, order=snapshot_order(weights))
+    else:
+        table = ExactFrequencyTable()
+        for peer, weight in weights.items():
+            table.observe(peer, weight)
+    assert list(table.snapshot(3)) == [10, 9, 8]
+    table.observe(20, 50.0)  # a new heaviest peer
+    table.observe(1, 8.5)  # an old peer overtakes 8 (1 + 8.5)
+    assert list(table.snapshot(3).items()) == [(20, 50.0), (10, 10.0), (1, 9.5)]
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_snapshot_order_dropped_by_forget(seeded):
+    weights = {peer: float(peer) for peer in range(1, 11)}
+    if seeded:
+        table = ExactFrequencyTable.seeded(weights, owner=0, order=snapshot_order(weights))
+    else:
+        table = ExactFrequencyTable()
+        for peer, weight in weights.items():
+            table.observe(peer, weight)
+    assert list(table.snapshot(3)) == [10, 9, 8]
+    table.forget(9)
+    assert list(table.snapshot(3).items()) == [(10, 10.0), (8, 8.0), (7, 7.0)]
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(0, 12), _COUNTS), max_size=40),
+    st.integers(1, 6),
+    st.one_of(st.none(), st.integers(1, 8)),
+)
+def test_snapshots_follow_observe_and_forget(operations, limit, window):
+    """After every observe or forget, the truncated snapshot equals the
+    oracle over the table's full (unranked, insertion-order) snapshot."""
+    table = ExactFrequencyTable(window=window)
+    for observe, peer, weight in operations:
+        if observe:
+            table.observe(peer, weight)
+        else:
+            table.forget(peer)
+        expected = _nlargest_snapshot(table.snapshot(), limit)
+        assert list(table.snapshot(limit).items()) == list(expected.items())

@@ -44,11 +44,6 @@ class TestBuild:
 
 
 class TestAddNode:
-    def test_duplicate_id_rejected(self):
-        network = _network()
-        with pytest.raises(ConfigurationError):
-            network.add_node(network.alive_ids()[0])
-
     def test_out_of_space_id_rejected(self):
         network = _network(bits=10)
         with pytest.raises(ConfigurationError):
@@ -103,12 +98,6 @@ class TestJoinVia:
         result = network.find_node(source, newcomer)
         assert result.found[0] == newcomer
         assert result.timeouts == 0
-
-    def test_live_duplicate_rejected(self):
-        network = _network()
-        ids = network.alive_ids()
-        with pytest.raises(ConfigurationError):
-            network.join_via(ids[0], ids[1])
 
     def test_crashed_node_can_rejoin_via_bootstrap_with_fresh_state(self):
         network = _network()

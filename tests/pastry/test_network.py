@@ -19,12 +19,6 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             PastryNetwork.build(20, space=IdSpace(4))
 
-    def test_duplicate_rejected(self):
-        network = PastryNetwork(IdSpace(8))
-        network.add_node(3)
-        with pytest.raises(ConfigurationError):
-            network.add_node(3)
-
 
 class TestResponsibility:
     def test_numerically_closest(self):

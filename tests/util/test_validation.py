@@ -1,6 +1,8 @@
 """Unit tests for the argument-validation helpers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.util.errors import ConfigurationError
 from repro.util.validation import (
@@ -72,8 +74,53 @@ class TestCollections:
 
     @pytest.mark.parametrize(
         "bad",
-        [{1.5: 1.0}, {True: 1.0}, {1: -0.1}, {1: float("inf")}, {1: float("nan")}],
+        [
+            {1.5: 1.0},
+            {True: 1.0},
+            {1: -0.1},
+            {1: float("inf")},
+            {1: float("nan")},
+            {1: "a"},
+            {1: None},
+            {1: 1j},
+            {1: 2.0, 2: float("nan"), 3: 1.0},
+            {1: 2.0, 2: -0.5, 3: 1.0},
+            {1: 2.0, 2: float("inf")},
+        ],
     )
     def test_frequencies_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="frequencies"):
             require_frequencies(bad)
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.integers(-3, 40), st.booleans(), st.sampled_from([1.5, "7"])),
+            st.one_of(
+                st.floats(),
+                st.integers(-2, 9),
+                st.sampled_from([None, "1.5", 1j, True, 1e308, 2**60]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_frequencies_bulk_check_equals_per_entry_loop(self, frequencies):
+        """The bulk check accepts exactly what the per-entry loop accepts
+        and raises the first offender's message."""
+        expected = None
+        for peer, weight in frequencies.items():
+            if not isinstance(peer, int) or isinstance(peer, bool):
+                expected = f"frequencies key {peer!r} is not an integer id"
+                break
+            try:
+                ok = weight >= 0 and weight != float("inf")
+            except TypeError:
+                ok = False
+            if not ok:
+                expected = f"frequencies[{peer}] must be a finite non-negative number, got {weight!r}"
+                break
+        if expected is None:
+            require_frequencies(frequencies)
+        else:
+            with pytest.raises(ConfigurationError) as raised:
+                require_frequencies(frequencies)
+            assert str(raised.value) == expected
