@@ -18,27 +18,37 @@ from repro.chord.ring import ChordRing, oblivious_policy, optimal_policy
 from repro.sim.metrics import HopStatistics
 from repro.util.ids import IdSpace
 from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.queries import QueryGenerator
+from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec, record_trace
 from repro.workload.trace import QueryTrace
 
 N = 96
 BITS = 20
 SEED = 23
+QUERIES = 4000
 
 
 def build_ring():
     return ChordRing.build(N, space=IdSpace(BITS), seed=SEED)
 
 
-def record_trace(path: Path) -> QueryTrace:
+def record(path: Path) -> QueryTrace:
     ring = build_ring()
     catalog = ItemCatalog(ring.space, 4 * N, seed=SEED)
     popularity = PopularityModel(catalog, alpha=1.2, num_rankings=1, seed=SEED)
-    generator = QueryGenerator(popularity, popularity.assign_rankings(ring.alive_ids()), random.Random(SEED))
-    trace = QueryTrace(metadata={"alpha": 1.2, "n": N, "seed": SEED})
+    stream = WorkloadSpec("static-zipf").build(
+        WorkloadContext(
+            popularity=popularity,
+            assignment=popularity.assign_rankings(ring.alive_ids()),
+            rng=random.Random(SEED),
+            scenario_rng=random.Random(SEED),
+            alpha=1.2,
+            horizon=QUERIES / DEFAULT_RATE,
+        )
+    )
     alive = ring.alive_ids()
-    for query in generator.stream(4000, lambda: alive):
-        trace.record(len(trace) / 4.0, query.source, query.item)
+    trace = record_trace(
+        stream, QUERIES, lambda: alive, metadata={"alpha": 1.2, "n": N, "seed": SEED}
+    )
     trace.save(path)
     return trace
 
@@ -64,7 +74,7 @@ def replay(trace: QueryTrace, policy_name: str) -> HopStatistics:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "workload.jsonl"
-        trace = record_trace(path)
+        trace = record(path)
         print(f"Recorded {len(trace)} queries to {path.name} "
               f"({path.stat().st_size / 1024:.0f} KiB JSONL)")
         loaded = QueryTrace.load(path)

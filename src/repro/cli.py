@@ -83,6 +83,7 @@ import importlib
 import sys
 
 from repro.experiments.figures import FIGURES
+from repro.experiments.report import REPORT_FIGURES
 from repro.sim.runner import OVERLAYS
 from repro.util.errors import ConfigurationError
 from repro.util.timer import Stopwatch
@@ -320,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--figures",
         nargs="+",
-        default=("3", "4", "5", "6", "7"),
-        choices=("3", "4", "5", "6", "7"),
-        help="subset of figures to regenerate",
+        default=REPORT_FIGURES,
+        choices=tuple(FIGURES),
+        help=f"subset of figures to regenerate (default: {' '.join(REPORT_FIGURES)})",
     )
     report.add_argument(
         "--out-dir", default="results", help="output directory (default: results)"

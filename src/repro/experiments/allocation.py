@@ -222,13 +222,11 @@ def _measured_loads(bench, preset: AllocationPreset, overlay: str) -> dict[int, 
     ``record_access=False`` keeps the probe strictly observational."""
     from repro.obs.attribution import AttributionRecorder
 
-    recorder = AttributionRecorder(
-        overlay, bench.overlay, mode=bench.config.pastry_mode, attribute=False
-    )
+    recorder = AttributionRecorder(overlay, bench.overlay, attribute=False)
     stream = bench.workload_stream("load-probe", horizon=preset.queries / DEFAULT_RATE)
     alive = bench.overlay.alive_ids()
     for query in stream.stream(preset.queries, lambda: alive):
-        bench.lookup(query.source, query.item, record_access=False, trace=recorder)
+        bench.overlay.lookup(query.source, query.item, record_access=False, trace=recorder)
     return recorder.measured_loads(bench.overlay.alive_ids())
 
 

@@ -134,12 +134,7 @@ def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
         batch = route_columnar(bench, queries, record_paths=True)
     except ImportError:  # pragma: no cover - NumPy-less environments
         return None
-    columnar = AttributionRecorder(
-        config.overlay,
-        bench.overlay,
-        mode=config.pastry_mode,
-        quotas=recorder.quotas,
-    )
+    columnar = AttributionRecorder(config.overlay, bench.overlay, quotas=recorder.quotas)
     attribute_batch(
         columnar, batch, [query.source for query in queries], [query.item for query in queries]
     )
@@ -170,12 +165,7 @@ def _run_cachestats_cell(cell: tuple[CachestatsPreset, str]) -> dict:
     )
     bench = stable_universe(config)
     allocation = bench.allocation
-    recorder = AttributionRecorder(
-        overlay,
-        bench.overlay,
-        mode=config.pastry_mode,
-        quotas=allocation.quotas,
-    )
+    recorder = AttributionRecorder(overlay, bench.overlay, quotas=allocation.quotas)
     # Clean measurement pass: frozen tables, no faults, so the columnar
     # replay below sees the identical universe and query batch.
     stats = stable_cell(config, "optimal", bench=bench, trace=recorder).stats
@@ -195,16 +185,14 @@ def _run_cachestats_cell(cell: tuple[CachestatsPreset, str]) -> dict:
     )
     for victim in crashed:
         bench.overlay.crash(victim)
-    churn_recorder = AttributionRecorder(
-        overlay, bench.overlay, mode=config.pastry_mode, quotas=allocation.quotas
-    )
+    churn_recorder = AttributionRecorder(overlay, bench.overlay, quotas=allocation.quotas)
     probe = bench.workload_stream(
         "probe-queries", horizon=max(1, preset.queries // 4) / DEFAULT_RATE
     )
     probe_stats = HopStatistics()
     for query in probe.stream(max(1, preset.queries // 4), bench.overlay.alive_ids):
         probe_stats.record(
-            bench.lookup(
+            bench.overlay.lookup(
                 query.source, query.item, record_access=False, trace=churn_recorder
             )
         )

@@ -25,14 +25,11 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.chord.ring import ChordRing, optimal_policy
 from repro.faults import arm_stable_plane
+from repro.sim.runner import ExperimentConfig, stable_universe
 from repro.util.errors import ConfigurationError
-from repro.util.ids import IdSpace
-from repro.util.rng import SeedSequenceRegistry
 from repro.util.validation import require_positive_int
-from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec
+from repro.workload.spec import DEFAULT_RATE
 
 __all__ = ["CACHE_POLICIES", "ItemCache", "ItemChurnReport", "simulate_item_churn"]
 
@@ -195,28 +192,24 @@ def simulate_item_churn(
     """
     if not 0.0 <= update_probability <= 1.0:
         raise ConfigurationError("update_probability must be in [0, 1]")
-    spec = WorkloadSpec.parse(workload)
-    registry = SeedSequenceRegistry(seed)
-    space = IdSpace(bits)
-    effective_k = k if k is not None else max(1, n.bit_length() - 1)
+    config = ExperimentConfig(
+        overlay="chord",
+        n=n,
+        k=k,
+        alpha=alpha,
+        bits=bits,
+        num_rankings=1,
+        queries=queries,
+        seed=seed,
+        workload=workload,
+    )
 
     reports: dict[str, ItemChurnReport] = {}
     for strategy in ("pointer", "item-cache", "none"):
-        ring = ChordRing.build(n, space=space, seed=registry.fresh("overlay").randrange(2**31))
-        catalog = ItemCatalog(space, 4 * n, seed=registry.fresh("items").randrange(2**31))
-        popularity = PopularityModel(
-            catalog, alpha, num_rankings=1, seed=registry.fresh("rankings").randrange(2**31)
-        )
-        assignment = popularity.assign_rankings(ring.alive_ids())
-        destinations = popularity.node_frequencies(0, ring.responsible)
-        for node_id in ring.alive_ids():
-            weights = dict(destinations)
-            weights.pop(node_id, None)
-            ring.seed_frequencies(node_id, weights)
+        bench = stable_universe(config)
+        ring, popularity, registry = bench.overlay, bench.popularity, bench.registry
         if strategy == "pointer":
-            ring.recompute_all_auxiliary(
-                effective_k, optimal_policy, registry.fresh("policy"), frequency_limit=256
-            )
+            bench.install("optimal", registry.fresh("policy"))
         plane, retry = arm_stable_plane(faults, registry.fresh("fault-plane"), ring)
         admission_rng = (
             registry.fresh("cache-admission") if admission_probability < 1.0 else None
@@ -231,16 +224,7 @@ def simulate_item_churn(
             for node_id in ring.alive_ids()
         }
         world = _ItemWorld()
-        stream = spec.build(
-            WorkloadContext(
-                popularity=popularity,
-                assignment=assignment,
-                rng=registry.fresh("queries"),
-                scenario_rng=registry.fresh("queries-scenario"),
-                alpha=alpha,
-                horizon=queries / DEFAULT_RATE,
-            )
-        )
+        stream = bench.workload_stream("queries", horizon=queries / DEFAULT_RATE)
         update_rng = registry.fresh("updates")
 
         total_hops = 0

@@ -22,13 +22,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.chord.ring import ChordRing, optimal_policy
+from repro.chord.ring import ChordRing
 from repro.faults import arm_stable_plane
-from repro.util.ids import IdSpace
-from repro.util.rng import SeedSequenceRegistry
+from repro.sim.runner import ExperimentConfig, stable_universe
 from repro.util.validation import require_non_negative_int
-from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec
+from repro.workload.spec import DEFAULT_RATE
 
 __all__ = ["ReplicaDirectory", "ReplicationReport", "simulate_replication"]
 
@@ -130,45 +128,32 @@ def simulate_replication(
     ranking either way, so drifting scenarios show replication chasing a
     hot set that has moved on.
     """
-    spec = WorkloadSpec.parse(workload)
-    registry = SeedSequenceRegistry(seed)
-    space = IdSpace(bits)
-    effective_k = k if k is not None else max(1, n.bit_length() - 1)
+    config = ExperimentConfig(
+        overlay="chord",
+        n=n,
+        k=k,
+        alpha=alpha,
+        bits=bits,
+        num_rankings=1,
+        queries=queries,
+        seed=seed,
+        workload=workload,
+    )
     reports: dict[str, ReplicationReport] = {}
     for strategy in ("pointer", "replication", "none"):
-        ring = ChordRing.build(n, space=space, seed=registry.fresh("overlay").randrange(2**31))
-        catalog = ItemCatalog(space, 4 * n, seed=registry.fresh("items").randrange(2**31))
-        popularity = PopularityModel(
-            catalog, alpha, num_rankings=1, seed=registry.fresh("rankings").randrange(2**31)
-        )
-        assignment = popularity.assign_rankings(ring.alive_ids())
-        destinations = popularity.node_frequencies(0, ring.responsible)
-        for node_id in ring.alive_ids():
-            weights = dict(destinations)
-            weights.pop(node_id, None)
-            ring.seed_frequencies(node_id, weights)
-
+        bench = stable_universe(config)
+        ring, popularity, registry = bench.overlay, bench.popularity, bench.registry
+        catalog = popularity.catalog
         directory = ReplicaDirectory(ring)
         if strategy == "pointer":
-            ring.recompute_all_auxiliary(
-                effective_k, optimal_policy, registry.fresh("policy"), frequency_limit=256
-            )
+            bench.install("optimal", registry.fresh("policy"))
         elif strategy == "replication":
             hot_count = max(1, int(replicated_fraction * len(catalog)))
             for item in popularity.rankings[0][:hot_count]:
                 directory.replicate(item, replication_level)
 
         plane, retry = arm_stable_plane(faults, registry.fresh("fault-plane"), ring)
-        stream = spec.build(
-            WorkloadContext(
-                popularity=popularity,
-                assignment=assignment,
-                rng=registry.fresh("queries"),
-                scenario_rng=registry.fresh("queries-scenario"),
-                alpha=alpha,
-                horizon=queries / DEFAULT_RATE,
-            )
-        )
+        stream = bench.workload_stream("queries", horizon=queries / DEFAULT_RATE)
         alive = ring.alive_ids()
         total_hops = 0
         issued = 0

@@ -31,13 +31,12 @@ from repro.obs.recorder import (
 
 # The driver pulls in the experiment runners, which pull in the routing
 # layers, which import ``repro.obs.recorder`` — importing it eagerly here
-# would close that loop. The attribution plane imports the routing
-# layers for their forwarding rules, so it sits in the same cycle. PEP
-# 562 lazy exports break both while keeping ``from repro.obs import
-# trace_cell`` (and ``AttributionRecorder``) working.
+# would close that loop. The attribution plane imports the lookup loop
+# (``repro.routing``), so it sits in the same cycle. PEP 562 lazy
+# exports break both while keeping ``from repro.obs import trace_cell``
+# (and ``AttributionRecorder``) working.
 _DRIVER_EXPORTS = ("TRACE_SCHEMA", "trace_cell")
 _ATTRIBUTION_EXPORTS = (
-    "OVERLAY_KINDS",
     "AttributionRecorder",
     "PointerStats",
     "TeeRecorder",
@@ -69,7 +68,6 @@ __all__ = [
     "NullRecorder",
     "CounterSet",
     "LookupTracer",
-    "OVERLAY_KINDS",
     "AttributionRecorder",
     "PointerStats",
     "TeeRecorder",

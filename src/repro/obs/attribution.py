@@ -59,18 +59,12 @@ lets ``tests/obs`` pin object-graph vs columnar attribution equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
-from repro.chord import routing as chord_routing
-from repro.kademlia import routing as kademlia_routing
 from repro.obs.recorder import HopEvent
-from repro.pastry import routing as pastry_routing
 from repro.routing import LookupResult, hop_limit
-from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "OVERLAY_KINDS",
     "AttributionRecorder",
     "PointerStats",
     "TeeRecorder",
@@ -78,25 +72,9 @@ __all__ = [
     "oblivious_route_length",
 ]
 
-OVERLAY_KINDS = ("chord", "pastry", "kademlia")
-
-
 # ----------------------------------------------------------------------
 # The oblivious (auxiliary-masked) walk
 # ----------------------------------------------------------------------
-
-
-def _forwarding_rule(kind: str, mode: str):
-    """The overlay's own forwarding rule (Pastry's bound to ``mode``)."""
-    if kind not in OVERLAY_KINDS:
-        raise ConfigurationError(
-            f"unknown overlay kind {kind!r}; expected one of {OVERLAY_KINDS}"
-        )
-    if kind == "chord":
-        return chord_routing.next_hop
-    if kind == "kademlia":
-        return kademlia_routing.next_hop
-    return partial(pastry_routing.next_hop, mode=mode)
 
 
 class _ObliviousWalker:
@@ -111,9 +89,9 @@ class _ObliviousWalker:
 
     __slots__ = ("overlay", "next_hop", "limit")
 
-    def __init__(self, kind: str, overlay, mode: str) -> None:
+    def __init__(self, overlay) -> None:
         self.overlay = overlay
-        self.next_hop = _forwarding_rule(kind, mode)
+        self.next_hop = overlay._forwarding_rule()
         self.limit = hop_limit(overlay.space)
 
     def route_length(self, start: int, key: int, memo: dict[int, int | None]) -> int | None:
@@ -148,12 +126,10 @@ def _credit(r_from: int, r_to: int) -> int:
     return r_from - r_to - 1
 
 
-def oblivious_route_length(
-    kind: str, overlay, source: int, key: int, mode: str = "proximity"
-) -> int | None:
+def oblivious_route_length(overlay, source: int, key: int) -> int | None:
     """Hop count of the oblivious (auxiliary-masked) route from
     ``source`` to ``key``, or ``None`` when it exceeds the hop limit."""
-    return _ObliviousWalker(kind, overlay, mode).route_length(source, key, {})
+    return _ObliviousWalker(overlay).route_length(source, key, {})
 
 
 # ----------------------------------------------------------------------
@@ -207,8 +183,9 @@ class AttributionRecorder:
     ``enabled=False`` to get a recorder the routers normalize away —
     the disabled path the overhead bench gate measures.
 
-    ``quotas`` (optional) are the budget allocator's per-node auxiliary
-    quotas ``k_i`` for :meth:`quota_utilization`; ``attribute=False``
+    ``kind`` names the overlay in the exported document. ``quotas``
+    (optional) are the budget allocator's per-node auxiliary quotas
+    ``k_i`` for :meth:`quota_utilization`; ``attribute=False``
     keeps the cheap hit/use/load accounting but skips the oblivious
     walks (used when only :meth:`measured_loads` is wanted).
     """
@@ -232,12 +209,11 @@ class AttributionRecorder:
         kind: str,
         overlay,
         *,
-        mode: str = "proximity",
         quotas: dict[int, int] | None = None,
         attribute: bool = True,
         enabled: bool = True,
     ) -> None:
-        self._walker = _ObliviousWalker(kind, overlay, mode)
+        self._walker = _ObliviousWalker(overlay)
         self.enabled = enabled
         self.kind = kind
         self.overlay = overlay

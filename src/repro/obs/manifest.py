@@ -17,6 +17,10 @@ The block is split in two on purpose:
   timestamp, hostname, argv — varies run to run by nature and is
   quarantined in one sub-dict so consumers can drop it with
   :func:`strip_volatile` before any byte comparison.
+
+A document committed to the repository (the golden documents, the
+paper report) is compared across checkouts and hosts as well, so
+:func:`strip_host` also drops the top-level manifest's :data:`HOST_KEYS`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import time
 from typing import Any
 
 __all__ = [
+    "HOST_KEYS",
     "MANIFEST_SCHEMA",
     "config_digest",
     "config_payload",
@@ -42,10 +47,14 @@ __all__ = [
     "build_manifest",
     "dump_document",
     "json_float",
+    "strip_host",
     "strip_volatile",
 ]
 
 MANIFEST_SCHEMA = "MANIFEST_v1"
+
+#: Manifest keys that vary by checkout and interpreter, not by results.
+HOST_KEYS = ("git_rev", "env")
 
 
 def config_payload(config: Any) -> Any:
@@ -156,6 +165,18 @@ def strip_volatile(document: Any) -> Any:
     if isinstance(document, list):
         return [strip_volatile(value) for value in document]
     return document
+
+
+def strip_host(document: dict) -> dict:
+    """:func:`strip_volatile` of ``document`` without the top-level
+    manifest's :data:`HOST_KEYS` — the form a committed document is
+    pinned in, equal on every commit and host that computes the same
+    results."""
+    stripped = strip_volatile(document)
+    manifest = stripped.get("manifest", {})
+    for key in HOST_KEYS:
+        manifest.pop(key, None)
+    return stripped
 
 
 def json_float(value: Any) -> Any:

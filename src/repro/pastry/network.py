@@ -6,8 +6,9 @@ Core routing tables are rebuilt locality-aware, as in FreePastry: for each
 sampled and the proximally closest one becomes the entry (DESIGN.md §5
 documents this as the sampling approximation of FreePastry's table
 maintenance). Stabilization rebuilds those cells and the leaf set from
-the live ids; membership, churn and the entry points are the skeleton's,
-apart from :meth:`PastryNetwork.lookup`, which takes a routing ``mode``.
+the live ids; membership, churn and the entry points are the skeleton's.
+The next-hop ``mode`` (:data:`~repro.pastry.routing.ROUTING_MODES`) is
+fixed when the network is built, and every lookup routes under it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.overlay import Overlay
 from repro.pastry.node import PastryNode
 from repro.pastry.proximity import ProximityModel
 from repro.pastry.routing import ROUTING_MODES, circular_distance, next_hop
-from repro.routing import LookupResult, route
+from repro.routing import route
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.validation import require_positive_int
@@ -56,11 +57,17 @@ class PastryNetwork(Overlay):
         leaf_radius: int = 8,
         core_samples: int = 4,
         proximity_seed: int = 0,
+        mode: str = "proximity",
     ) -> None:
         super().__init__(space or IdSpace())
         require_positive_int(digit_bits, "digit_bits")
         require_positive_int(leaf_radius, "leaf_radius")
         require_positive_int(core_samples, "core_samples")
+        if mode not in ROUTING_MODES:
+            raise ConfigurationError(
+                f"unknown routing mode {mode!r}; expected one of {ROUTING_MODES}"
+            )
+        self.mode = mode
         self.digit_bits = digit_bits
         self.leaf_radius = leaf_radius
         self.core_samples = core_samples
@@ -75,13 +82,20 @@ class PastryNetwork(Overlay):
         seed: int = 0,
         digit_bits: int = 1,
         leaf_radius: int = 8,
+        mode: str = "proximity",
     ) -> "PastryNetwork":
-        """Create a stabilized network of ``n`` nodes with random ids."""
-        network = cls(space, digit_bits=digit_bits, leaf_radius=leaf_radius, proximity_seed=seed)
+        """Create a stabilized network of ``n`` nodes with random ids,
+        routing in ``mode``."""
+        network = cls(
+            space, digit_bits=digit_bits, leaf_radius=leaf_radius, proximity_seed=seed, mode=mode
+        )
         return network.populate(n, seed)
 
     def _new_node(self, node_id: int) -> PastryNode:
         return PastryNode(node_id, self.space, self.digit_bits, self.leaf_radius)
+
+    def _forwarding_rule(self):
+        return partial(next_hop, mode=self.mode)
 
     def _join(self, node: PastryNode, bootstrap: int) -> None:
         """Pastry's join (Section II-A): route a join message from
@@ -92,6 +106,8 @@ class PastryNetwork(Overlay):
         node — numerically closest to the new id — donates its leaf set.
         """
         node_id = node.node_id
+        # The join message routes in the default proximity mode, whatever
+        # mode the network's lookups use.
         answer = route(self, bootstrap, node_id, next_hop, record_access=False)
         node.cells.clear()
         node.core.clear()
@@ -157,37 +173,6 @@ class PastryNetwork(Overlay):
             )
             for node_id in path
         ]
-
-    # ------------------------------------------------------------------
-    # Lookups
-    # ------------------------------------------------------------------
-    def lookup(
-        self,
-        source: int,
-        key: int,
-        mode: str = "proximity",
-        record_access: bool = True,
-        retry=None,
-        faults=None,
-        trace=None,
-    ) -> LookupResult:
-        """Route a query for ``key`` from ``source`` with Pastry's
-        forwarding rule in routing ``mode`` (``"proximity"`` or
-        ``"greedy"``); see :func:`repro.routing.route` for the knobs."""
-        if mode not in ROUTING_MODES:
-            raise ConfigurationError(
-                f"unknown routing mode {mode!r}; expected one of {ROUTING_MODES}"
-            )
-        return route(
-            self,
-            source,
-            key,
-            partial(next_hop, mode=mode),
-            record_access=record_access,
-            retry=retry,
-            faults=faults,
-            trace=trace,
-        )
 
     # ------------------------------------------------------------------
     # Internals

@@ -42,6 +42,7 @@ from repro.kademlia.network import optimal_policy as kademlia_optimal
 from repro.pastry.network import PastryNetwork
 from repro.pastry.network import oblivious_policy as pastry_oblivious
 from repro.pastry.network import optimal_policy as pastry_optimal
+from repro.pastry.routing import ROUTING_MODES
 from repro.sim.churn import ChurnProcess
 from repro.sim.events import EventScheduler
 from repro.sim.metrics import ComparisonResult, HopStatistics
@@ -91,6 +92,8 @@ class ExperimentConfig:
     queries: int = 20_000
     frequency_limit: int | None = 256
     seed: int = 0
+    #: Pastry's next-hop rule (:data:`repro.pastry.routing.ROUTING_MODES`),
+    #: fixed when the network is built; checked for every overlay.
     pastry_mode: str = "proximity"
     #: When True, nodes learn frequencies by observing ``warmup_queries``
     #: real lookups (the paper's Section III protocol) instead of being
@@ -128,6 +131,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown overlay {self.overlay!r}; expected one of {OVERLAYS}")
         if self.engine not in ENGINES:
             raise ConfigurationError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if self.pastry_mode not in ROUTING_MODES:
+            raise ConfigurationError(
+                f"unknown pastry_mode {self.pastry_mode!r}; expected one of {ROUTING_MODES}"
+            )
         if self.n < 2:
             raise ConfigurationError("need at least 2 nodes")
         if self.bits <= 0:
@@ -296,6 +303,11 @@ class ChurnConfig(ExperimentConfig):
                 "engine='columnar' is stable-mode only: churn mutates routing "
                 "state mid-stream, which the frozen snapshot cannot observe"
             )
+        if self.learned_frequencies:
+            raise ConfigurationError(
+                "learned_frequencies=True is stable-mode only: a churn cell seeds "
+                "converged frequencies and then learns online from its own queries"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +358,10 @@ class _Bench:
         config = self.config
         space = IdSpace(config.bits)
         overlay_seed = self.registry.stream("overlay").randrange(2**31)
-        self.overlay = OVERLAY_CLASSES[config.overlay].build(config.n, space=space, seed=overlay_seed)
+        options = {"mode": config.pastry_mode} if config.overlay == "pastry" else {}
+        self.overlay = OVERLAY_CLASSES[config.overlay].build(
+            config.n, space=space, seed=overlay_seed, **options
+        )
         catalog = ItemCatalog(space, config.effective_items, seed=self.registry.stream("items").randrange(2**31))
         self.popularity = PopularityModel(
             catalog,
@@ -379,9 +394,10 @@ class _Bench:
         access recording on."""
         count = self.config.effective_warmup_queries
         warmup = self.workload_stream("warmup-queries", horizon=count / DEFAULT_RATE)
-        alive = self.overlay.alive_ids()
+        overlay = self.overlay
+        alive = overlay.alive_ids()
         for query in warmup.stream(count, lambda: alive):
-            self.lookup(query.source, query.item, record_access=True)
+            overlay.lookup(query.source, query.item, record_access=True)
 
     def plan(self) -> budget_mod.BudgetAllocation | None:
         """Cut the global budget plan from the current frequencies, or
@@ -420,42 +436,13 @@ class _Bench:
         else:
             selection.install(self.overlay, self.allocation, chosen, rng, config.frequency_limit)
 
-    def lookup(
-        self,
-        source: int,
-        item: int,
-        record_access: bool,
-        retry: RetryPolicy | None = None,
-        faults: FaultPlane | None = None,
-        trace=None,
-    ):
-        if self.config.overlay in ("chord", "kademlia"):
-            return self.overlay.lookup(
-                source,
-                item,
-                record_access=record_access,
-                retry=retry,
-                faults=faults,
-                trace=trace,
-            )
-        return self.overlay.lookup(
-            source,
-            item,
-            mode=self.config.pastry_mode,
-            record_access=record_access,
-            retry=retry,
-            faults=faults,
-            trace=trace,
-        )
-
     def workload_stream(
         self, stream_name: str, horizon: float, rate: float = DEFAULT_RATE
     ) -> WorkloadStream:
         """Build the configured scenario's query substream for one cell.
 
-        ``rng`` is the ``stream_name`` substream, so the static default
-        makes the legacy :class:`~repro.workload.queries.QueryGenerator`
-        draws; scenario-internal randomness lives on a separate
+        ``rng`` is the ``stream_name`` substream, which the source and
+        item draws use; scenario-internal randomness lives on a separate
         ``-scenario`` substream.
         """
         context = WorkloadContext(
@@ -591,7 +578,7 @@ def stable_cell(
             if plane is not None:
                 maybe_corrupt(plane, overlay, telemetry=tel)
             stats.record(
-                bench.lookup(
+                overlay.lookup(
                     query.source,
                     query.item,
                     record_access=record_access,
@@ -625,7 +612,7 @@ def route_columnar(bench: _Bench, queries: list, record_paths: bool = False):
         snapshot_pastry(bench.overlay),
         sources,
         keys,
-        mode=bench.config.pastry_mode,
+        mode=bench.overlay.mode,
         record_paths=record_paths,
     )
 
@@ -782,7 +769,7 @@ def churn_cell(config: ChurnConfig, policy: str, telemetry=None) -> HopStatistic
             workload.advance(scheduler.now)
             query = workload.next_query(alive)
             if query is not None:
-                result = bench.lookup(
+                result = overlay.lookup(
                     query.source,
                     query.item,
                     record_access=True,

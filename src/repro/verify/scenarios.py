@@ -330,7 +330,7 @@ class _Engine:
         """Converged Zipf destination frequencies, as the stable-mode
         experiments seed them (one shared ranking)."""
         from repro.workload.items import ItemCatalog, PopularityModel
-        from repro.workload.queries import QueryGenerator
+        from repro.workload.spec import DEFAULT_RATE, WorkloadContext, WorkloadSpec
 
         catalog = ItemCatalog(
             self.space,
@@ -349,8 +349,16 @@ class _Engine:
             weights = dict(destinations)
             weights.pop(node_id, None)
             self.overlay.seed_frequencies(node_id, weights)
-        self.generator = QueryGenerator(
-            self.popularity, self.assignment, self.registry.fresh("queries")
+        lookups = sum(count for op, count in self.scenario.steps if op == "lookups")
+        self.queries = WorkloadSpec("static-zipf").build(
+            WorkloadContext(
+                popularity=self.popularity,
+                assignment=self.assignment,
+                rng=self.registry.fresh("queries"),
+                scenario_rng=self.registry.fresh("queries-scenario"),
+                alpha=self.scenario.alpha,
+                horizon=lookups / DEFAULT_RATE,
+            )
         )
 
     # ------------------------------------------------------------------
@@ -376,12 +384,6 @@ class _Engine:
     # ------------------------------------------------------------------
     # Steps
     # ------------------------------------------------------------------
-    def _lookup(self, source: int, key: int, tracer):
-        # Pastry keeps its default proximity mode; the signature is shared.
-        return self.overlay.lookup(
-            source, key, retry=self.retry, faults=self.faults_arg, trace=tracer
-        )
-
     def _op_lookups(self, count: int, step: int) -> None:
         from repro.obs.attribution import AttributionRecorder, TeeRecorder
 
@@ -392,8 +394,10 @@ class _Engine:
         tee = TeeRecorder(tracer, attribution)
         stats = HopStatistics()
         results = []
-        for query in self.generator.stream(count, self.overlay.alive_ids):
-            result = self._lookup(query.source, query.item, tee)
+        for query in self.queries.stream(count, self.overlay.alive_ids):
+            result = self.overlay.lookup(
+                query.source, query.item, retry=self.retry, faults=self.faults_arg, trace=tee
+            )
             stats.record(result)
             results.append(result)
         self.lookups_run += count

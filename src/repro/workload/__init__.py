@@ -1,14 +1,13 @@
 """Workload generation: zipf popularities, item catalogs, query streams."""
 
 from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.queries import Query, QueryGenerator
+from repro.workload.queries import Query
 from repro.workload.zipf import ZipfDistribution
 
 __all__ = [
     "ItemCatalog",
     "PopularityModel",
     "Query",
-    "QueryGenerator",
     "ZipfDistribution",
 ]
 

@@ -1,21 +1,17 @@
-"""Query stream generation for the simulation experiments.
+"""The query record every workload stream yields.
 
 A query is a ``(source_node, item_id)`` pair: a live node asks the overlay
-for an item. Sources are drawn uniformly from the live population and the
-item follows the source's assigned popularity ranking — matching the
-paper's setup where "the queries are samples from this distribution".
+for an item. The streams of :mod:`repro.workload.spec` draw them; the
+paper's static stream picks the source uniformly from the live
+population and the item from the source's assigned popularity ranking —
+its setup where "the queries are samples from this distribution".
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
-from repro.util.errors import ConfigurationError
-from repro.workload.items import PopularityModel
-
-__all__ = ["Query", "QueryGenerator"]
+__all__ = ["Query"]
 
 
 @dataclass(frozen=True)
@@ -24,56 +20,3 @@ class Query:
 
     source: int
     item: int
-
-
-class QueryGenerator:
-    """Draws queries from a popularity model.
-
-    Parameters
-    ----------
-    popularity:
-        The item popularity model (rankings + zipf weights).
-    assignment:
-        ``{node_id: ranking_index}`` — which ranking each node samples from.
-    rng:
-        Source of randomness (callers should pass a dedicated substream).
-    """
-
-    def __init__(
-        self,
-        popularity: PopularityModel,
-        assignment: dict[int, int],
-        rng: random.Random,
-    ) -> None:
-        if not assignment:
-            raise ConfigurationError("assignment must map at least one node")
-        for node, index in assignment.items():
-            if not 0 <= index < popularity.num_rankings:
-                raise ConfigurationError(f"node {node} assigned unknown ranking {index}")
-        self.popularity = popularity
-        self.assignment = dict(assignment)
-        self.rng = rng
-
-    def query_from(self, source: int) -> Query:
-        """One query issued by a specific node."""
-        ranking = self.assignment.get(source)
-        if ranking is None:
-            raise ConfigurationError(f"node {source} has no ranking assignment")
-        return Query(source, self.popularity.sample_item(ranking, self.rng))
-
-    def random_source(self, live_sources: Sequence[int]) -> int:
-        """Uniformly pick a live querying node."""
-        if not live_sources:
-            raise ConfigurationError("no live sources to query from")
-        return live_sources[self.rng.randrange(len(live_sources))]
-
-    def stream(
-        self,
-        count: int,
-        live_sources_fn: Callable[[], Sequence[int]],
-    ) -> Iterator[Query]:
-        """Yield ``count`` queries, re-reading the live population each time
-        (so churn between queries is respected)."""
-        for __ in range(count):
-            source = self.random_source(live_sources_fn())
-            yield self.query_from(source)

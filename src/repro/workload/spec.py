@@ -6,15 +6,14 @@ how caches behave when demand *moves*. This module makes the query
 stream a first-class, named, swappable component: a
 :class:`WorkloadSpec` is parsed from ``NAME[:PARAM]`` (the CLI's
 ``--workload`` flag), validated against the :data:`WORKLOADS` registry,
-and built into a :class:`WorkloadStream` — a deterministic per-cell
-query substream the runners consume in place of the bare
-:class:`~repro.workload.queries.QueryGenerator`.
+and built into a :class:`WorkloadStream` — the deterministic per-cell
+query substream every runner draws its queries from.
 
 Scenarios
 ---------
 ``static-zipf``
-    The paper's workload, bit-identical to the legacy path: uniform
-    sources, per-ranking Zipf items, no time variation.
+    The paper's workload: uniform sources, per-ranking Zipf items, no
+    time variation.
 ``drifting-zipf[:SWAP_INTERVAL]``
     Time-varying exponent ranking via
     :class:`~repro.workload.dynamics.DynamicPopularity`: adjacent rank
@@ -62,7 +61,7 @@ from repro.util.errors import ConfigurationError
 from repro.util.validation import require_positive
 from repro.workload.dynamics import DynamicPopularity, FlashCrowd
 from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.queries import Query, QueryGenerator
+from repro.workload.queries import Query
 from repro.workload.trace import QueryTrace
 
 __all__ = [
@@ -140,19 +139,34 @@ class WorkloadStream:
         return live_sources[self.context.rng.randrange(len(live_sources))]
 
 
+def _require_assignment(context: WorkloadContext) -> None:
+    """Every assigned ranking exists, and some node has one."""
+    if not context.assignment:
+        raise ConfigurationError("assignment must map at least one node")
+    rankings = context.popularity.num_rankings
+    for node, index in context.assignment.items():
+        if not 0 <= index < rankings:
+            raise ConfigurationError(f"node {node} assigned unknown ranking {index}")
+
+
 class StaticZipfStream(WorkloadStream):
-    """The legacy workload, draw-for-draw: uniform source then one
-    inverse-CDF item sample from the source's assigned ranking."""
+    """The paper's workload: a uniform live source, then one inverse-CDF
+    item sample from the source's assigned ranking. Every stable cell
+    draws its queries here, so the draws are written out in place."""
 
     def __init__(self, context: WorkloadContext) -> None:
         super().__init__(context)
-        self._generator = QueryGenerator(
-            context.popularity, context.assignment, context.rng
-        )
+        _require_assignment(context)
 
     def next_query(self, live_sources: Sequence[int]) -> Query | None:
-        source = self._generator.random_source(live_sources)
-        return self._generator.query_from(source)
+        if not live_sources:
+            raise ConfigurationError("no live sources to query from")
+        context = self.context
+        source = live_sources[context.rng.randrange(len(live_sources))]
+        ranking = context.assignment.get(source)
+        if ranking is None:
+            raise ConfigurationError(f"node {source} has no ranking assignment")
+        return Query(source, context.popularity.sample_item(ranking, context.rng))
 
 
 class DriftingZipfStream(WorkloadStream):
@@ -228,10 +242,8 @@ class DiurnalStream(WorkloadStream):
 
     def __init__(self, context: WorkloadContext, period: float) -> None:
         super().__init__(context)
+        _require_assignment(context)
         self.period = period
-        self._generator = QueryGenerator(
-            context.popularity, context.assignment, context.rng
-        )
         # Thresholds are drawn in sorted-node order so they do not
         # depend on dict iteration order.
         self._thresholds = {
@@ -262,8 +274,12 @@ class DiurnalStream(WorkloadStream):
         active = self.active_sources(live_sources)
         if not active:
             raise ConfigurationError("no live sources to query from")
-        source = active[self.context.rng.randrange(len(active))]
-        return self._generator.query_from(source)
+        context = self.context
+        source = active[context.rng.randrange(len(active))]
+        ranking = context.assignment.get(source)
+        if ranking is None:
+            raise ConfigurationError(f"node {source} has no ranking assignment")
+        return Query(source, context.popularity.sample_item(ranking, context.rng))
 
 
 class HotspotRotationStream(WorkloadStream):

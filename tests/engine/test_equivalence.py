@@ -31,13 +31,10 @@ def install_auxiliaries(overlay, rng, per_node=4):
         overlay.node(node_id).set_auxiliary(aux - {node_id})
 
 
-def object_traces(overlay, sources, keys, mode=None):
+def object_traces(overlay, sources, keys):
     tracer = LookupTracer()
     for source, key in zip(sources, keys):
-        if mode is None:
-            overlay.lookup(source, key, record_access=False, trace=tracer)
-        else:
-            overlay.lookup(source, key, mode=mode, record_access=False, trace=tracer)
+        overlay.lookup(source, key, record_access=False, trace=tracer)
     return tracer
 
 
@@ -80,7 +77,7 @@ def test_chord_batch_matches_object_lookups(seed, n, with_aux):
     st.sampled_from(["proximity", "greedy"]),
 )
 def test_pastry_batch_matches_object_lookups(seed, n, with_aux, mode):
-    network = PastryNetwork.build(n, seed=seed)
+    network = PastryNetwork.build(n, seed=seed, mode=mode)
     rng = random.Random(seed ^ 0xBEEF)
     if with_aux:
         install_auxiliaries(network, rng)
@@ -92,7 +89,7 @@ def test_pastry_batch_matches_object_lookups(seed, n, with_aux, mode):
     result = batch_route_pastry(
         snapshot_pastry(network), sources, keys, mode=mode, record_paths=True
     )
-    assert_lanes_match(result, object_traces(network, sources, keys, mode), "pastry")
+    assert_lanes_match(result, object_traces(network, sources, keys), "pastry")
 
 
 def test_chord_dense_and_csr_fallback_agree():

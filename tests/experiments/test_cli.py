@@ -380,6 +380,13 @@ class TestBadInput:
                 [*TINY, "--workload", "flash-crowd:100000"],
                 "workload 'flash-crowd' takes at most 32 crowds",
             ),
+            # An unknown Pastry mode printed a Chord row, or failed only
+            # at the first Pastry lookup.
+            (
+                ["sweep", "chord", "pastry_mode", "proximity", "bogus"],
+                "unknown pastry_mode 'bogus'",
+            ),
+            (["sweep", "pastry", "pastry_mode", "bogus"], "unknown pastry_mode 'bogus'"),
         ],
     )
     def test_one_diagnostic_line_and_exit_2(self, argv, message):

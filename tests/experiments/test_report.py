@@ -34,6 +34,12 @@ class TestReportPreset:
         assert REPORT_FIGURES == ("3", "4", "5", "6")
 
 
+    def test_cli_default_is_the_report_figures(self):
+        from repro.cli import build_parser
+
+        assert tuple(build_parser().parse_args(["report"]).figures) == REPORT_FIGURES
+
+
 class TestRunReport:
     def test_writes_json_and_markdown_with_manifest(self, tmp_path):
         document = run_report(

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs.manifest import dump_document, strip_volatile
+from repro.obs.manifest import dump_document, strip_host
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -48,9 +48,6 @@ CASES: dict[str, list[str]] = {
               "--queries", "1000", "--jobs", "1"],
 }
 
-#: Manifest keys that vary by checkout and interpreter, not by results.
-HOST_KEYS = ("git_rev", "env")
-
 
 def render(argv: list[str], workdir: Path) -> str:
     """Run one command and return its canonical stripped document."""
@@ -59,10 +56,7 @@ def render(argv: list[str], workdir: Path) -> str:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--json", str(path), *extra])
     assert code == 0, f"{' '.join(argv)} exited {code}"
-    document = strip_volatile(json.loads(path.read_text()))
-    for key in HOST_KEYS:
-        del document["manifest"][key]
-    return dump_document(document)
+    return dump_document(strip_host(json.loads(path.read_text())))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

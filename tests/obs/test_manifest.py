@@ -119,6 +119,13 @@ class TestDiffStripped:
         second["manifest"]["volatile"]["wall_time_s"] = 99.0
         assert self.run(tmp_path, first, second).returncode == 0
 
+    def test_host_keys_are_ignored(self, tmp_path):
+        first = {"schema": "X_v1", "manifest": build_manifest(config())}
+        second = {"schema": "X_v1", "manifest": build_manifest(config())}
+        second["manifest"]["git_rev"] = "0" * 40
+        second["manifest"]["env"] = {"python": "0.0"}
+        assert self.run(tmp_path, first, second).returncode == 0
+
     def test_mismatch_exits_1_and_names_the_schema(self, tmp_path):
         completed = self.run(tmp_path, {"schema": "X_v1", "rows": [1]}, {"schema": "X_v1", "rows": [2]})
         assert completed.returncode == 1

@@ -22,13 +22,13 @@ from repro.util.ids import IdSpace
 def test_greedy_mode_lookup_correct_and_bounded(seed, n):
     """Greedy (non-default) mode reaches the numerically closest node
     within the id-length hop bound, with no timeouts, at any size."""
-    network = PastryNetwork.build(n, space=IdSpace(14), seed=seed)
+    network = PastryNetwork.build(n, space=IdSpace(14), seed=seed, mode="greedy")
     rng = random.Random(seed)
     ids = network.alive_ids()
     for __ in range(12):
         source = ids[rng.randrange(len(ids))]
         key = rng.randrange(2**14)
-        result = network.lookup(source, key, mode="greedy", record_access=False)
+        result = network.lookup(source, key, record_access=False)
         assert result.succeeded
         assert result.destination == network.responsible(key)
         assert result.timeouts == 0

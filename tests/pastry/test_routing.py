@@ -45,13 +45,14 @@ def mode(request):
 
 class TestStableLookups:
     @pytest.fixture(scope="class")
-    def network(self):
-        return PastryNetwork.build(64, space=IdSpace(16), seed=9)
+    def network(self, mode):
+        return PastryNetwork.build(64, space=IdSpace(16), seed=9, mode=mode)
 
     def test_lookups_succeed_and_are_correct(self, network, mode):
+        assert network.mode == mode
         ids = network.alive_ids()
         for key in range(0, 2**16, 1371):
-            result = network.lookup(ids[0], key, mode=mode)
+            result = network.lookup(ids[0], key)
             assert result.succeeded
             assert result.destination == network.responsible(key)
             assert result.timeouts == 0
@@ -60,18 +61,20 @@ class TestStableLookups:
         ids = network.alive_ids()
         for source in ids[:8]:
             for key in range(0, 2**16, 4093):
-                result = network.lookup(source, key, mode=mode)
+                result = network.lookup(source, key)
                 assert result.hops <= network.space.bits
 
     def test_own_key_zero_hops(self, network, mode):
         source = network.alive_ids()[0]
-        result = network.lookup(source, source, mode=mode)
+        result = network.lookup(source, source)
         assert result.succeeded
         assert result.hops == 0
 
-    def test_unknown_mode_rejected(self, network):
-        with pytest.raises(ConfigurationError):
-            network.lookup(network.alive_ids()[0], 5, mode="teleport")
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="teleport"):
+            PastryNetwork(IdSpace(16), mode="teleport")
+        with pytest.raises(ConfigurationError, match="teleport"):
+            PastryNetwork.build(8, space=IdSpace(12), seed=9, mode="teleport")
 
     def test_lookup_from_dead_node_raises(self):
         network = PastryNetwork.build(8, space=IdSpace(12), seed=10)
@@ -83,19 +86,18 @@ class TestStableLookups:
     def test_greedy_never_slower_on_average(self):
         """Greedy maximizes per-hop prefix progress, so its mean hop count
         is no worse than proximity routing's on the same instance."""
-        network = PastryNetwork.build(64, space=IdSpace(16), seed=11)
-        ids = network.alive_ids()
         keys = list(range(0, 2**16, 911))
-        greedy = sum(network.lookup(ids[0], key, mode="greedy", record_access=False).hops for key in keys)
-        proximity = sum(
-            network.lookup(ids[0], key, mode="proximity", record_access=False).hops for key in keys
-        )
-        assert greedy <= proximity
+        hops = {}
+        for mode in ("greedy", "proximity"):
+            network = PastryNetwork.build(64, space=IdSpace(16), seed=11, mode=mode)
+            source = network.alive_ids()[0]
+            hops[mode] = sum(network.lookup(source, key, record_access=False).hops for key in keys)
+        assert hops["greedy"] <= hops["proximity"]
 
 
 class TestAuxiliaryShortcut:
     def test_direct_pointer_shortens_lookup(self, mode):
-        network = PastryNetwork.build(64, space=IdSpace(16), seed=12)
+        network = PastryNetwork.build(64, space=IdSpace(16), seed=12, mode=mode)
         ids = network.alive_ids()
         source = ids[0]
         node = network.node(source)
@@ -105,29 +107,29 @@ class TestAuxiliaryShortcut:
             for peer in sorted(ids[1:], key=lambda i: -network.space.pastry_distance(source, i))
             if peer not in node.neighbor_ids()
         )
-        baseline = network.lookup(source, destination, mode=mode, record_access=False).hops
+        baseline = network.lookup(source, destination, record_access=False).hops
         node.set_auxiliary({destination})
-        direct = network.lookup(source, destination, mode=mode, record_access=False).hops
+        direct = network.lookup(source, destination, record_access=False).hops
         assert direct == 1
         assert direct <= baseline
 
 
 class TestChurnLookups:
     def test_self_heals_after_crashes(self, mode):
-        network = PastryNetwork.build(64, space=IdSpace(16), seed=13)
+        network = PastryNetwork.build(64, space=IdSpace(16), seed=13, mode=mode)
         ids = network.alive_ids()
         for victim in ids[::4]:
             network.crash(victim)
         survivors = network.alive_ids()
         outcomes = [
-            network.lookup(survivors[i % len(survivors)], key, mode=mode)
+            network.lookup(survivors[i % len(survivors)], key)
             for i, key in enumerate(range(0, 2**16, 911))
         ]
         success_rate = sum(r.succeeded for r in outcomes) / len(outcomes)
         assert success_rate > 0.8
         network.stabilize_all()
         for key in range(0, 2**16, 911):
-            result = network.lookup(survivors[0], key, mode=mode)
+            result = network.lookup(survivors[0], key)
             assert result.succeeded
             assert result.timeouts == 0
 
@@ -153,12 +155,12 @@ class TestLeafCoverageRegressions:
     def test_four_node_ring_key_in_the_void(self):
         # Nodes 2391/3710/16038/16250 in a 14-bit space; key 9668 falls in
         # the huge empty region and belongs to 3710.
-        network = PastryNetwork(IdSpace(14))
-        for node_id in [2391, 3710, 16038, 16250]:
-            network.add_node(node_id)
-        network.stabilize_all()
         for mode in ("greedy", "proximity"):
-            result = network.lookup(16250, 9668, mode=mode, record_access=False)
+            network = PastryNetwork(IdSpace(14), mode=mode)
+            for node_id in [2391, 3710, 16038, 16250]:
+                network.add_node(node_id)
+            network.stabilize_all()
+            result = network.lookup(16250, 9668, record_access=False)
             assert result.succeeded
             assert result.destination == network.responsible(9668) == 3710
             assert result.hops <= 3

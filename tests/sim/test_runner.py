@@ -8,7 +8,7 @@ frequency-oblivious baseline in both overlays, stable and churning.
 import pytest
 
 from repro.sim.metrics import percent_reduction
-from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
+from repro.sim.runner import OVERLAYS, ChurnConfig, ExperimentConfig, run_churn, run_stable
 from repro.util.errors import ConfigurationError
 
 
@@ -28,6 +28,19 @@ class TestConfig:
     def test_rejects_unknown_overlay(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(overlay="tapestry")
+
+    @pytest.mark.parametrize("overlay", OVERLAYS)
+    def test_rejects_unknown_pastry_mode(self, overlay):
+        # Checked for every overlay when the config is built, so a bad
+        # value fails before any cell runs.
+        with pytest.raises(ConfigurationError, match="unknown pastry_mode 'bogus'"):
+            ExperimentConfig(overlay=overlay, pastry_mode="bogus")
+
+    def test_churn_rejects_learned_frequencies(self):
+        # A churn cell always seeds converged frequencies; accepting the
+        # flag would run the default cell under another name.
+        with pytest.raises(ConfigurationError, match="learned_frequencies=True"):
+            ChurnConfig(overlay="chord", learned_frequencies=True, warmup_queries=5)
 
     def test_accepts_kademlia(self):
         assert ExperimentConfig(overlay="kademlia").effective_rankings == 1

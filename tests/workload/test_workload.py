@@ -8,7 +8,7 @@ import pytest
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.workload.items import ItemCatalog, PopularityModel
-from repro.workload.queries import QueryGenerator
+from repro.workload.spec import WorkloadContext, WorkloadSpec
 from repro.workload.zipf import ZipfDistribution
 
 
@@ -124,27 +124,42 @@ class TestPopularityModel:
         assert draws.most_common(1)[0][0] == top_item
 
 
+def static_zipf(model, assignment, seed=19):
+    """The paper's query stream over ``model`` and ``assignment``."""
+    return WorkloadSpec("static-zipf").build(
+        WorkloadContext(
+            popularity=model,
+            assignment=assignment,
+            rng=random.Random(seed),
+            scenario_rng=random.Random(seed + 1),
+            alpha=1.2,
+            horizon=100.0,
+        )
+    )
+
+
 class TestQueryGenerator:
+    """Query generation by the static-zipf stream."""
+
     def make(self):
         catalog = ItemCatalog(IdSpace(16), num_items=40, seed=17)
         model = PopularityModel(catalog, alpha=1.2, num_rankings=2, seed=18)
-        assignment = {1: 0, 2: 1}
-        return QueryGenerator(model, assignment, random.Random(19))
+        return static_zipf(model, {1: 0, 2: 1})
 
     def test_query_from_assigned_ranking(self):
-        generator = self.make()
-        query = generator.query_from(1)
+        stream = self.make()
+        query = stream.next_query([1])
         assert query.source == 1
-        assert query.item in generator.popularity.catalog.item_ids
+        assert query.item in stream.context.popularity.catalog.item_ids
 
     def test_unassigned_source_rejected(self):
-        generator = self.make()
+        stream = self.make()
         with pytest.raises(ConfigurationError):
-            generator.query_from(99)
+            stream.next_query([99])
 
     def test_stream_respects_live_population(self):
-        generator = self.make()
-        queries = list(generator.stream(50, lambda: [1, 2]))
+        stream = self.make()
+        queries = list(stream.stream(50, lambda: [1, 2]))
         assert len(queries) == 50
         assert {q.source for q in queries} <= {1, 2}
 
@@ -152,10 +167,10 @@ class TestQueryGenerator:
         catalog = ItemCatalog(IdSpace(16), num_items=5, seed=20)
         model = PopularityModel(catalog, alpha=1.2, seed=21)
         with pytest.raises(ConfigurationError):
-            QueryGenerator(model, {}, random.Random(0))
+            static_zipf(model, {})
 
     def test_bad_ranking_index_rejected(self):
         catalog = ItemCatalog(IdSpace(16), num_items=5, seed=22)
         model = PopularityModel(catalog, alpha=1.2, num_rankings=1, seed=23)
         with pytest.raises(ConfigurationError):
-            QueryGenerator(model, {1: 4}, random.Random(0))
+            static_zipf(model, {1: 4})
