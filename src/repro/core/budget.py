@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core import chord_selection, kademlia_selection, pastry_selection
 from repro.core.drift import DriftDetector
@@ -59,6 +59,7 @@ __all__ = [
     "allocate_greedy",
     "allocate_uniform",
     "curves_for_problems",
+    "measured_loads",
     "selector_for",
 ]
 
@@ -193,6 +194,24 @@ def curves_for_problems(
         )
         for node, problem in problems.items()
     }
+
+
+def measured_loads(
+    counts: Mapping[int, int], node_ids: Iterable[int] | None = None
+) -> dict[int, float]:
+    """Observed per-node query counts as mean-1 load weights for
+    :class:`CostCurve` (``node_ids`` defaults to the counted nodes).
+
+    Add-one smoothing keeps every load strictly positive (the curve
+    validates ``load > 0``) while preserving a mean of exactly 1 over the
+    population, so a uniform stream reproduces the uniform-load baseline
+    up to multinomial noise."""
+    nodes = sorted(counts if node_ids is None else node_ids)
+    if not nodes:
+        return {}
+    total = sum(counts.get(node, 0) for node in nodes)
+    denominator = (total + len(nodes)) / len(nodes)
+    return {node: (counts.get(node, 0) + 1) / denominator for node in nodes}
 
 
 def _capacity_total(curves: Mapping[int, CostCurve]) -> int:

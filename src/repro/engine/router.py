@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.columnar import ColumnarChord, ColumnarPastry
+from repro.routing import LookupResult
 
 __all__ = ["BatchRouteResult", "batch_route_chord", "batch_route_pastry"]
 
@@ -94,6 +95,19 @@ class BatchRouteResult:
         """The visited ids of one lane (requires ``record_paths``)."""
         row = self.paths[lane]
         return [int(value) for value in row[row >= 0]]
+
+    def lane_result(self, lane: int, source: int, key: int) -> LookupResult:
+        """One lane as the object router's result for the lane's query
+        ``(source, key)`` (requires ``record_paths``)."""
+        destination = int(self.destinations[lane])
+        return LookupResult(
+            key=int(key),
+            source=int(source),
+            destination=destination if destination >= 0 else None,
+            hops=int(self.hops[lane]),
+            succeeded=bool(self.succeeded[lane]),
+            path=self.lane_path(lane),
+        )
 
     def lane_classes(self, lane: int, overlay: str) -> list[str]:
         """Pointer-class labels of one lane's forwards (requires

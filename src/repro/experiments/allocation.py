@@ -31,10 +31,9 @@ Two axes thread the workload plane into the study:
   cell (the grid ran static-zipf only before PR 10), so allocation is
   exercised under drifting rankings, flash crowds, or diurnal activity.
 * ``--loads measured`` closes ROADMAP's load-weighted loop: the plan
-  stage first *measures* per-node query rates by routing a probe stream
-  through an :class:`~repro.obs.attribution.AttributionRecorder`
-  (``attribute=False`` — accounting only), threads
-  :meth:`~repro.obs.attribution.AttributionRecorder.measured_loads` into
+  stage first *measures* per-node query rates by counting the sources of
+  a probe stream of the configured workload, threads their add-one
+  smoothed weights (:func:`~repro.core.budget.measured_loads`) into
   ``CostCurve(load=...)``, and re-plans. The gate demands the
   load-aware greedy plan strictly beat the uniform-load plan *evaluated
   under the measured curves* — the predicted value of knowing who
@@ -43,6 +42,7 @@ Two axes thread the workload plane into the study:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -215,19 +215,15 @@ class AllocationRow:
     label: str
 
 
-def _measured_loads(bench, preset: AllocationPreset, overlay: str) -> dict[int, float]:
-    """Probe the configured workload through the attribution recorder and
-    return its mean-1 per-node load weights — the measured side of
-    ``CostCurve(load=...)``. Accounting-only (``attribute=False``), and
-    ``record_access=False`` keeps the probe strictly observational."""
-    from repro.obs.attribution import AttributionRecorder
-
-    recorder = AttributionRecorder(overlay, bench.overlay, attribute=False)
+def _measured_loads(bench, preset: AllocationPreset) -> dict[int, float]:
+    """Count the sources of a probe stream of the configured workload and
+    return the mean-1 per-node load weights — the measured side of
+    ``CostCurve(load=...)``. A node's load is the queries it issues, so
+    the probe is drawn, never routed."""
     stream = bench.workload_stream("load-probe", horizon=preset.queries / DEFAULT_RATE)
     alive = bench.overlay.alive_ids()
-    for query in stream.stream(preset.queries, lambda: alive):
-        bench.overlay.lookup(query.source, query.item, record_access=False, trace=recorder)
-    return recorder.measured_loads(bench.overlay.alive_ids())
+    counts = Counter(query.source for query in stream.stream(preset.queries, lambda: alive))
+    return budget_mod.measured_loads(counts, alive)
 
 
 def _plan_one(preset: AllocationPreset, overlay: str) -> AllocationPlan:
@@ -240,7 +236,7 @@ def _plan_one(preset: AllocationPreset, overlay: str) -> AllocationPlan:
     uniform = budget_mod.allocate_uniform(curves, preset.total_budget)
     measured_cost = uniform_loads_cost = load_win_pct = load_min = load_max = None
     if preset.loads == "measured":
-        loads = _measured_loads(bench, preset, overlay)
+        loads = _measured_loads(bench, preset)
         measured_curves = budget_mod.curves_for_problems(problems, overlay, loads=loads)
         measured = budget_mod.allocate_greedy(measured_curves, preset.total_budget)
         measured_cost = measured.total_cost

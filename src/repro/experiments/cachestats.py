@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.analysis.ascii_chart import render_series_table
+from repro.core import budget as budget_mod
 from repro.experiments.driver import Experiment, presets
 from repro.obs.attribution import AttributionRecorder, attribute_batch
 from repro.obs.manifest import json_float
@@ -173,7 +174,7 @@ def _run_cachestats_cell(cell: tuple[CachestatsPreset, str]) -> dict:
     alive = bench.overlay.alive_ids()
     queries = list(stream.stream(preset.queries, lambda: alive))
     columnar_match = _columnar_attribution(bench, config, recorder, queries)
-    loads = recorder.measured_loads(bench.overlay.alive_ids())
+    loads = budget_mod.measured_loads(recorder.source_counts, bench.overlay.alive_ids())
     utilization = recorder.quota_utilization()
     quotas = allocation.quotas.values()
     # Churn probe: crash a deterministic slice, then measure how often

@@ -26,6 +26,7 @@ from repro.obs.recorder import (
     LookupTrace,
     LookupTracer,
     NullRecorder,
+    TeeRecorder,
     TraceRecorder,
 )
 
@@ -39,7 +40,6 @@ _DRIVER_EXPORTS = ("TRACE_SCHEMA", "trace_cell")
 _ATTRIBUTION_EXPORTS = (
     "AttributionRecorder",
     "PointerStats",
-    "TeeRecorder",
     "attribute_batch",
     "oblivious_route_length",
 )

@@ -36,10 +36,9 @@ Per lookup the :class:`AttributionRecorder` accounts:
   the router's candidates, a hop resolved by a core-plane pointer has
   the oblivious route take the identical hop, so non-auxiliary hops earn
   exactly zero credit without any special-casing.
-* **measured per-node query rates** — :meth:`measured_loads` exports
-  add-one-smoothed, mean-1 load weights straight into
-  :class:`~repro.core.budget.CostCurve` ``load=``, closing ROADMAP's
-  load-weighted allocation loop (``repro allocate --loads measured``).
+* **per-node query counts** — ``source_counts``, which
+  :func:`repro.core.budget.measured_loads` turns into the mean-1 load
+  weights ``repro cachestats`` reports.
 * **quota utilization** — installed auxiliary pointers vs the budget
   allocator's per-node quota ``k_i``, and how many of them actually
   resolved a hop.
@@ -62,12 +61,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.obs.recorder import HopEvent
-from repro.routing import LookupResult, hop_limit
+from repro.routing import hop_limit
 
 __all__ = [
     "AttributionRecorder",
     "PointerStats",
-    "TeeRecorder",
     "attribute_batch",
     "oblivious_route_length",
 ]
@@ -185,16 +183,13 @@ class AttributionRecorder:
 
     ``kind`` names the overlay in the exported document. ``quotas``
     (optional) are the budget allocator's per-node auxiliary quotas
-    ``k_i`` for :meth:`quota_utilization`; ``attribute=False``
-    keeps the cheap hit/use/load accounting but skips the oblivious
-    walks (used when only :meth:`measured_loads` is wanted).
+    ``k_i`` for :meth:`quota_utilization`.
     """
 
     __slots__ = (
         "enabled",
         "kind",
         "overlay",
-        "attribute",
         "quotas",
         "by_node_class",
         "by_pointer",
@@ -210,14 +205,12 @@ class AttributionRecorder:
         overlay,
         *,
         quotas: dict[int, int] | None = None,
-        attribute: bool = True,
         enabled: bool = True,
     ) -> None:
         self._walker = _ObliviousWalker(overlay)
         self.enabled = enabled
         self.kind = kind
         self.overlay = overlay
-        self.attribute = attribute
         self.quotas = dict(quotas) if quotas else {}
         #: (node id, pointer class) -> PointerStats
         self.by_node_class: dict[tuple[int, str], PointerStats] = {}
@@ -245,8 +238,7 @@ class AttributionRecorder:
             if event.delivered:
                 bucket.hits += 1
                 pointer.hits += 1
-        if self.attribute:
-            self._attribute(result, events)
+        self._attribute(result, events)
 
     # -- hop-savings attribution ---------------------------------------
 
@@ -322,23 +314,6 @@ class AttributionRecorder:
             for (owner, target, pointer_class), stats in ranked[:count]
         ]
 
-    def measured_loads(self, node_ids: Sequence[int] | None = None) -> dict[int, float]:
-        """Observed per-node query rates as mean-1 load weights for
-        :class:`~repro.core.budget.CostCurve`.
-
-        Add-one smoothing keeps every load strictly positive (the curve
-        validates ``load > 0``) while preserving a mean of exactly 1
-        over the population, so a uniform stream reproduces the
-        uniform-load baseline up to multinomial noise."""
-        nodes = sorted(node_ids) if node_ids is not None else sorted(self.source_counts)
-        if not nodes:
-            return {}
-        total = sum(self.source_counts.get(node, 0) for node in nodes)
-        denominator = (total + len(nodes)) / len(nodes)
-        return {
-            node: (self.source_counts.get(node, 0) + 1) / denominator for node in nodes
-        }
-
     def quota_utilization(self) -> dict[int, dict]:
         """Per live node: allocator quota ``k_i``, installed auxiliary
         pointers, and how many of those resolved at least one hop."""
@@ -395,22 +370,6 @@ class AttributionRecorder:
         }
 
 
-class TeeRecorder:
-    """Fan one lookup out to several recorders (all observe-only, so
-    order is irrelevant); disabled members are dropped at construction
-    and an all-disabled tee normalizes away like ``NullRecorder``."""
-
-    __slots__ = ("enabled", "recorders")
-
-    def __init__(self, *recorders) -> None:
-        self.recorders = tuple(r for r in recorders if r is not None and r.enabled)
-        self.enabled = bool(self.recorders)
-
-    def record_lookup(self, result, events: Sequence[HopEvent]) -> None:
-        for recorder in self.recorders:
-            recorder.record_lookup(result, events)
-
-
 # ----------------------------------------------------------------------
 # Columnar lanes
 # ----------------------------------------------------------------------
@@ -431,13 +390,13 @@ def attribute_batch(
     if not recorder.enabled:
         return
     for lane, (source, key) in enumerate(zip(sources, keys)):
-        path = result.lane_path(lane)
+        lane_result = result.lane_result(lane, source, key)
+        path = lane_result.path
         classes = result.lane_classes(lane, recorder.kind)
-        destination = int(result.destinations[lane])
         events = [
             HopEvent(
-                forwarder=int(path[index]),
-                target=int(path[index + 1]),
+                forwarder=path[index],
+                target=path[index + 1],
                 pointer_class=classes[index],
                 delivered=True,
                 attempts=1,
@@ -446,12 +405,4 @@ def attribute_batch(
             )
             for index in range(len(path) - 1)
         ]
-        lane_result = LookupResult(
-            key=int(key),
-            source=int(source),
-            destination=destination if destination >= 0 else None,
-            hops=int(result.hops[lane]),
-            succeeded=bool(result.succeeded[lane]),
-            path=[int(p) for p in path],
-        )
         recorder.record_lookup(lane_result, events)

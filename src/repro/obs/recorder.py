@@ -9,12 +9,13 @@ observation plane that can.
 
 Design contract — **zero cost when disabled**:
 
-* Both routing layers accept ``trace: TraceRecorder | None = None``. At
-  entry they normalize the recorder to ``None`` unless it is *enabled*
-  (``NullRecorder`` normalizes away exactly like ``None``), so the hot
-  loop pays a single ``is not None`` branch per event site and allocates
-  nothing. ``repro.perf.overhead`` measures this and the bench gate
-  holds it under 2%.
+* The lookup loop (:func:`repro.routing.route`) accepts
+  ``trace: TraceRecorder | None = None``. At entry it normalizes the
+  recorder to ``None`` unless it is *enabled* (``NullRecorder``
+  normalizes away exactly like ``None``), so the hot loop pays a single
+  ``is not None`` branch per event site and allocates nothing.
+  ``repro.perf.overhead`` measures this and the bench gate holds it
+  under 2%.
 * With tracing enabled, routing behaviour is bit-identical: recorders
   never touch the overlay, the RNG streams, or the returned result —
   they only observe. ``tests/obs`` asserts this.
@@ -28,11 +29,16 @@ lookup. Recorders receive the finished trace via ``record_lookup``:
 
 * :class:`NullRecorder` — the disabled default; never sees an event.
 * :class:`CounterSet` — cheap aggregate: hop counts per pointer class,
-  timeout counts per verdict, retries, penalties.
+  timeout counts per verdict, retries, penalties. It is the only code
+  that turns hop events into counts: TRACE_v1's counters and METRICS_v1's
+  lookup series (:class:`~repro.telemetry.runtime.RoundTelemetry` keeps
+  one) are both read from it.
 * :class:`LookupTracer` — keeps full traces, optionally bounded by
   seeded reservoir sampling so production-size runs stay bounded; also
   feeds an embedded :class:`CounterSet` with *every* lookup (sampling
   only limits stored paths, never the aggregates).
+* :class:`TeeRecorder` — fans each lookup out to any mix of enabled
+  recorders (a tracer, a telemetry runtime, an attribution recorder).
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ __all__ = [
     "NullRecorder",
     "CounterSet",
     "LookupTracer",
+    "TeeRecorder",
 ]
 
 #: Pointer classes a hop can be attributed to. ``core`` = finger/routing
@@ -204,19 +211,6 @@ class CounterSet:
     def total_timeouts(self) -> int:
         return sum(self.timeouts_by_verdict.values())
 
-    def merge(self, other: "CounterSet") -> None:
-        """Fold another counter set into this one."""
-        self.lookups += other.lookups
-        self.succeeded += other.succeeded
-        self.failed += other.failed
-        self.retried_targets += other.retried_targets
-        self.evictions += other.evictions
-        self.total_penalty += other.total_penalty
-        for key, value in other.hops_by_class.items():
-            self.hops_by_class[key] = self.hops_by_class.get(key, 0) + value
-        for key, value in other.timeouts_by_verdict.items():
-            self.timeouts_by_verdict[key] = self.timeouts_by_verdict.get(key, 0) + value
-
     def to_dict(self) -> dict:
         """JSON-ready snapshot with stable key order."""
         return {
@@ -296,3 +290,19 @@ class LookupTracer:
             "counters": self.counters.to_dict(),
             "traces": [trace.to_dict() for trace in self._traces],
         }
+
+
+class TeeRecorder:
+    """Fan one lookup out to several recorders (all observe-only, so
+    order is irrelevant); disabled members are dropped at construction
+    and an all-disabled tee normalizes away like ``NullRecorder``."""
+
+    __slots__ = ("enabled", "recorders")
+
+    def __init__(self, *recorders) -> None:
+        self.recorders = tuple(r for r in recorders if r is not None and r.enabled)
+        self.enabled = bool(self.recorders)
+
+    def record_lookup(self, result, events: Sequence[HopEvent]) -> None:
+        for recorder in self.recorders:
+            recorder.record_lookup(result, events)

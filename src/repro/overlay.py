@@ -103,15 +103,18 @@ class Overlay:
         for name in ENTRY_POINTS:
             setattr(cls, name, getattr(cls, name))
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Attach (or detach with ``None``) a telemetry runtime.
+    def attach_telemetry(self, telemetry):
+        """Attach (or detach with ``None``) a telemetry runtime and return
+        what was attached: ``telemetry`` when it is enabled, else ``None``.
 
-        The overlay stores the caller-normalized handle and feeds its
-        maintenance spans — selection recomputes, pointer updates, stale
-        evictions during stabilization. Observe-only: attaching telemetry
-        never changes routing state or consumes randomness.
+        That return value is the one handle a cell gives every other
+        instrumented layer. The overlay feeds its maintenance spans —
+        selection recomputes, pointer updates, stale evictions during
+        stabilization. Observe-only: attaching telemetry never changes
+        routing state or consumes randomness.
         """
         self._telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        return self._telemetry
 
     # ------------------------------------------------------------------
     # The overlay's own rules

@@ -1,16 +1,17 @@
 """Disabled-observer overhead benchmark: the disabled paths must be free.
 
 The observability planes share one contract — *zero cost when
-disabled*: every router normalizes a disabled recorder to ``None`` at
-entry, and every instrumented layer does the same with a disabled
-telemetry runtime. This bench certifies the claim the CI gate enforces,
-one BENCH_v1 section per disabled observer, each held to < 2% on the
-shared lookup loop of all three overlays:
+disabled*: the lookup loop normalizes a disabled recorder to ``None`` at
+entry, and every instrumented layer is handed ``None`` for a disabled
+telemetry runtime (what ``Overlay.attach_telemetry`` returns). This
+bench certifies the claim the CI gate enforces, one BENCH_v1 section per
+disabled observer, each held to < 2% on the shared lookup loop of all
+three overlays:
 
 * ``obs_overhead`` — lookups with ``trace=NullRecorder()``;
 * ``telemetry_overhead`` — lookups on an overlay with a disabled
-  :class:`~repro.telemetry.runtime.RoundTelemetry` attached, carrying
-  its (normalized-away) recorder;
+  :class:`~repro.telemetry.runtime.RoundTelemetry` attached and passed
+  as the recorder, as a churn cell routes;
 * ``cachestats_overhead`` — lookups with a disabled
   :class:`~repro.obs.attribution.AttributionRecorder`.
 
@@ -99,9 +100,9 @@ def _observers(section: str, overlay_name: str, overlay) -> tuple:
         return NullRecorder(), None
     if section == "telemetry_overhead":
         telemetry = disabled_telemetry()
-        return (telemetry.recorder if telemetry.enabled else None), telemetry
+        return telemetry, telemetry
     if section == "cachestats_overhead":
-        return AttributionRecorder(overlay_name, overlay, attribute=False, enabled=False), None
+        return AttributionRecorder(overlay_name, overlay, enabled=False), None
     raise ConfigurationError(f"unknown overhead section {section!r}; expected one of {SECTIONS}")
 
 

@@ -10,27 +10,16 @@ plotted number; :class:`ComparisonResult` bundles one experimental cell.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "LATENCY_BUCKET_EDGES",
     "HopStatistics",
     "ComparisonResult",
     "percent_reduction",
 ]
-
-#: Canonical log-spaced (~sqrt(2) steps) upper bucket edges for the
-#: hop/latency proxy, shared by :meth:`HopStatistics.to_histogram` and the
-#: telemetry Histogram (:mod:`repro.telemetry.registry`) so every layer
-#: bins latency identically; an implicit +inf bucket closes the range.
-LATENCY_BUCKET_EDGES = (
-    1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 23.0, 32.0, 45.0, 64.0, 91.0, 128.0,
-)
-
 
 class _LookupLike(Protocol):
     hops: int
@@ -147,35 +136,6 @@ class HopStatistics:
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),
-        }
-
-    def to_histogram(self) -> dict:
-        """The retained latency samples binned into the canonical
-        log-spaced buckets (:data:`LATENCY_BUCKET_EDGES`), as *cumulative*
-        counts plus a final +inf bucket — the exact shape the telemetry
-        Histogram exports, so trace reconciliation and round-clocked
-        telemetry share one binning.
-
-        Without retained samples (``keep_samples=False``, or a cell where
-        every lookup failed) the buckets are all zero and ``count`` is 0,
-        mirroring how :meth:`percentile` degrades to ``nan``.
-        """
-        edges = list(LATENCY_BUCKET_EDGES)
-        cumulative = [0] * (len(edges) + 1)
-        total = 0.0
-        for sample in self.per_lookup if self.keep_samples else ():
-            index = bisect_left(edges, sample)
-            cumulative[index] += 1
-            total += sample
-        running = 0
-        for index, count in enumerate(cumulative):
-            running += count
-            cumulative[index] = running
-        return {
-            "edges": edges,
-            "cumulative": cumulative,
-            "count": running,
-            "sum": total,
         }
 
     def merge(self, other: "HopStatistics") -> None:

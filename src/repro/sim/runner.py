@@ -39,6 +39,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.kademlia.network import KademliaNetwork
 from repro.kademlia.network import oblivious_policy as kademlia_oblivious
 from repro.kademlia.network import optimal_policy as kademlia_optimal
+from repro.obs.recorder import TeeRecorder
 from repro.pastry.network import PastryNetwork
 from repro.pastry.network import oblivious_policy as pastry_oblivious
 from repro.pastry.network import optimal_policy as pastry_optimal
@@ -462,16 +463,6 @@ class _Bench:
 # ----------------------------------------------------------------------
 
 
-def _normalize_telemetry(telemetry):
-    """``None`` unless ``telemetry`` is an enabled telemetry runtime —
-    the same normalization idiom the routers apply to trace recorders
-    (see :func:`repro.telemetry.runtime.normalize`; duck-typed here so
-    the simulation layer never imports the telemetry package)."""
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        return telemetry
-    return None
-
-
 def _policy_telemetry(telemetry, policy_name: str):
     """The telemetry runtime mapped to one policy, if any."""
     return telemetry.get(policy_name) if telemetry is not None else None
@@ -537,25 +528,26 @@ def stable_cell(
     the burst victims — and routes the ``queries`` stream under the
     retry policy and fault plane.
 
-    ``trace`` (else ``telemetry``'s recorder) observes every hop, and
-    ``telemetry``'s round clock samples its registry at every chunk
-    boundary; observers never change the statistics. Traced and faulted
-    cells keep per-lookup samples for percentile reports.
+    ``trace`` and ``telemetry`` both observe every hop through one
+    :class:`~repro.obs.recorder.TeeRecorder`, and ``telemetry``'s round
+    clock samples its registry at every chunk boundary; observers never
+    change the statistics. Traced and faulted cells keep per-lookup
+    samples for percentile reports.
     ``record_access`` keeps learning on while measuring and
     ``on_lookup(index)`` runs after each lookup. Any of these keeps the
     cell on the object engine; otherwise ``config.engine`` may route the
     batch columnar (:func:`route_columnar`) with bit-identical statistics.
     """
     _check_policy(policy)
-    tel = _normalize_telemetry(telemetry)
-    recorder = trace if trace is not None else (tel.recorder if tel is not None else None)
-    observed = recorder is not None or tel is not None or record_access or on_lookup is not None
-    engine = resolve_engine(config, observed)
     if bench is None:
         bench = stable_universe(config)
     registry = bench.registry
     overlay = bench.overlay
-    overlay.attach_telemetry(tel)
+    tel = overlay.attach_telemetry(telemetry)
+    tee = TeeRecorder(trace, tel)
+    recorder = tee if tee.enabled else None
+    observed = trace is not None or tel is not None or record_access or on_lookup is not None
+    engine = resolve_engine(config, observed)
     bench.install(policy, registry.fresh(rng_name or f"policy-rng-{policy}"))
     plane: FaultPlane | None = None
     if config.faults_active:
@@ -677,8 +669,7 @@ def churn_cell(config: ChurnConfig, policy: str, telemetry=None) -> HopStatistic
     bench.seed_all()
     allocation = bench.plan()
     overlay = bench.overlay
-    tel = _normalize_telemetry(telemetry)
-    overlay.attach_telemetry(tel)
+    tel = overlay.attach_telemetry(telemetry)
     # Initial installation at t=0; the periodic recomputations keep
     # drawing from the same policy stream.
     policy_rng = registry.fresh(f"policy-rng-{policy}")
@@ -761,7 +752,6 @@ def churn_cell(config: ChurnConfig, policy: str, telemetry=None) -> HopStatistic
         "queries", horizon=config.duration, rate=config.queries_per_second
     )
     query_rng = registry.fresh("query-arrivals")
-    recorder = tel.recorder if tel is not None else None
 
     def fire_query() -> None:
         alive = overlay.alive_ids()
@@ -775,7 +765,7 @@ def churn_cell(config: ChurnConfig, policy: str, telemetry=None) -> HopStatistic
                     record_access=True,
                     retry=retry,
                     faults=plane,
-                    trace=recorder,
+                    trace=tel,
                 )
                 if scheduler.now >= config.warmup:
                     stats.record(result)

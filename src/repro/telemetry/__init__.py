@@ -8,9 +8,11 @@ byte-identical ``METRICS_v1`` documents — after
 :func:`repro.obs.manifest.strip_volatile` — at any worker count.
 
 Import discipline: the simulation / overlay / fault layers never import
-this package (they duck-type the telemetry handle they are passed);
-only drivers and the CLI construct :class:`RoundTelemetry`. That keeps
-``repro.sim`` ↔ ``repro.telemetry`` acyclic.
+this package (they duck-type the telemetry handle they are passed, which
+:meth:`repro.overlay.Overlay.attach_telemetry` hands back, or ``None``
+when it is disabled); only drivers and the CLI construct
+:class:`RoundTelemetry`. That keeps ``repro.sim`` ↔ ``repro.telemetry``
+acyclic.
 """
 
 from repro.telemetry.export import (
@@ -28,7 +30,7 @@ from repro.telemetry.registry import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.telemetry.runtime import DEFAULT_ROUNDS, RoundTelemetry, TelemetryRecorder, normalize
+from repro.telemetry.runtime import DEFAULT_ROUNDS, RoundTelemetry
 from repro.telemetry.spans import SpanProfiler
 
 __all__ = [
@@ -43,9 +45,7 @@ __all__ = [
     "OpenMetricsSample",
     "RoundTelemetry",
     "SpanProfiler",
-    "TelemetryRecorder",
     "build_metrics_document",
-    "normalize",
     "parse_openmetrics",
     "to_openmetrics",
 ]

@@ -53,7 +53,7 @@ def metrics_cell(config: ExperimentConfig, policy: str, rounds: int = DEFAULT_RO
     return {
         "policy": policy,
         "rounds_sampled": telemetry.registry.rounds_sampled,
-        "metrics": telemetry.registry.to_payload(),
+        "metrics": telemetry.to_payload(),
         "spans": telemetry.spans.to_dict(),
         "stats": {key: json_float(value) for key, value in stats.summary().items()},
     }

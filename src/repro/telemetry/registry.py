@@ -16,9 +16,7 @@ Three metric kinds, deliberately Prometheus-shaped:
 * :class:`Gauge` — point-in-time values (alive nodes, per-round mean
   cost, per-round timeout rate);
 * :class:`Histogram` — fixed log-spaced buckets over the hop/latency
-  proxy. The bucket edges are *shared* with
-  :meth:`repro.sim.metrics.HopStatistics.to_histogram`, so telemetry,
-  trace reconciliation and reporting all bin latency identically.
+  proxy (:data:`LATENCY_BUCKET_EDGES`), the one binning of latency.
 
 A family (:class:`MetricFamily`) owns the name/help/type; ``labels()``
 returns one child per label set. :meth:`MetricsRegistry.sample_round`
@@ -33,7 +31,6 @@ import math
 from bisect import bisect_left
 from typing import Iterator
 
-from repro.sim.metrics import LATENCY_BUCKET_EDGES
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -46,6 +43,12 @@ __all__ = [
 ]
 
 _KINDS = ("counter", "gauge", "histogram")
+
+#: Canonical log-spaced (~sqrt(2) steps) upper bucket edges for the
+#: hop/latency proxy; an implicit +inf bucket closes the range.
+LATENCY_BUCKET_EDGES = (
+    1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 23.0, 32.0, 45.0, 64.0, 91.0, 128.0,
+)
 
 
 class Counter:
@@ -89,7 +92,7 @@ class Histogram:
 
     ``edges`` are inclusive upper bounds; an implicit +inf bucket closes
     the range. Defaults to the canonical latency binning
-    (:data:`~repro.sim.metrics.LATENCY_BUCKET_EDGES`).
+    (:data:`LATENCY_BUCKET_EDGES`).
     """
 
     __slots__ = ("edges", "counts", "sum", "count", "series")

@@ -2,19 +2,24 @@
 
 :class:`RoundTelemetry` bundles everything one instrumented universe
 needs: a :class:`~repro.telemetry.registry.MetricsRegistry`, a
-:class:`~repro.telemetry.spans.SpanProfiler`, and a
-:class:`TelemetryRecorder` that plugs into the routing layers' existing
-``TraceRecorder`` event path — so the hot loops gain **no new hook
-sites**, and the zero-cost-when-disabled contract the obs plane already
-certifies carries over unchanged (a disabled recorder is normalized to
-``None`` at route entry; a disabled telemetry is normalized to ``None``
-by every instrumented layer via :func:`normalize`).
+:class:`~repro.telemetry.spans.SpanProfiler`, and the lookup tally. It
+is itself a ``TraceRecorder``, so it plugs into the lookup loop's
+existing event path — the hot loop gains **no new hook sites**, and the
+zero-cost-when-disabled contract the obs plane already certifies
+carries over unchanged: a disabled runtime is normalized to ``None`` at
+route entry like any disabled recorder, and
+:meth:`repro.overlay.Overlay.attach_telemetry` returns ``None`` for it,
+which is the handle every instrumented layer is then given.
 
 Instrumented call sites and what they record:
 
-* both routers (via ``record_lookup``): lookup totals, failures, the
-  latency histogram, per-pointer-class hop counters, retry attempts,
-  per-verdict timeout counters, backoff penalty;
+* the lookup loop (via ``record_lookup``): a
+  :class:`~repro.obs.recorder.CounterSet` — the same tally TRACE_v1's
+  counters come from — and the cost histogram of successful lookups.
+  METRICS_v1's lookup series (totals, failures, hops per pointer class,
+  timeouts per verdict, retry attempts, backoff penalty, cost total) are
+  read from the two at each round tick and when the document is built,
+  so trace and telemetry counts cannot drift apart;
 * overlay maintenance (``recompute_auxiliary`` / ``stabilize``):
   selection-recompute spans, pointer-update work, stabilization
   messages;
@@ -31,107 +36,54 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.obs.recorder import POINTER_CLASSES, VERDICTS, HopEvent
+from repro.obs.recorder import POINTER_CLASSES, VERDICTS, CounterSet, HopEvent
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanProfiler
 from repro.util.errors import ConfigurationError
 
-__all__ = ["TelemetryRecorder", "RoundTelemetry", "normalize"]
+__all__ = ["RoundTelemetry"]
 
 #: Default round count when a driver does not choose one.
 DEFAULT_ROUNDS = 12
 
-
-def normalize(telemetry: "RoundTelemetry | None") -> "RoundTelemetry | None":
-    """``None`` unless ``telemetry`` is enabled — the single idiom every
-    instrumented layer uses, mirroring the trace recorder normalization,
-    so the disabled path pays one ``is not None`` branch and nothing
-    else."""
-    if telemetry is not None and telemetry.enabled:
-        return telemetry
-    return None
-
-
-class TelemetryRecorder:
-    """A ``TraceRecorder`` that folds every lookup into the registry.
-
-    Reuses the routing layers' observe-only event path: one call per
-    finished lookup with the result object and its hop events. All
-    children are pre-created so the per-lookup cost is dictionary-free
-    attribute access plus counter increments.
-    """
-
-    __slots__ = (
-        "enabled",
-        "_lookups",
-        "_successes",
-        "_failures",
-        "_latency_sum",
-        "_latency",
-        "_hops_by_class",
-        "_timeouts_by_verdict",
-        "_retried",
-        "_penalty",
-    )
-
-    def __init__(self, registry: MetricsRegistry, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._lookups = registry.counter(
-            "repro_lookups_total", "Lookups routed (all outcomes)."
-        ).labels()
-        self._successes = registry.counter(
-            "repro_lookup_successes_total", "Lookups that reached the responsible node."
-        ).labels()
-        self._failures = registry.counter(
-            "repro_lookup_failures_total", "Lookups stranded before the responsible node."
-        ).labels()
-        self._latency_sum = registry.counter(
-            "repro_lookup_cost_total",
-            "Sum of the per-lookup latency proxy (hops + timeouts + penalty) "
-            "over successful lookups.",
-        ).labels()
-        self._latency = registry.histogram(
-            "repro_lookup_cost",
-            "Latency proxy of successful lookups (canonical log-spaced buckets).",
-        ).labels()
-        hops = registry.counter(
-            "repro_hops_total", "Delivered forwards by resolving pointer class."
-        )
-        self._hops_by_class = {name: hops.labels(pointer_class=name) for name in POINTER_CLASSES}
-        timeouts = registry.counter(
-            "repro_timeouts_total", "Failed delivery attempts by fault verdict."
-        )
-        self._timeouts_by_verdict = {name: timeouts.labels(verdict=name) for name in VERDICTS}
-        self._retried = registry.counter(
-            "repro_retry_attempts_total",
-            "Extra delivery attempts beyond the first, across all targets.",
-        ).labels()
-        self._penalty = registry.counter(
-            "repro_backoff_penalty_total",
-            "Extra backoff latency charged beyond the one-hop-per-timeout baseline.",
-        ).labels()
-
-    def record_lookup(self, result, events: Sequence[HopEvent]) -> None:
-        self._lookups.inc()
-        if getattr(result, "succeeded", False):
-            self._successes.inc()
-            self._latency_sum.inc(result.latency)
-            self._latency.observe(result.latency)
-        else:
-            self._failures.inc()
-        for event in events:
-            if event.delivered:
-                self._hops_by_class[event.pointer_class].inc()
-            if event.attempts > 1:
-                self._retried.inc(event.attempts - 1)
-            for verdict in event.verdicts:
-                self._timeouts_by_verdict[verdict].inc()
-            if event.penalty:
-                self._penalty.inc(event.penalty)
+#: METRICS_v1's lookup counters: name, help text, and how each is read
+#: off the tally (a :class:`CounterSet` and the cost histogram).
+_LOOKUP_SERIES = (
+    ("repro_lookups_total", "Lookups routed (all outcomes).", lambda c, cost: c.lookups),
+    (
+        "repro_lookup_successes_total",
+        "Lookups that reached the responsible node.",
+        lambda c, cost: c.succeeded,
+    ),
+    (
+        "repro_lookup_failures_total",
+        "Lookups stranded before the responsible node.",
+        lambda c, cost: c.failed,
+    ),
+    (
+        "repro_lookup_cost_total",
+        "Sum of the per-lookup latency proxy (hops + timeouts + penalty) "
+        "over successful lookups.",
+        lambda c, cost: cost.sum,
+    ),
+    # Every attempted target makes at least one attempt, so the attempts
+    # beyond the first are the failed ones minus one per evicted target.
+    (
+        "repro_retry_attempts_total",
+        "Extra delivery attempts beyond the first, across all targets.",
+        lambda c, cost: c.total_timeouts - c.evictions,
+    ),
+    (
+        "repro_backoff_penalty_total",
+        "Extra backoff latency charged beyond the one-hop-per-timeout baseline.",
+        lambda c, cost: c.total_penalty,
+    ),
+)
 
 
 class RoundTelemetry:
-    """One universe's telemetry: registry + spans + recorder + round clock.
+    """One universe's telemetry: registry + spans + lookup tally + round
+    clock, and the ``TraceRecorder`` its lookups are routed with.
 
     ``rounds`` fixes how many round-clock samples the driving runner
     takes (query chunks in stable mode, equal virtual-time intervals in
@@ -140,7 +92,19 @@ class RoundTelemetry:
     measures.
     """
 
-    __slots__ = ("enabled", "rounds", "registry", "spans", "recorder", "_last", "_gauges")
+    __slots__ = (
+        "enabled",
+        "rounds",
+        "registry",
+        "spans",
+        "counters",
+        "_cost",
+        "_series",
+        "_hops",
+        "_timeouts",
+        "_last",
+        "_gauges",
+    )
 
     def __init__(
         self,
@@ -154,29 +118,67 @@ class RoundTelemetry:
         self.rounds = rounds
         self.registry = MetricsRegistry(const_labels)
         self.spans = SpanProfiler()
-        self.recorder = TelemetryRecorder(self.registry, enabled=enabled)
+        self.counters = CounterSet()
+        registry = self.registry
+        self._cost = registry.histogram(
+            "repro_lookup_cost",
+            "Latency proxy of successful lookups (canonical log-spaced buckets).",
+        ).labels()
+        self._series = [
+            (registry.counter(name, help_text).labels(), read)
+            for name, help_text, read in _LOOKUP_SERIES
+        ]
+        hops = registry.counter(
+            "repro_hops_total", "Delivered forwards by resolving pointer class."
+        )
+        self._hops = {name: hops.labels(pointer_class=name) for name in POINTER_CLASSES}
+        timeouts = registry.counter(
+            "repro_timeouts_total", "Failed delivery attempts by fault verdict."
+        )
+        self._timeouts = {name: timeouts.labels(verdict=name) for name in VERDICTS}
         self._last: dict[str, float] = {}
-        gauges = self.registry
         self._gauges = {
-            "alive": gauges.gauge("repro_alive_nodes", "Live overlay nodes.").labels(),
-            "round_cost": gauges.gauge(
+            "alive": registry.gauge("repro_alive_nodes", "Live overlay nodes.").labels(),
+            "round_cost": registry.gauge(
                 "repro_round_cost",
                 "Mean latency proxy of the lookups that succeeded this round.",
             ).labels(),
-            "round_timeout_rate": gauges.gauge(
+            "round_timeout_rate": registry.gauge(
                 "repro_round_timeout_rate", "Timeouts per lookup this round."
             ).labels(),
-            "round_lookups": gauges.gauge(
+            "round_lookups": registry.gauge(
                 "repro_round_lookups", "Lookups routed this round."
             ).labels(),
-            "round_failure_rate": gauges.gauge(
+            "round_failure_rate": registry.gauge(
                 "repro_round_failure_rate", "Failed-lookup fraction this round."
             ).labels(),
-            "virtual_time": gauges.gauge(
+            "virtual_time": registry.gauge(
                 "repro_virtual_time_seconds",
                 "Simulation clock at the round boundary (churn mode only).",
             ).labels(),
         }
+
+    # -- TraceRecorder protocol ----------------------------------------
+    def record_lookup(self, result, events: Sequence[HopEvent]) -> None:
+        self.counters.record_lookup(result, events)
+        if result.succeeded:
+            self._cost.observe(result.latency)
+
+    def _publish(self) -> None:
+        """Read METRICS_v1's lookup series off the tally."""
+        counters = self.counters
+        for child, read in self._series:
+            child.value = read(counters, self._cost)
+        for name, child in self._hops.items():
+            child.value = counters.hops_by_class.get(name, 0)
+        for name, child in self._timeouts.items():
+            child.value = counters.timeouts_by_verdict.get(name, 0)
+
+    def to_payload(self) -> list[dict]:
+        """The registry's JSON-ready series with the lookup counters read
+        off the tally first (see :meth:`MetricsRegistry.to_payload`)."""
+        self._publish()
+        return self.registry.to_payload()
 
     @classmethod
     def disabled(cls) -> "RoundTelemetry":
@@ -231,27 +233,21 @@ class RoundTelemetry:
             self._gauges["alive"].set(alive)
         if now is not None:
             self._gauges["virtual_time"].set(now)
-        recorder = self.recorder
-        lookups = recorder._lookups.value
-        successes = recorder._successes.value
-        failures = recorder._failures.value
-        cost = recorder._latency_sum.value
-        timeouts = sum(child.value for child in recorder._timeouts_by_verdict.values())
-        d_lookups = lookups - self._last.get("lookups", 0.0)
-        d_successes = successes - self._last.get("successes", 0.0)
-        d_failures = failures - self._last.get("failures", 0.0)
-        d_cost = cost - self._last.get("cost", 0.0)
-        d_timeouts = timeouts - self._last.get("timeouts", 0.0)
-        self._last = {
-            "lookups": lookups,
-            "successes": successes,
-            "failures": failures,
-            "cost": cost,
-            "timeouts": timeouts,
+        counters = self.counters
+        totals = {
+            "lookups": counters.lookups,
+            "successes": counters.succeeded,
+            "failures": counters.failed,
+            "cost": self._cost.sum,
+            "timeouts": counters.total_timeouts,
         }
+        delta = {name: value - self._last.get(name, 0) for name, value in totals.items()}
+        self._last = totals
         nan = float("nan")
-        self._gauges["round_lookups"].set(d_lookups)
-        self._gauges["round_cost"].set(d_cost / d_successes if d_successes else nan)
-        self._gauges["round_timeout_rate"].set(d_timeouts / d_lookups if d_lookups else nan)
-        self._gauges["round_failure_rate"].set(d_failures / d_lookups if d_lookups else nan)
+        lookups, successes = delta["lookups"], delta["successes"]
+        self._gauges["round_lookups"].set(lookups)
+        self._gauges["round_cost"].set(delta["cost"] / successes if successes else nan)
+        self._gauges["round_timeout_rate"].set(delta["timeouts"] / lookups if lookups else nan)
+        self._gauges["round_failure_rate"].set(delta["failures"] / lookups if lookups else nan)
+        self._publish()
         return self.registry.sample_round()

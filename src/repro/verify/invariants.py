@@ -1095,26 +1095,16 @@ def check_engine_coherence(overlay_kind: str, overlay) -> list[str]:
     return _check_pastry_snapshot(overlay)
 
 
-@dataclass(frozen=True)
-class _BatchTrace:
-    """Adapter: one batch lane in the shape the routing oracles consume."""
-
-    key: int
-    source: int
-    path: list[int]
-    succeeded: bool
-    destination: int | None
-
-
 def check_engine_routing(
     overlay_kind: str, overlay, sources, keys, clean: bool = True
 ) -> tuple[list[str], list[str]]:
     """Batched columnar lookups through the object-router oracles.
 
-    Returns ``(progress, termination)`` message lists: each recorded
-    batch path is fed to :func:`check_routing_progress` and
-    :func:`check_routing_termination` via a trace adapter, plus a
-    hops-vs-path consistency check the batch result makes possible.
+    Returns ``(progress, termination)`` message lists: each lane's
+    :class:`~repro.routing.LookupResult` is fed to
+    :func:`check_routing_progress` and :func:`check_routing_termination`,
+    plus a hops-vs-path consistency check the batch result makes
+    possible.
     """
     from repro.engine.columnar import snapshot_chord, snapshot_pastry
     from repro.engine.router import batch_route_chord, batch_route_pastry
@@ -1132,14 +1122,7 @@ def check_engine_routing(
     progress: list[str] = []
     termination: list[str] = []
     for lane, (source, key) in enumerate(zip(sources, keys)):
-        raw_destination = int(result.destinations[lane])
-        trace = _BatchTrace(
-            key=key,
-            source=source,
-            path=result.lane_path(lane),
-            succeeded=bool(result.succeeded[lane]),
-            destination=raw_destination if raw_destination >= 0 else None,
-        )
+        trace = result.lane_result(lane, source, key)
         progress.extend(
             f"lane {lane}: {message}"
             for message in check_routing_progress(overlay_kind, space, trace)
@@ -1150,10 +1133,9 @@ def check_engine_routing(
                 overlay_kind, space, alive, trace, clean
             )
         )
-        hops = int(result.hops[lane])
-        if trace.succeeded and hops != len(trace.path) - 1:
+        if trace.succeeded and trace.hops != len(trace.path) - 1:
             termination.append(
-                f"lane {lane}: reported {hops} hops but the recorded path "
+                f"lane {lane}: reported {trace.hops} hops but the recorded path "
                 f"has {len(trace.path) - 1} forwards"
             )
     return progress, termination

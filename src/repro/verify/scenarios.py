@@ -50,7 +50,7 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.kademlia.network import KademliaNetwork
 from repro.kademlia.network import optimal_policy as kademlia_optimal
-from repro.obs.recorder import LookupTracer
+from repro.obs.recorder import LookupTracer, TeeRecorder
 from repro.pastry.network import PastryNetwork
 from repro.pastry.network import optimal_policy as pastry_optimal
 from repro.sim.metrics import HopStatistics
@@ -385,7 +385,7 @@ class _Engine:
     # Steps
     # ------------------------------------------------------------------
     def _op_lookups(self, count: int, step: int) -> None:
-        from repro.obs.attribution import AttributionRecorder, TeeRecorder
+        from repro.obs.attribution import AttributionRecorder
 
         tracer = LookupTracer()  # sample=None keeps every trace
         # The attribution recorder rides the same TraceRecorder hook via a

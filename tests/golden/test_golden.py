@@ -40,7 +40,13 @@ CASES: dict[str, list[str]] = {
     "robustness": ["faults", "--smoke", "--jobs", "1"],
     "workload": ["workload", "--smoke", "--jobs", "1"],
     "allocation": ["allocate", "--smoke", "--jobs", "1"],
+    "allocation_measured": ["allocate", "--smoke", "--jobs", "1", "--workload", "diurnal",
+                            "--loads", "measured"],
     "metrics": ["metrics", "--smoke", "--jobs", "1"],
+    # Retries, evictions, ``dead``/``dropped`` verdicts and backoff
+    # penalty under churn.
+    "metrics_churn": ["metrics", "--smoke", "--churn", "--loss", "0.05", "--burst", "3",
+                      "--jobs", "1"],
     "check": ["check", "--smoke", "--seed", "0"],
     "figure6": ["figure", "6", "--jobs", "1"],
     "figure7": ["figure", "7", "--jobs", "1"],

@@ -9,39 +9,27 @@ The load-bearing claims pinned here:
   arithmetic, no tolerance) with and without auxiliary pointers;
 * a disabled recorder perturbs nothing: routing results are identical
   to ``trace=None`` and the recorder stays empty;
-* ``measured_loads`` is a valid :class:`~repro.core.budget.CostCurve`
-  input by construction: strictly positive, mean exactly one.
+* :func:`~repro.core.budget.measured_loads`, which turns a recorder's
+  per-node query counts into loads, is a valid
+  :class:`~repro.core.budget.CostCurve` input by construction: strictly
+  positive, mean exactly one.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.budget import measured_loads
 from repro.obs.attribution import (
     AttributionRecorder,
     PointerStats,
-    TeeRecorder,
     _credit,
     oblivious_route_length,
 )
-from repro.obs.recorder import HopEvent
+from repro.obs.recorder import HopEvent, TeeRecorder
 from repro.sim.runner import OVERLAYS
 
 KINDS = list(OVERLAYS)
-
-_RING = None
-
-
-def _shared_ring():
-    """A module-cached chord ring for hypothesis bodies that only need
-    *an* overlay (never mutated by the tests that use it)."""
-    global _RING
-    if _RING is None:
-        from repro.chord.ring import ChordRing
-        from repro.util.ids import IdSpace
-
-        _RING = ChordRing.build(16, space=IdSpace(12), seed=3)
-    return _RING
 
 
 class FakeResult:
@@ -260,24 +248,14 @@ class TestDisabledIdentity:
 
 
 class TestMeasuredLoads:
-    def make(self, small_universe, counts):
-        overlay = small_universe("chord", n=16)
-        recorder = AttributionRecorder("chord", overlay, attribute=False)
-        for source, count in counts.items():
-            for _ in range(count):
-                recorder.record_lookup(FakeResult(source=source), [])
-        return recorder
+    def test_empty_recorder_yields_empty(self):
+        assert measured_loads({}) == {}
 
-    def test_empty_recorder_yields_empty(self, small_universe):
-        assert self.make(small_universe, {}).measured_loads() == {}
+    def test_uniform_counts_yield_unit_loads(self):
+        assert measured_loads({1: 5, 2: 5, 3: 5}) == {1: 1.0, 2: 1.0, 3: 1.0}
 
-    def test_uniform_counts_yield_unit_loads(self, small_universe):
-        recorder = self.make(small_universe, {1: 5, 2: 5, 3: 5})
-        assert recorder.measured_loads() == {1: 1.0, 2: 1.0, 3: 1.0}
-
-    def test_skew_orders_loads_and_unqueried_stay_positive(self, small_universe):
-        recorder = self.make(small_universe, {1: 30, 2: 3})
-        loads = recorder.measured_loads([1, 2, 3])
+    def test_skew_orders_loads_and_unqueried_stay_positive(self):
+        loads = measured_loads({1: 30, 2: 3}, [1, 2, 3])
         assert loads[1] > loads[2] > loads[3] > 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -287,13 +265,7 @@ class TestMeasuredLoads:
         )
     )
     def test_loads_are_positive_with_mean_one(self, counts):
-        # No fixture: hypothesis re-runs the body only, so build the
-        # (read-only) overlay once at module scope via _shared_ring().
-        recorder = AttributionRecorder("chord", _shared_ring(), attribute=False)
-        for source, count in counts.items():
-            for _ in range(count):
-                recorder.record_lookup(FakeResult(source=source), [])
-        loads = recorder.measured_loads(sorted(counts))
+        loads = measured_loads(counts, sorted(counts))
         assert all(load > 0.0 for load in loads.values())
         assert sum(loads.values()) / len(loads) == pytest.approx(1.0)
 

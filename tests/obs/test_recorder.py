@@ -96,13 +96,6 @@ class TestCounterSet:
         assert counters.total_hops == 2
         assert counters.total_timeouts == 3
 
-    def test_merge_adds_componentwise(self):
-        a, b = self.make(), self.make()
-        a.merge(b)
-        assert a.lookups == 4
-        assert a.hops_by_class == {"auxiliary": 2, "successor": 2}
-        assert a.timeouts_by_verdict == {"dropped": 2, "dead": 4}
-
     def test_to_dict_sorts_breakdowns(self):
         document = self.make().to_dict()
         assert list(document["hops_by_class"]) == sorted(document["hops_by_class"])

@@ -134,60 +134,28 @@ class TestPercentiles:
 
 
 class TestToHistogram:
-    def test_shares_the_canonical_telemetry_edges(self):
-        from repro.sim.metrics import LATENCY_BUCKET_EDGES
-        from repro.telemetry.registry import Histogram
-
-        stats = HopStatistics(keep_samples=True)
-        assert stats.to_histogram()["edges"] == list(LATENCY_BUCKET_EDGES)
-        assert Histogram().edges == LATENCY_BUCKET_EDGES
-
-    def test_matches_a_telemetry_histogram_fed_the_same_samples(self):
-        from repro.telemetry.registry import Histogram
-
-        stats = HopStatistics(keep_samples=True)
-        hist = Histogram()
-        for hops in [1, 2, 2, 5, 9, 40, 200]:
-            stats.record(FakeLookup(hops=hops))
-            hist.observe(float(hops))
-        snapshot = stats.to_histogram()
-        assert snapshot["cumulative"] == hist.cumulative()
-        assert snapshot["count"] == hist.count
-        assert snapshot["sum"] == hist.sum
+    """The one latency binning, :class:`repro.telemetry.registry.Histogram`,
+    agrees with :meth:`HopStatistics.percentile` fed the same lookups."""
 
     def test_reconciles_with_percentile(self):
         # The q-quantile must land in the bucket whose cumulative count
         # first reaches ceil(q * n) — the histogram and the order
         # statistics describe the same distribution.
+        from repro.telemetry.registry import Histogram
+
         stats = HopStatistics(keep_samples=True)
+        hist = Histogram()
         for hops in [1, 2, 3, 4, 6, 8, 12, 20, 33, 70]:
             stats.record(FakeLookup(hops=hops))
-        snapshot = stats.to_histogram()
-        edges = snapshot["edges"] + [math.inf]
+            hist.observe(float(hops))
+        edges = list(hist.edges) + [math.inf]
+        cumulative = hist.cumulative()
         for q in (0.0, 0.25, 0.5, 0.9, 0.95, 1.0):
             value = stats.percentile(q)
-            rank = max(1, math.ceil(q * snapshot["count"]))
-            bucket = next(
-                index
-                for index, cum in enumerate(snapshot["cumulative"])
-                if cum >= rank
-            )
+            rank = max(1, math.ceil(q * hist.count))
+            bucket = next(index for index, cum in enumerate(cumulative) if cum >= rank)
             # The order-statistic quantile falls inside (or below the
             # upper edge of) the bucket holding that rank.
             assert value <= edges[bucket]
             if bucket > 0:
                 assert value > edges[bucket - 1]
-
-    def test_degrades_to_empty_without_samples(self):
-        stats = HopStatistics()
-        stats.record(FakeLookup(hops=3))
-        snapshot = stats.to_histogram()
-        assert snapshot["count"] == 0
-        assert snapshot["sum"] == 0.0
-        assert all(value == 0 for value in snapshot["cumulative"])
-
-    def test_failures_excluded(self):
-        stats = HopStatistics(keep_samples=True)
-        stats.record(FakeLookup(hops=2))
-        stats.record(FakeLookup(hops=50, succeeded=False))
-        assert stats.to_histogram()["count"] == 1

@@ -9,8 +9,10 @@ import json
 
 import pytest
 
+from repro.faults.schedule import FaultSchedule
 from repro.obs.manifest import strip_volatile
-from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable
+from repro.obs.recorder import POINTER_CLASSES, VERDICTS, LookupTracer
+from repro.sim.runner import ChurnConfig, ExperimentConfig, run_churn, run_stable, stable_cell
 from repro.telemetry.driver import metrics_cell, metrics_document
 from repro.telemetry.export import parse_openmetrics, to_openmetrics
 from repro.telemetry.runtime import RoundTelemetry
@@ -99,6 +101,53 @@ class TestObserveOnly:
         lookups = next(e for e in payload if e["name"] == "repro_lookups_total")
         assert lookups["value"] == 0
         assert inert["optimal"].registry.rounds_sampled == 0
+
+
+class TestTraceAndTelemetry:
+    """One stable cell observed by a tracer and telemetry at once: both
+    see every lookup, and METRICS_v1's lookup series equal the tracer's
+    counters."""
+
+    @pytest.mark.parametrize(
+        "faults", [None, FaultSchedule(loss_rate=0.05, crash_burst_size=3)], ids=["clean", "lossy"]
+    )
+    def test_both_observers_see_every_lookup(self, faults):
+        config = ExperimentConfig(
+            overlay="chord", n=32, bits=16, queries=200, seed=1, faults=faults
+        )
+        bare = stable_cell(config, "optimal").stats
+        tracer = LookupTracer()
+        telemetry = RoundTelemetry(rounds=4)
+        stats = stable_cell(config, "optimal", trace=tracer, telemetry=telemetry).stats
+        assert stats.summary() == bare.summary()
+        assert stats.total_hops == bare.total_hops
+
+        values = {
+            (entry["name"], tuple(sorted(entry["labels"].items()))): entry.get("value")
+            for entry in telemetry.registry.to_payload()
+        }
+
+        def value(name, **labels):
+            return values[(name, tuple(sorted(labels.items())))]
+
+        counters = tracer.counters
+        assert counters.lookups == config.queries
+        assert value("repro_lookups_total") == counters.lookups
+        assert value("repro_lookup_successes_total") == counters.succeeded
+        assert value("repro_lookup_failures_total") == counters.failed
+        for pointer_class in POINTER_CLASSES:
+            assert value("repro_hops_total", pointer_class=pointer_class) == (
+                counters.hops_by_class.get(pointer_class, 0)
+            )
+        for verdict in VERDICTS:
+            assert value("repro_timeouts_total", verdict=verdict) == (
+                counters.timeouts_by_verdict.get(verdict, 0)
+            )
+        assert value("repro_backoff_penalty_total") == counters.total_penalty
+        retries = counters.total_timeouts - counters.evictions
+        assert value("repro_retry_attempts_total") == retries
+        if faults is not None:
+            assert retries > 0 and counters.evictions > 0
 
 
 class TestCells:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.metrics import LATENCY_BUCKET_EDGES
 from repro.telemetry.registry import (
+    LATENCY_BUCKET_EDGES,
     Counter,
     Gauge,
     Histogram,
