@@ -42,10 +42,13 @@ milliseconds.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.pastry.routing import leaf_geometry
 
 __all__ = [
     "ColumnarChord",
@@ -314,8 +317,7 @@ def snapshot_pastry(network) -> ColumnarPastry:
         raise ValueError(
             f"columnar pastry requires digit_bits=1, got {network.digit_bits}"
         )
-    space = network.space
-    bits = space.bits
+    bits = network.space.bits
     alive = network.alive_ids()
     n = len(alive)
     ids = np.asarray(alive, dtype=np.int64)
@@ -331,8 +333,8 @@ def snapshot_pastry(network) -> ColumnarPastry:
     span = np.zeros(n, dtype=np.int64)
     radius_max = np.zeros(n, dtype=np.int64)
 
-    proximity = network.proximity
-    radius = network.leaf_radius
+    coordinates = network.proximity.coordinates
+    hypot = math.hypot
     total = 0
     for position, node_id in enumerate(alive):
         node = network.node(node_id)
@@ -343,6 +345,8 @@ def snapshot_pastry(network) -> ColumnarPastry:
             per_row.setdefault(row, []).extend(sorted(bucket))
         counts = row_ptr[position]
         counts[0] = total
+        # ProximityModel.latency, with the node's coordinates read once.
+        x, y = coordinates(node_id)
         for row in range(bits):
             entries = per_row.get(row, ())
             for entry in entries:
@@ -353,27 +357,22 @@ def snapshot_pastry(network) -> ColumnarPastry:
                     class_chunks.append(1)
                 else:
                     class_chunks.append(2)
-                lat_chunks.append(proximity.latency(node_id, entry))
+                cx, cy = coordinates(entry)
+                lat_chunks.append(hypot(x - cx, y - cy))
             total += len(entries)
             counts[row + 1] = total
 
-        # Leaf-arc geometry, exactly as pastry.routing._leaf_geometry derives it.
-        leaves = sorted(node.leaves)
-        leaf_rows.append(leaves)
-        if not leaves:
+        # The leaf stage's geometry, as pastry.routing.next_hop reads it.
+        if not node.leaves:
             no_leaves[position] = True
+            leaf_rows.append([])
             continue
-        by_clockwise = sorted(leaves, key=lambda leaf: space.gap(node_id, leaf))
-        by_counter = sorted(leaves, key=lambda leaf: space.gap(leaf, node_id))
-        clockwise_extent = space.gap(node_id, by_clockwise[:radius][-1])
-        counter_extent = space.gap(by_counter[:radius][-1], node_id)
-        arc = clockwise_extent + counter_extent
+        covers, start, arc, known, radius = leaf_geometry(network, node)
+        leaf_rows.append(known[:-1])  # the sorted leaves, without self
         span[position] = arc
-        covers_all[position] = arc >= space.size
-        arc_start[position] = space.add(node_id, -counter_extent)
-        radius_max[position] = max(
-            _circular(space, node_id, leaf) for leaf in leaves
-        )
+        covers_all[position] = covers
+        arc_start[position] = start
+        radius_max[position] = radius
 
     # Width lmax + 1: even a full row keeps one own-id padding column, so
     # the row min ranges over ``leaves ∪ {self}`` exactly.
@@ -397,11 +396,6 @@ def snapshot_pastry(network) -> ColumnarPastry:
         span=span,
         radius_max=radius_max,
     )
-
-
-def _circular(space, a: int, b: int) -> int:
-    gap = space.gap(a, b)
-    return min(gap, space.size - gap)
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,9 @@ still in flight after ``limit`` forwards, so the frontier drains in at
 most ``limit + 2`` steps.
 
 :meth:`BatchRouteResult.fold_into` folds a batch into
-:class:`~repro.sim.metrics.HopStatistics` with exact integer sums (all
-addends are small integers, exact in float64), producing an accumulator
+:class:`~repro.sim.metrics.HopStatistics`, each lane weighted by the
+number of queries it stands for, with exact integer sums (all addends
+are small integers, exact in float64), producing an accumulator
 bit-identical to recording the object results one at a time.
 """
 
@@ -71,25 +72,28 @@ class BatchRouteResult:
     paths: np.ndarray | None = None
     path_classes: np.ndarray | None = None
 
-    def fold_into(self, stats) -> None:
+    def fold_into(self, stats, counts) -> None:
         """Fold the batch into a :class:`~repro.sim.metrics.HopStatistics`
-        exactly as ``stats.record(result)`` per lookup would (timeouts and
-        penalties are structurally zero on the frozen overlay)."""
-        total = int(self.hops.size)
+        exactly as ``stats.record(result, count)`` per lane would, where
+        ``counts[i]`` is how many queries lane ``i`` stands for (timeouts
+        and penalties are structurally zero on the frozen overlay)."""
+        counts = np.asarray(counts, dtype=np.int64)
         ok = self.succeeded
-        successes = int(np.count_nonzero(ok))
+        total = int(counts.sum())
+        successes = int(counts[ok].sum())
         stats.lookups += total
         stats.failures += total - successes
         stats.successes += successes
         winning = self.hops[ok]
-        hop_sum = int(winning.sum())
+        weights = counts[ok]
+        hop_sum = int((winning * weights).sum())
         stats.total_hops += hop_sum
         # latency == hops for every clean lookup; the sums are integer
         # totals well below 2**53, so these float adds are exact.
         stats._sum_latency += float(hop_sum)
-        stats._sum_latency_sq += float(np.square(winning).sum())
+        stats._sum_latency_sq += float((winning * winning * weights).sum())
         if stats.keep_samples:
-            stats.per_lookup.extend(int(value) for value in winning)
+            stats.per_lookup.extend(int(value) for value in np.repeat(winning, weights))
 
     def lane_path(self, lane: int) -> list[int]:
         """The visited ids of one lane (requires ``record_paths``)."""

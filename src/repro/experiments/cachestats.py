@@ -124,7 +124,7 @@ class CachestatsPreset:
         return max(1, int(self.n * self.effective_k * self.budget_fraction))
 
 
-def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
+def _columnar_attribution(bench, config, recorder, sources, keys) -> bool | None:
     """Route the identical query batch through the columnar engine and
     attribute the lanes; ``True``/``False`` = matches the object-graph
     attribution, ``None`` = engine does not cover this overlay (or
@@ -132,13 +132,11 @@ def _columnar_attribution(bench, config, recorder, queries) -> bool | None:
     if config.overlay not in ("chord", "pastry"):
         return None
     try:
-        batch = route_columnar(bench, queries, record_paths=True)
+        batch = route_columnar(bench, sources, keys, record_paths=True)
     except ImportError:  # pragma: no cover - NumPy-less environments
         return None
     columnar = AttributionRecorder(config.overlay, bench.overlay, quotas=recorder.quotas)
-    attribute_batch(
-        columnar, batch, [query.source for query in queries], [query.item for query in queries]
-    )
+    attribute_batch(columnar, batch, sources, keys)
     return columnar.to_dict() == recorder.to_dict()
 
 
@@ -170,10 +168,10 @@ def _run_cachestats_cell(cell: tuple[CachestatsPreset, str]) -> dict:
     # Clean measurement pass: frozen tables, no faults, so the columnar
     # replay below sees the identical universe and query batch.
     stats = stable_cell(config, "optimal", bench=bench, trace=recorder).stats
-    stream = bench.workload_stream("queries", horizon=preset.queries / DEFAULT_RATE)
-    alive = bench.overlay.alive_ids()
-    queries = list(stream.stream(preset.queries, lambda: alive))
-    columnar_match = _columnar_attribution(bench, config, recorder, queries)
+    queries = list(bench.queries(preset.queries))
+    sources = [query.source for query in queries]
+    keys = [query.item for query in queries]
+    columnar_match = _columnar_attribution(bench, config, recorder, sources, keys)
     loads = budget_mod.measured_loads(recorder.source_counts, bench.overlay.alive_ids())
     utilization = recorder.quota_utilization()
     quotas = allocation.quotas.values()

@@ -52,7 +52,7 @@ class PastryNode(OverlayNode):
         self.cells: dict[tuple[int, int], set[int]] = {}
         self.leaves: set[int] = set()
         #: Routing-layer cache of leaf-set geometry (see
-        #: :func:`repro.pastry.routing._leaf_geometry`); any mutation of
+        #: :func:`repro.pastry.routing.leaf_geometry`); any mutation of
         #: ``leaves`` must reset it to ``None``.
         self._leaf_cache: tuple | None = None
 

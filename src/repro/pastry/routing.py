@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.pastry.network import PastryNetwork
     from repro.pastry.node import PastryNode
 
-__all__ = ["ROUTING_MODES", "circular_distance", "next_hop"]
+__all__ = ["ROUTING_MODES", "circular_distance", "leaf_geometry", "next_hop"]
 
 ROUTING_MODES = ("greedy", "proximity")
 
@@ -73,7 +73,7 @@ def next_hop(
         return None  # isolated node: deliver locally
     space = network.space
     own = node.node_id
-    covers_all, arc_start, span, known, radius = _leaf_geometry(network, node)
+    covers_all, arc_start, span, known, radius = leaf_geometry(network, node)
     if covers_all or space.gap(arc_start, key) <= span:
         if skip_dead:
             known = [c for c in known if c == own or network.node(c).alive]
@@ -125,7 +125,7 @@ def next_hop(
     return None if best is None else (best, "fallback")
 
 
-def _leaf_geometry(network: "PastryNetwork", node) -> tuple:
+def leaf_geometry(network: "PastryNetwork", node) -> tuple:
     """Leaf-set geometry, cached on the node until its leaves change.
 
     Returns ``(covers_all, arc_start, span, known, radius_max)`` where the

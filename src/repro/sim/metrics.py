@@ -49,20 +49,26 @@ class HopStatistics:
     per_lookup: list[int] = field(default_factory=list)
     keep_samples: bool = False
 
-    def record(self, result: _LookupLike) -> None:
-        """Fold one lookup outcome into the statistics."""
-        self.lookups += 1
-        self.total_timeouts += result.timeouts
+    def record(self, result: _LookupLike, count: int = 1) -> None:
+        """Fold ``count`` lookups with this outcome into the statistics.
+
+        A ``count`` above 1 equals ``count`` single records, float sums
+        included, only when the latency is an integer (no backoff
+        penalty): ``count * latency`` is then exact, while a fractional
+        latency rounds differently added once than added ``count`` times.
+        """
+        self.lookups += count
+        self.total_timeouts += result.timeouts * count
         if not result.succeeded:
-            self.failures += 1
+            self.failures += count
             return
-        self.successes += 1
-        self.total_hops += result.hops
+        self.successes += count
+        self.total_hops += result.hops * count
         latency = result.latency
-        self._sum_latency += latency
-        self._sum_latency_sq += latency * latency
+        self._sum_latency += latency * count
+        self._sum_latency_sq += latency * latency * count
         if self.keep_samples:
-            self.per_lookup.append(latency)
+            self.per_lookup.extend([latency] * count)
 
     @property
     def mean_hops(self) -> float:

@@ -13,7 +13,11 @@ queries forever), or lets it learn from the configured scenario's warmup
 traffic, and routes queries against frozen tables. :func:`stable_cell`
 is that recipe for one policy, and every stable driver runs it: this
 module's comparison, the trace and telemetry drivers, and the
-experiment grids, which add only their own extra step. Churn mode runs
+experiment grids, which add only their own extra step. A cell that
+nothing observes per lookup, with no fault plane and no dead node,
+routes each distinct ``(source, key)`` pair of its stream once and
+weights the outcome by the pair's count; every other stable cell routes
+query by query. Churn mode runs
 the full discrete-event machinery: exponential on/off node sessions,
 staggered per-node stabilization (default every 25 s) and auxiliary
 recomputation (every 62.5 s), Poisson queries (4/s), online frequency
@@ -23,6 +27,7 @@ learning, and crash-induced state loss — the Section VI-C configuration.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import selection
@@ -354,6 +359,8 @@ class _Bench:
     allocation: budget_mod.BudgetAllocation | None = field(init=False, default=None)
     curves: dict | None = field(init=False, default=None)
     problems: dict | None = field(init=False, default=None)
+    #: :meth:`query_batch`'s last draw, keyed by its count and live set.
+    _query_batch: tuple | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         config = self.config
@@ -457,6 +464,28 @@ class _Bench:
         )
         return self.config.workload_spec.build(context)
 
+    def queries(self, count: int):
+        """The first ``count`` queries of the cell's measured ``queries``
+        stream, drawn from the current live set."""
+        alive = self.overlay.alive_ids()
+        workload = self.workload_stream("queries", horizon=count / DEFAULT_RATE)
+        return workload.stream(count, lambda: alive)
+
+    def query_batch(self, count: int) -> Counter:
+        """:meth:`queries` over the current live set, counted by
+        ``(source, key)`` in first-occurrence order.
+
+        The stream is a pure function of its substream and the live set,
+        so the count is drawn once per universe and live set and both
+        policies of a cell share it.
+        """
+        alive = self.overlay.alive_ids()
+        if self._query_batch is not None and self._query_batch[0] == (count, alive):
+            return self._query_batch[1]
+        batch = Counter((query.source, query.item) for query in self.queries(count))
+        self._query_batch = ((count, alive), batch)
+        return batch
+
 
 # ----------------------------------------------------------------------
 # Stable mode
@@ -534,9 +563,14 @@ def stable_cell(
     change the statistics. Traced and faulted cells keep per-lookup
     samples for percentile reports.
     ``record_access`` keeps learning on while measuring and
-    ``on_lookup(index)`` runs after each lookup. Any of these keeps the
-    cell on the object engine; otherwise ``config.engine`` may route the
-    batch columnar (:func:`route_columnar`) with bit-identical statistics.
+    ``on_lookup(index)`` runs after each lookup. Any of these, a fault
+    plane or a dead node routes the stream one query at a time, in
+    order, on the object engine. Otherwise the stream is drawn once per
+    universe as a batch counted by ``(source, key)``
+    (:meth:`_Bench.query_batch`), each distinct pair is routed once —
+    by ``overlay.lookup``, or as one lane of :func:`route_columnar` when
+    ``config.engine`` resolves to columnar — and folded with its count;
+    the statistics equal the per-query loop's bit for bit.
     """
     _check_policy(policy)
     if bench is None:
@@ -555,15 +589,26 @@ def stable_cell(
         # both universes realize the same burst, partition and loss.
         plane = FaultPlane(config.faults, registry.fresh("fault-plane"))
         apply_stable_faults(plane, overlay, telemetry=tel)
-    workload = bench.workload_stream("queries", horizon=config.queries / DEFAULT_RATE)
-    alive = overlay.alive_ids()
-    queries = workload.stream(config.queries, lambda: alive)
-    if engine == "columnar":
+    retry = config.effective_retry
+    if engine == "columnar" or (
+        not observed and plane is None and overlay.alive_count() == len(overlay.nodes)
+    ):
+        # On a frozen snapshot, or with no observer, no fault plane and
+        # no dead node to evict, no lookup can change a later one: each
+        # distinct (source, key) pair is routed once and folded with its
+        # count, whose integer latencies sum exactly.
         stats = HopStatistics()
-        route_columnar(bench, list(queries)).fold_into(stats)
+        batch = bench.query_batch(config.queries)
+        if engine == "columnar":
+            sources = [source for source, __ in batch]
+            keys = [key for __, key in batch]
+            route_columnar(bench, sources, keys).fold_into(stats, list(batch.values()))
+        else:
+            for (source, key), count in batch.items():
+                stats.record(overlay.lookup(source, key, record_access=False, retry=retry), count)
     else:
         stats = HopStatistics(keep_samples=config.faults_active or trace is not None)
-        retry = config.effective_retry
+        queries = bench.queries(config.queries)
         boundaries = round_boundaries(config.queries, tel.rounds) if tel is not None else ()
         next_boundary = 0
         for index, query in enumerate(queries, start=1):
@@ -588,14 +633,13 @@ def stable_cell(
     return StableRun(stats, bench, plane)
 
 
-def route_columnar(bench: _Bench, queries: list, record_paths: bool = False):
+def route_columnar(bench: _Bench, sources, keys, record_paths: bool = False):
     """Freeze the installed tables into a columnar snapshot and route the
-    whole query batch vectorized (DESIGN.md §10); returns the batch."""
+    lookups ``(sources[i], keys[i])`` as one vectorized batch
+    (DESIGN.md §10); returns the batch."""
     from repro.engine.columnar import snapshot_chord, snapshot_pastry
     from repro.engine.router import batch_route_chord, batch_route_pastry
 
-    sources = [query.source for query in queries]
-    keys = [query.item for query in queries]
     if bench.config.overlay == "chord":
         return batch_route_chord(
             snapshot_chord(bench.overlay), sources, keys, record_paths=record_paths
