@@ -18,7 +18,7 @@ the paper's design decision that auxiliary neighbors are used by the
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from repro.chord.routing import RingTable
 from repro.core.frequency import ExactFrequencyTable
@@ -61,28 +61,27 @@ class ChordNode(OverlayNode):
         first-node-per-interval — without simulating each fix-finger RPC.
         Between rounds the entries go stale, which is where churn bites.
         """
-        space = self.space
+        node_id, mask = self.node_id, self.space.mask
         self.core.clear()
-        self.successors.clear()
-        index = bisect_left(alive_ids, self.node_id)
-        present = index < len(alive_ids) and alive_ids[index] == self.node_id
-        others = len(alive_ids) - (1 if present else 0)
-        if others <= 0:
-            self._rebuild_table()
-            return
-        for i in range(space.bits):
-            low = space.add(self.node_id, 1 << i)
-            span = 1 << i  # interval [x + 2^i, x + 2^(i+1)) has width 2^i
-            neighbor = _first_in_interval(alive_ids, low, span, space)
-            if neighbor is not None and neighbor != self.node_id:
-                self.core.add(neighbor)
-        successor = _first_in_interval(alive_ids, space.add(self.node_id, 1), space.size - 1, space)
-        walker = successor
-        while walker is not None and walker != self.node_id and len(self.successors) < self.successor_list_size:
-            self.successors.append(walker)
-            walker = _first_in_interval(alive_ids, space.add(walker, 1), space.size - 1, space)
-            if walker in self.successors:
+        index = bisect_right(alive_ids, node_id)
+        others = len(alive_ids) - (index > 0 and alive_ids[index - 1] == node_id)
+        # The next live ids clockwise; there are at most ``others`` of
+        # them, so the wrapped part stops short of the node itself.
+        count = min(self.successor_list_size, others)
+        successors = alive_ids[index : index + count]
+        self.successors[:] = successors + alive_ids[: count - len(successors)]
+        # Fingers, one bisect per populated distance class: the first
+        # live id at or past ``x + low`` is the finger of its own class
+        # ``[x + 2**i, x + 2**(i+1))``, every class between is empty, and
+        # the search goes on from the next class.
+        low = 1
+        while others and low <= mask:
+            finger = alive_ids[bisect_left(alive_ids, (node_id + low) & mask) % len(alive_ids)]
+            gap = (finger - node_id) & mask
+            if gap < low:  # wrapped past the node: the rest is empty
                 break
+            self.core.add(finger)
+            low = 1 << gap.bit_length()
         self._rebuild_table()
 
     def set_auxiliary(self, pointers: set[int]) -> None:
@@ -124,9 +123,7 @@ class ChordNode(OverlayNode):
         return tuple(self.successors)
 
     def _rebuild_table(self) -> None:
-        self.table.clear()
-        for neighbor in self.neighbor_ids():
-            self.table.add(neighbor)
+        self.table.fill(self.neighbor_ids())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -140,15 +137,3 @@ class ChordNode(OverlayNode):
         self.table.clear()
         self.tracker = ExactFrequencyTable()
 
-
-def _first_in_interval(sorted_ids: list[int], start: int, width: int, space: IdSpace) -> int | None:
-    """First id (clockwise) in ``[start, start + width)`` over the ring,
-    given ``sorted_ids`` ascending. Returns ``None`` when the interval is
-    empty of nodes."""
-    if not sorted_ids:
-        return None
-    index = bisect_left(sorted_ids, start)
-    candidate = sorted_ids[index % len(sorted_ids)]
-    if space.gap(start, candidate) < width:
-        return candidate
-    return None

@@ -14,7 +14,7 @@ next-best entry, which includes the successor list.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable
 
 from repro.util.ids import IdSpace
@@ -29,8 +29,9 @@ __all__ = ["RingTable", "next_hop"]
 class RingTable:
     """A node's merged neighbor table, kept sorted by absolute id.
 
-    Supports O(log t) next-hop queries (t = table size) and O(t) inserts /
-    removals, which is fine for the O(log n + k) tables the paper studies.
+    Supports O(log t) next-hop queries (t = table size), an O(t) removal
+    and an O(t log t) refill, which is fine for the O(log n + k) tables
+    the paper studies.
     """
 
     __slots__ = ("owner", "space", "_entries")
@@ -51,12 +52,6 @@ class RingTable:
         """All entries in ascending id order (a copy)."""
         return list(self._entries)
 
-    def add(self, node_id: int) -> None:
-        """Insert ``node_id`` (no-op for duplicates or the owner itself)."""
-        if node_id == self.owner or node_id in self:
-            return
-        insort(self._entries, node_id)
-
     def remove(self, node_id: int) -> None:
         """Remove ``node_id`` if present."""
         index = bisect_right(self._entries, node_id) - 1
@@ -65,6 +60,10 @@ class RingTable:
 
     def clear(self) -> None:
         self._entries.clear()
+
+    def fill(self, node_ids: set[int]) -> None:
+        """Replace every entry with ``node_ids``, the owner skipped."""
+        self._entries = sorted(node_ids - {self.owner})
 
     def next_hop(self, key: int, accept: Callable[[int], bool] | None = None) -> int | None:
         """The entry closest to ``key`` without passing it clockwise, or

@@ -30,9 +30,9 @@ Solvers:
      satisfies the Monge/concavity condition (extending the span by one
      peer costs less under a closer pointer), hence the optimal ``j`` is
      monotone in ``m``. Up to :data:`_DENSE_MAX_PEERS` peers with ids of
-     at most 53 bits, the whole ``s(j, m)`` matrix is built once from the
-     eq. 9/10 tables, bit-identical to the scalar queries, and each of the
-     ``k`` layers is one masked leftmost argmin per column ``m``. Larger
+     at most 53 bits, ``s(j, m)`` of every candidate ``j`` is built once
+     from the eq. 9/10 tables, bit-identical to the scalar queries, and
+     each of the ``k`` layers is one masked leftmost argmin per ``m``. Larger
      or wider instances use divide and conquer over the scalar queries
      (``O(n log n)`` evaluations per layer). Divide and conquer is also
      the exact fallback: it picks the leftmost column minima whenever
@@ -77,6 +77,7 @@ class _ChordInstance:
     ``core_gaps`` are the clockwise offsets of the core neighbors.
     ``candidate_flags[i]`` marks peers eligible to carry an auxiliary
     pointer. ``bounds[i]`` is the max allowed ``1 + d`` (or ``None``).
+    Lists, except from :func:`_normalize_arrays`.
     """
 
     bits: int
@@ -118,6 +119,23 @@ def _normalize(problem: SelectionProblem) -> _ChordInstance:
     )
 
 
+def _normalize_arrays(problem: SelectionProblem) -> _ChordInstance:
+    """:func:`_normalize` straight to arrays, for the dense path: int64
+    gaps and core gaps, float64 weights, bool candidate flags, no bounds;
+    ``ids`` stays a list."""
+    space, source, frequencies = problem.space, problem.source, problem.frequencies
+    peers = _np.fromiter(frequencies, _np.int64, len(frequencies))
+    gaps = (peers - source) & space.mask
+    order = gaps.argsort()  # distinct peers have distinct gaps
+    gaps = gaps[order]
+    cores = _np.sort((_np.fromiter(problem.core_neighbors, _np.int64) - source) & space.mask)
+    at = gaps.searchsorted(cores)  # a core on a peer's gap makes it no candidate
+    flags = _np.ones(gaps.size, dtype=bool)
+    flags[at[gaps.take(at, mode="clip") == cores]] = False
+    weights = _np.fromiter(frequencies.values(), _np.float64, gaps.size)[order]
+    return _ChordInstance(space.bits, gaps, weights, peers[order].tolist(), cores, flags, ())
+
+
 def _serving_distance(inst: _ChordInstance, pointer_gap: int | None, peer_gap: int) -> int:
     """Hops from the best of ``{pointer} ∪ cores`` preceding ``peer_gap``."""
     best = pointer_gap if pointer_gap is not None and pointer_gap <= peer_gap else None
@@ -134,13 +152,13 @@ def _vectorizable(inst: _ChordInstance) -> bool:
     return _np is not None and inst.bits <= _MAX_VECTOR_BITS and inst.n > 0
 
 
-def _base_costs(inst: _ChordInstance) -> list[float]:
+def _base_costs(inst: _ChordInstance) -> Sequence[float]:
     """``C_0(m)``: prefix costs (and QoS feasibility) with cores only.
 
     ``base[m]`` covers peers ``0 .. m-1`` (m = paper's 1-based index).
     Unconstrained instances use one NumPy sweep (searchsorted over the
-    core offsets + cumulative sum); QoS-bounded ones keep the scalar
-    loop, which must track per-peer infeasibility.
+    core offsets + cumulative sum) and return an array; QoS-bounded ones
+    keep the scalar loop, which must track per-peer infeasibility.
     """
     if _vectorizable(inst) and not any(bound is not None for bound in inst.bounds):
         gaps = _np.asarray(inst.gaps, dtype=_np.int64)
@@ -155,7 +173,7 @@ def _base_costs(inst: _ChordInstance) -> list[float]:
         base = _np.empty(inst.n + 1, dtype=_np.float64)
         base[0] = 0.0
         _np.cumsum(weights * distances, out=base[1:])
-        return base.tolist()
+        return base
     base = [0.0]
     running = 0.0
     for i in range(inst.n):
@@ -205,10 +223,11 @@ def _reconstruct(parents: list[list[int]], layers: int, n: int) -> list[int]:
     return chosen
 
 
-def _result(problem: SelectionProblem, inst: _ChordInstance, chosen_positions: list[int], cost_without_plus_one: float, algorithm: str) -> SelectionResult:
-    total_weight = sum(inst.weights)
-    auxiliary = frozenset(inst.ids[pos] for pos in chosen_positions)
-    return SelectionResult(auxiliary, cost_without_plus_one + total_weight, algorithm)
+def _result(ids: list[int], weights: list[float], chosen_positions: list[int], cost_without_plus_one: float, algorithm: str) -> SelectionResult:
+    """The chosen peers' ids, and the cost with each query's first hop
+    added: ``sum`` over Python floats, the same sum for every solver."""
+    auxiliary = frozenset(ids[pos] for pos in chosen_positions)
+    return SelectionResult(auxiliary, cost_without_plus_one + sum(weights), algorithm)
 
 
 def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
@@ -221,7 +240,7 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
     inst = _normalize(problem)
     n = inst.n
     span_tables = [_span_cost_table(inst, j) for j in range(n)]
-    current = _base_costs(inst)
+    current = [float(cost) for cost in _base_costs(inst)]
     k_eff = min(problem.k, sum(inst.candidate_flags))
     parents: list[list[int]] = [[0] * (n + 1)]
     for _layer in range(k_eff):
@@ -246,51 +265,41 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
             f"QoS delay bounds cannot be met with k={problem.k} auxiliary pointers"
         )
     chosen = _reconstruct(parents, k_eff, n)
-    return _result(problem, inst, chosen, current[n], "chord-dp")
+    return _result(inst.ids, inst.weights, chosen, current[n], "chord-dp")
 
 
 def _anchor_tables(
-    inst: _ChordInstance,
-) -> tuple[_np.ndarray, _np.ndarray, _np.ndarray, _np.ndarray]:
-    """The eq. 9 tables of every anchor, as arrays (``_vectorizable`` only).
-
-    Returns ``(anchors, reach, hops, prefix)``: the sorted anchor gaps
-    (each peer gap and each core gap); per anchor row and hop distance
-    ``r = 0 .. b`` the paper's ``p_w(r)`` (``reach``) and the prefix sum
-    ``sum_{r'<=r} r' * (F(p_w(r')) - F(p_w(r'-1)))`` (``hops``); and the
-    cumulative frequencies ``prefix[c]`` of the first ``c`` peers. All
-    anchors × all radii resolve with one ``searchsorted`` and a row-wise
-    cumulative sum; every sum runs left to right, as the scalar loop in
-    :class:`_SpanOracle` does.
+    gaps: _np.ndarray, core_gaps: _np.ndarray, prefix: _np.ndarray, bits: int
+) -> tuple[_np.ndarray, _np.ndarray]:
+    """The eq. 9 tables of the anchors ``gaps ++ core_gaps`` (peer ``j``
+    is column ``j``, core ``t`` column ``n + t``), one row per hop count
+    ``d = 0 .. b`` of a span: ``inner[d, w]`` is ``sum_{r<d} r *
+    (F(p_w(r)) - F(p_w(r-1)))`` and ``reached[d, w]`` is ``F(p_w(d-1))``,
+    both 0.0 at ``d = 0``, where ``p_w(r)`` counts the peers with a gap of
+    at most ``w + 2**r - 1`` and ``F = prefix``. One ``searchsorted``
+    resolves every anchor and radius; each anchor's sum runs left to
+    right, as the scalar loop of :class:`_SpanOracle` does.
     """
-    gaps = _np.asarray(inst.gaps, dtype=_np.int64)
-    prefix = _np.cumsum(_np.concatenate(([0.0], _np.asarray(inst.weights, dtype=_np.float64))))
-    anchors = _np.union1d(gaps, _np.asarray(inst.core_gaps, dtype=_np.int64))
-    radii = _np.arange(1, inst.bits + 1, dtype=_np.int64)
-    limits = anchors[:, None] + ((_np.int64(1) << radii) - 1)[None, :]
-    reach = _np.concatenate(
-        [
-            _np.searchsorted(gaps, anchors, side="right")[:, None],
-            _np.searchsorted(gaps, limits, side="right"),
-        ],
-        axis=1,
-    )
-    shells = prefix[reach[:, 1:]] - prefix[reach[:, :-1]]
-    hops = _np.zeros(reach.shape, dtype=_np.float64)
-    _np.cumsum(radii * shells, axis=1, out=hops[:, 1:])
-    return anchors, reach, hops, prefix
+    anchors = _np.concatenate((gaps, core_gaps))
+    radii = _np.arange(bits, dtype=_np.int64)
+    reach = gaps.searchsorted(((1 << radii) - 1)[:, None] + anchors, "right")
+    inner, reached = _np.zeros((2, bits + 1, anchors.size))
+    reached[1:] = prefix[reach]
+    _np.cumsum(radii[1:, None] * (reached[2:] - reached[1:-1]), axis=0, out=inner[2:])
+    return inner, reached
 
 
 class _SpanOracle:
     """Answers ``s(j, m)`` queries in ``O(log n + log b)`` (Section V-B).
 
     For every anchor gap ``w`` (each peer position and each core neighbor)
-    it precomputes, over hop distances ``r = 1 .. b``:
+    it precomputes, over a span's hop count ``d = 1 .. b``:
 
-    * ``reach_index[w][r]`` — the paper's ``p_w(r)``: how many peers have a
-      gap at most ``w + 2**r - 1`` (prefix count into the sorted gaps);
-    * ``hop_prefix[w][r]`` — the prefix sum
-      ``sum_{r'<=r} r' * (F(p_w(r')) - F(p_w(r'-1)))`` of eq. 9.
+    * ``reached[w][d]`` — ``F(p_w(d-1))``, where the paper's ``p_w(r)``
+      is how many peers have a gap at most ``w + 2**r - 1`` and ``F`` the
+      cumulative frequency;
+    * ``inner[w][d]`` — the prefix sum
+      ``sum_{r<d} r * (F(p_w(r)) - F(p_w(r-1)))`` of eq. 9.
 
     Spans containing core neighbors split at them (eq. 10); the costs of
     complete core-to-core segments are pre-accumulated so a query touches
@@ -300,35 +309,38 @@ class _SpanOracle:
     def __init__(self, inst: _ChordInstance) -> None:
         self.inst = inst
         self.gaps = inst.gaps
-        self._reach: dict[int, list[int]]
-        self._hops: dict[int, list[float]]
+        self._inner: dict[int, list[float]]
+        self._reached: dict[int, list[float]]
         # Keyed by the instance's own int objects: a lookup then matches
         # by identity before it needs an ``==``.
-        anchors = sorted(set(inst.gaps) | set(inst.core_gaps))
+        anchors = inst.gaps + inst.core_gaps
         if _vectorizable(inst):
-            __, reach, hops, prefix = _anchor_tables(inst)
+            prefix = _np.cumsum(_np.concatenate(([0.0], _np.asarray(inst.weights, dtype=_np.float64))))
+            inner, reached = _anchor_tables(
+                _np.asarray(inst.gaps, dtype=_np.int64),
+                _np.asarray(inst.core_gaps, dtype=_np.int64),
+                prefix,
+                inst.bits,
+            )
             self.freq_prefix = prefix.tolist()
-            self._reach = dict(zip(anchors, reach.tolist()))
-            self._hops = dict(zip(anchors, hops.tolist()))
+            self._inner = dict(zip(anchors, inner.T.tolist()))
+            self._reached = dict(zip(anchors, reached.T.tolist()))
         else:
             # Scalar reference for ids over 53 bits or without NumPy.
             # Cumulative peer frequencies: F[c] = total weight of first c peers.
             self.freq_prefix = [0.0]
             for weight in inst.weights:
                 self.freq_prefix.append(self.freq_prefix[-1] + weight)
-            self._reach = {}
-            self._hops = {}
+            self._inner = {}
+            self._reached = {}
             for gap in anchors:
-                reach = [bisect_right(self.gaps, gap)]
-                hops = [0.0]
-                for r in range(1, inst.bits + 1):
-                    limit = gap + (1 << r) - 1
-                    index = bisect_right(self.gaps, limit)
-                    shell = self.freq_prefix[index] - self.freq_prefix[reach[-1]]
-                    hops.append(hops[-1] + r * shell)
-                    reach.append(index)
-                self._reach[gap] = reach
-                self._hops[gap] = hops
+                inner, reached = [0.0], [0.0]
+                for r in range(inst.bits):
+                    reach = self.freq_prefix[bisect_right(self.gaps, gap + (1 << r) - 1)]
+                    inner.append(inner[-1] + r * (reach - reached[-1]))
+                    reached.append(reach)
+                self._inner[gap] = inner
+                self._reached[gap] = reached
         # Cumulative costs of complete core→core segments (eq. 10).
         cores = inst.core_gaps
         self.segment_prefix = [0.0]
@@ -341,14 +353,9 @@ class _SpanOracle:
         pointer at ``anchor`` (no core neighbor strictly inside) — eq. 9."""
         if limit <= anchor:
             return 0.0
-        span = limit - anchor
-        d_max = span.bit_length()
-        reach = self._reach[anchor]
-        hops = self._hops[anchor]
-        inner = hops[d_max - 1]
-        upper_index = bisect_right(self.gaps, limit)
-        outer = d_max * (self.freq_prefix[upper_index] - self.freq_prefix[reach[d_max - 1]])
-        return inner + outer
+        d_max = (limit - anchor).bit_length()
+        upper = self.freq_prefix[bisect_right(self.gaps, limit)]
+        return self._inner[anchor][d_max] + d_max * (upper - self._reached[anchor][d_max])
 
     def span_cost(self, j: int, m: int) -> float:
         """``s(j, m)`` with 1-based indices per the paper: cost of peers
@@ -368,54 +375,57 @@ class _SpanOracle:
         return head + middle + tail
 
 
-def _span_matrix(inst: _ChordInstance) -> _np.ndarray:
-    """Every ``s(j, m)`` as an ``n × n`` array: ``S[j-1, m-1]`` equals
-    ``_SpanOracle(inst).span_cost(j, m)`` bit for bit (``_vectorizable``
-    only). The returned array is the transpose of an ``m``-major one, so
-    ``S.T`` is C-contiguous.
 
-    Each entry repeats the oracle's float operations in the oracle's
-    order: ``inner + outer`` for a core-free span (eq. 9), and ``(head +
-    (segment[hi-1] - segment[lo])) + tail`` for a span split at the cores
-    strictly inside it (eq. 10), over the same left-to-right segment
-    prefix. A reordered sum would move costs by an ulp and flip tied picks.
+def _dense_spans(inst: _ChordInstance, rows: _np.ndarray) -> _np.ndarray:
+    """``spans[m, c]`` is ``_SpanOracle(inst).span_cost(rows[c] + 1, m)``
+    bit for bit where ``rows[c] < m``, else ``inf`` (``inst`` from
+    :func:`_normalize_arrays`; ``m = 0 .. n``).
+
+    Entries repeat the oracle's float operations in its order: ``inner +
+    d * (F[upper] - reached)`` for a core-free span (eq. 9), ``(head +
+    (segment[hi-1] - segment[lo])) + tail`` for one split at the cores
+    strictly inside it (eq. 10). Core-free spans run from a candidate to
+    the limits before its next core (the band); a split span's head
+    depends on the pointer, its middle on ``(hi, lo)``, its tail on ``m``.
     """
-    anchors, reach, hops, prefix = _anchor_tables(inst)
-    width = reach.shape[1]
-    # Flat tables at ``anchor row * width + d_max``: the oracle's
-    # ``hops[d_max - 1]`` and ``F[reach[d_max - 1]]``, and 0.0 at
-    # ``d_max = 0``, where an empty span then costs ``0.0 + 0 * x == 0.0``.
-    inner_at = _np.zeros_like(hops)
-    inner_at[:, 1:] = hops[:, :-1]
-    reached_at = _np.zeros_like(hops)
-    reached_at[:, 1:] = prefix[reach[:, :-1]]
-    inner_at, reached_at = inner_at.ravel(), reached_at.ravel()
-    gaps = _np.asarray(inst.gaps, dtype=_np.int64)
-
-    def corefree(anchor, limit):
-        """Elementwise ``_SpanOracle._corefree_span`` over broadcast gaps."""
-        # Gaps are below 2**53, so the float difference is exact and its
-        # frexp exponent is ``int.bit_length`` (0 where limit <= anchor).
-        span = _np.maximum(limit.astype(_np.float64) - anchor.astype(_np.float64), 0.0)
-        d_max = _np.frexp(span)[1]
-        cell = _np.searchsorted(anchors, anchor) * width + d_max
-        upper = prefix[_np.searchsorted(gaps, limit, side="right")]
-        return inner_at.take(cell) + d_max * (upper - reached_at.take(cell))
-
-    # matrix[m-1, j-1] = s(j, m): anchors along the columns.
-    matrix = corefree(gaps[None, :], gaps[:, None])
-    cores = _np.asarray(inst.core_gaps, dtype=_np.int64)
-    if cores.size:
-        segment = _np.cumsum(_np.concatenate(([0.0], corefree(cores[:-1], cores[1:] - 1))))
-        # span_cost's lo/hi: the number of cores at or before each peer gap.
-        covered = _np.searchsorted(cores, gaps, side="right")
-        lo = _np.minimum(covered, cores.size - 1)
-        hi = _np.maximum(covered, 1)
-        head = corefree(gaps, cores[lo] - 1)
-        tail = corefree(cores[hi - 1], gaps)
-        split = (head[None, :] + (segment[hi - 1][:, None] - segment[lo][None, :])) + tail[:, None]
-        matrix = _np.where(covered[:, None] > covered[None, :], split, matrix)
-    return matrix.T
+    gaps, bits = inst.gaps, inst.bits
+    n, c = gaps.size, rows.size
+    # A sentinel core past every gap ends the last segment.
+    cores = _np.append(inst.core_gaps, 1 << bits)
+    t = cores.size - 1
+    prefix = _np.cumsum(_np.concatenate(([0.0], inst.weights)))
+    inner, reached = (table.ravel() for table in _anchor_tables(gaps, cores, prefix, bits))
+    floats = gaps.astype(_np.float64)
+    # span_cost's lo and hi: how many cores lie at or before the pointer
+    # and the limit (none for m = 0). ``before[u]`` peers precede core u.
+    covered = _np.concatenate(([0], cores.searchsorted(gaps, "right")))
+    lo = covered[rows + 1]
+    last = _np.maximum(covered[1:], 1) - 1  # the tail's core
+    before = gaps.searchsorted(cores)
+    ends = cores - 1.0  # a head or a segment ends just before its core
+    # The band: candidate c reaches the limits rows[c] .. stop[c] - 1.
+    stop = before[lo]
+    lengths = stop - rows
+    col = _np.repeat(_np.arange(c), lengths)
+    limit = _np.arange(col.size) + (rows + lengths - _np.cumsum(lengths)).take(col)
+    # Band, heads, tails and segments in one eq. 9 call. Gaps are below
+    # 2**53: a float span is exact, its frexp exponent its bit length.
+    anchor = _np.concatenate((rows.take(col), rows, n + last, _np.arange(n, n + t)))
+    limits = _np.concatenate((floats.take(limit), ends[lo], floats, ends[1:]))
+    d = _np.frexp(limits - _np.concatenate((floats, cores)).take(anchor))[1]
+    cell = d * (n + t + 1) + anchor
+    upper = prefix[_np.concatenate((limit + 1, stop, _np.arange(1, n + 1), before[1:]))]
+    parts = inner.take(cell) + d * (upper - reached.take(cell))
+    size = col.size
+    head, tail = parts[size : size + c], parts[size + c : size + c + n]
+    segment = _np.cumsum(_np.concatenate(([0.0], parts[size + c + n :])))
+    # middle[hi, lo] is inf unless a core lies strictly inside (hi > lo).
+    count = _np.arange(t + 1)
+    middle = _np.where(count[:, None] > count, segment[count - 1][:, None] - segment, _INF)
+    spans = (head + middle.take(lo, axis=1)).take(covered, axis=0)
+    spans[1:] += tail[:, None]
+    spans.put((limit + 1) * c + col, parts[:size])
+    return spans
 
 
 def _solve_layer_dc(
@@ -467,31 +477,24 @@ def _solve_layer_dc(
 
 
 def _solve_layer_dense(
-    spans: _np.ndarray, rows: _np.ndarray, previous: Sequence[float]
+    spans: _np.ndarray, rows: _np.ndarray, offsets: _np.ndarray, previous: _np.ndarray
 ) -> tuple[_np.ndarray, _np.ndarray] | None:
-    """One DP layer as a masked leftmost argmin per column ``m``, or ``None``.
-
-    ``spans[m-1, c]`` is ``s(j, m)`` for the candidate ``j = rows[c] + 1``,
-    ``inf`` where ``j > m`` (one row per ``m``, so each argmin reads
-    contiguous memory). When the leftmost minima are non-decreasing in
-    ``m``, :func:`_solve_layer_dc` picks exactly them: each midpoint's
-    candidate range runs from its left ancestor's pick to its right
-    ancestor's, so it holds its leftmost minimum. ``s`` is Monge, so that
-    always holds in real arithmetic; when float rounding breaks it under
-    heavy ties, the caller solves the layer by divide and conquer instead.
+    """One DP layer's costs and parent row by a leftmost argmin per row
+    ``m`` of :func:`_dense_spans` (row ``m`` starts at ``offsets[m]``), or
+    ``None``. When the leftmost minima are non-decreasing in ``m``,
+    :func:`_solve_layer_dc` picks exactly them: each midpoint's candidate
+    range runs from its left ancestor's pick to its right ancestor's. ``s``
+    is Monge, so that always holds in real arithmetic; when float rounding
+    breaks it under heavy ties, the caller solves the layer by divide and
+    conquer instead.
     """
-    previous = _np.asarray(previous)
-    values = spans + previous[rows]
+    values = spans + previous.take(rows)
     picks = values.argmin(axis=1)
-    if (picks[1:] < picks[:-1]).any():
+    if _np.count_nonzero(picks[1:] < picks[:-1]):
         return None
-    best = values[_np.arange(picks.size), picks]
-    improve = best < previous[1:]  # the `<` test of _solve_layer_dc
-    current = previous.copy()
-    current[1:] = _np.where(improve, best, previous[1:])
-    parent_row = _np.zeros(previous.size, dtype=_np.int64)
-    parent_row[1:] = _np.where(improve, rows[picks] + 1, 0)
-    return current, parent_row
+    best = values.take(offsets + picks)
+    improve = best < previous  # the `<` test of _solve_layer_dc
+    return _np.where(improve, best, previous), (rows.take(picks) + 1) * improve
 
 
 def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
@@ -504,32 +507,36 @@ def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
     """
     if problem.delay_bounds:
         raise ConfigurationError("fast solver does not support delay bounds; use select_chord_dp")
-    inst = _normalize(problem)
-    n = inst.n
+    n = len(problem.frequencies)
+    dense = _np is not None and problem.space.bits <= _MAX_VECTOR_BITS and 0 < n <= _DENSE_MAX_PEERS
+    inst = _normalize_arrays(problem) if dense else _normalize(problem)
     current = _base_costs(inst)
-    candidates = [index + 1 for index in range(n) if inst.candidate_flags[index]]
+    if dense:
+        rows = _np.flatnonzero(inst.candidate_flags)
+        candidates = (rows + 1).tolist()
+    else:
+        candidates = [index + 1 for index in range(n) if inst.candidate_flags[index]]
     k_eff = min(problem.k, len(candidates))
-    spans = rows = None
-    if k_eff and n <= _DENSE_MAX_PEERS and _vectorizable(inst):
-        rows = _np.asarray(candidates, dtype=_np.int64) - 1
-        spans = _span_matrix(inst).T.take(rows, axis=1)
-        spans[_np.arange(n)[:, None] < rows[None, :]] = _INF
+    spans = _dense_spans(inst, rows) if dense and k_eff else None
+    offsets = None if spans is None else _np.arange(0, spans.size, rows.size)
     oracle = None
     parents: list = [[0] * (n + 1)]
     for _layer in range(k_eff):
-        layer = _solve_layer_dense(spans, rows, current) if spans is not None else None
+        layer = None if spans is None else _solve_layer_dense(spans, rows, offsets, current)
         if layer is None:
             if oracle is None:
-                oracle = _SpanOracle(inst)
+                oracle = _SpanOracle(_normalize(problem) if dense else inst)
             # Python floats, whether the last layer was dense or not.
             previous = [float(cost) for cost in current]
             current, parent_row = list(previous), [0] * (n + 1)
             _solve_layer_dc(oracle, previous, candidates, current, parent_row)
+            current = _np.array(current) if dense else current
         else:
             current, parent_row = layer
         parents.append(parent_row)
     chosen = _reconstruct(parents, k_eff, n)
-    return _result(problem, inst, chosen, float(current[n]), "chord-fast")
+    weights = inst.weights.tolist() if dense else inst.weights
+    return _result(inst.ids, weights, chosen, float(current[n]), "chord-fast")
 
 
 def select_chord(problem: SelectionProblem) -> SelectionResult:

@@ -29,7 +29,6 @@ from repro.faults import arm_stable_plane
 from repro.sim.runner import ExperimentConfig, stable_universe
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require_positive_int
-from repro.workload.spec import DEFAULT_RATE
 
 __all__ = ["CACHE_POLICIES", "ItemCache", "ItemChurnReport", "simulate_item_churn"]
 
@@ -224,19 +223,13 @@ def simulate_item_churn(
             for node_id in ring.alive_ids()
         }
         world = _ItemWorld()
-        stream = bench.workload_stream("queries", horizon=queries / DEFAULT_RATE)
         update_rng = registry.fresh("updates")
 
         total_hops = 0
         issued = 0
-        alive = ring.alive_ids()
-        for index in range(queries):
+        for query in bench.queries(queries):
             if update_rng.random() < update_probability:
                 world.update(popularity.sample_item(0, update_rng))
-            stream.advance(index / DEFAULT_RATE)
-            query = stream.next_query(alive)
-            if query is None:
-                break
             issued += 1
             if strategy == "item-cache":
                 cache = caches[query.source]

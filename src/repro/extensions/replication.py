@@ -26,7 +26,6 @@ from repro.chord.ring import ChordRing
 from repro.faults import arm_stable_plane
 from repro.sim.runner import ExperimentConfig, stable_universe
 from repro.util.validation import require_non_negative_int
-from repro.workload.spec import DEFAULT_RATE
 
 __all__ = ["ReplicaDirectory", "ReplicationReport", "simulate_replication"]
 
@@ -153,15 +152,9 @@ def simulate_replication(
                 directory.replicate(item, replication_level)
 
         plane, retry = arm_stable_plane(faults, registry.fresh("fault-plane"), ring)
-        stream = bench.workload_stream("queries", horizon=queries / DEFAULT_RATE)
-        alive = ring.alive_ids()
         total_hops = 0
         issued = 0
-        for index in range(queries):
-            stream.advance(index / DEFAULT_RATE)
-            query = stream.next_query(alive)
-            if query is None:
-                break
+        for query in bench.queries(queries):
             issued += 1
             if strategy == "replication":
                 total_hops += _route_until_replica(

@@ -11,9 +11,7 @@ from repro.util.ids import IdSpace
 class TestRingTable:
     def test_add_remove_contains(self):
         table = RingTable(owner=0, space=IdSpace(8))
-        table.add(5)
-        table.add(9)
-        table.add(5)  # duplicate ignored
+        table.fill({5, 9})
         assert len(table) == 2
         assert 5 in table and 9 in table
         table.remove(5)
@@ -22,13 +20,14 @@ class TestRingTable:
 
     def test_owner_never_added(self):
         table = RingTable(owner=7, space=IdSpace(8))
-        table.add(7)
+        table.fill({7, 9})
+        assert table.entries() == [9]
+        table.fill({7})
         assert len(table) == 0
 
     def test_next_hop_is_closest_preceding(self):
         table = RingTable(owner=0, space=IdSpace(8))
-        for entry in [4, 64, 128]:
-            table.add(entry)
+        table.fill({4, 64, 128})
         assert table.next_hop(100) == 64
         assert table.next_hop(64) == 64
         assert table.next_hop(3) is None  # nothing in (0, 3]
@@ -36,8 +35,7 @@ class TestRingTable:
 
     def test_next_hop_wraparound(self):
         table = RingTable(owner=200, space=IdSpace(8))
-        table.add(250)
-        table.add(10)
+        table.fill({250, 10})
         # Key 5 (gap 61 from owner): entry 250 (gap 50) precedes it.
         assert table.next_hop(5) == 250
         # Key 30 (gap 86): entry 10 (gap 66) is closest preceding.

@@ -1,8 +1,10 @@
 """Tests for the Chord auxiliary-neighbor selection algorithms."""
 
+import math
 import random
 from unittest import mock
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,15 +205,21 @@ def seeded_problem(seed, bits, peers, k, cores=0, weights=None):
 def dense_problems(draw):
     """Problems on the dense path's domain, skewed to its edge cases: tied
     and zero weights, core-only and core-free neighbourhoods, budgets above
-    the candidate count, 6- to 53-bit ids and problems of exactly the cap."""
-    at_cap = draw(st.booleans())
-    peers = chord_selection._DENSE_MAX_PEERS if at_cap else draw(st.integers(1, 40))
-    bits = draw(st.integers(10 if at_cap else 6, 53))
-    k = draw(st.integers(0, 10) if at_cap else st.integers(0, peers + 3))
+    the candidate count, 6- to 53-bit ids, the mid sizes the Chord
+    workloads solve (33-255 peers with 4-24 cores) and problems of exactly
+    the cap."""
+    size = draw(st.sampled_from(["small", "mid", "cap"]))
+    peers = {
+        "small": st.integers(1, 40),
+        "mid": st.integers(33, chord_selection._DENSE_MAX_PEERS - 1),
+        "cap": st.just(chord_selection._DENSE_MAX_PEERS),
+    }[size]
+    peers = draw(peers)
+    bits = draw(st.integers(6 if size == "small" else 10, 53))
+    k = draw(st.integers(0, peers + 3) if size == "small" else st.integers(0, 10))
+    cores = draw(st.integers(4, 24) if size == "mid" else st.integers(0, 8))
     weights = draw(st.sampled_from([None, *TIED_WEIGHTS.values()]))
-    problem = seeded_problem(
-        draw(st.integers(0, 2**32)), bits, peers, k, cores=draw(st.integers(0, 8)), weights=weights
-    )
+    problem = seeded_problem(draw(st.integers(0, 2**32)), bits, peers, k, cores=cores, weights=weights)
     neighbourhood = draw(st.sampled_from(["given", "none", "all", "some"]))
     if neighbourhood == "given":
         return problem
@@ -244,10 +252,10 @@ def solve_with_parents(solve, problem):
 
 
 def solver_routes(problem):
-    """How many dense matrices and divide-and-conquer layers one fast
+    """How many dense span matrices and divide-and-conquer layers one fast
     solve of ``problem`` used."""
     with mock.patch.object(
-        chord_selection, "_span_matrix", wraps=chord_selection._span_matrix
+        chord_selection, "_dense_spans", wraps=chord_selection._dense_spans
     ) as dense, mock.patch.object(
         chord_selection, "_solve_layer_dc", wraps=chord_selection._solve_layer_dc
     ) as divide_and_conquer:
@@ -256,16 +264,20 @@ def solver_routes(problem):
 
 
 def assert_matrix_matches_oracle(problem):
-    inst = chord_selection._normalize(problem)
-    oracle = chord_selection._SpanOracle(inst)
+    """Every column of the dense kernel, built here for every peer (core
+    neighbours too), equals the scalar oracle entry for entry: ``s(j, m)``
+    where ``j <= m`` and ``inf`` where ``j > m``, row ``m = 0`` included."""
+    inst = chord_selection._normalize_arrays(problem)
+    oracle = chord_selection._SpanOracle(chord_selection._normalize(problem))
     expected = [
-        [oracle.span_cost(j, m) for m in range(1, inst.n + 1)] for j in range(1, inst.n + 1)
+        [oracle.span_cost(j, m) if j <= m else math.inf for j in range(1, inst.n + 1)]
+        for m in range(inst.n + 1)
     ]
-    assert chord_selection._span_matrix(inst).tolist() == expected
+    assert chord_selection._dense_spans(inst, numpy.arange(inst.n)).tolist() == expected
 
 
 class TestDenseLayerSolve:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(dense_problems())
     def test_dense_matches_divide_and_conquer_bit_for_bit(self, problem):
         dense, dense_rows = solve_with_parents(select_chord_fast, problem)
@@ -299,15 +311,16 @@ class TestDenseLayerSolve:
     def test_matrix_equals_oracle_on_hand_made_instances(self, problem):
         assert_matrix_matches_oracle(problem)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(8))
     def test_matrix_equals_oracle_on_random_instances(self, seed):
         rng = random.Random(seed)
+        small = seed % 2  # odd seeds: up to 40 peers; even: the workloads' mid sizes
         problem = seeded_problem(
             seed,
-            bits=rng.choice((6, 16, 32, 53)),
-            peers=rng.randint(1, 40),
+            bits=rng.choice((6, 16, 32, 53) if small else (16, 32, 53)),
+            peers=rng.randint(1, 40) if small else rng.randint(33, 160),
             k=2,
-            cores=rng.randint(0, 8),
+            cores=rng.randint(0, 8) if small else rng.randint(4, 24),
             weights=rng.choice([None, *TIED_WEIGHTS.values()]),
         )
         assert_matrix_matches_oracle(problem)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chord.ring import ChordRing
 from repro.extensions.replication import ReplicaDirectory, simulate_replication
+from repro.faults.schedule import FaultSchedule
 from repro.util.ids import IdSpace
 
 
@@ -71,3 +72,40 @@ class TestSimulation:
 
     def test_summary_text(self, reports):
         assert "msgs/update" in reports["replication"].summary()
+
+
+class TestPinnedReport:
+    """One small report per path, pinned hop for hop: the measured query
+    stream, the replica placement and the routing must all stay put."""
+
+    @pytest.mark.parametrize(
+        "workload, faults, total_hops",
+        [
+            ("static-zipf", None, {"pointer": 661, "replication": 949, "none": 1254}),
+            (
+                "drifting-zipf:5",
+                FaultSchedule(loss_rate=0.05, crash_burst_size=3, stale_rate=0.01),
+                {"pointer": 737, "replication": 970, "none": 1404},
+            ),
+        ],
+        ids=["static", "drifting-faulted"],
+    )
+    def test_report(self, workload, faults, total_hops):
+        reports = simulate_replication(
+            n=24,
+            bits=16,
+            queries=600,
+            replicated_fraction=0.1,
+            replication_level=2,
+            seed=3,
+            faults=faults,
+            workload=workload,
+        )
+        assert {name: report.mean_hops for name, report in reports.items()} == {
+            name: hops / 600 for name, hops in total_hops.items()
+        }
+        assert [(report.replicas, report.update_messages_per_update) for report in reports.values()] == [
+            (0, 0.0),
+            (27, 3.0),
+            (0, 0.0),
+        ]
