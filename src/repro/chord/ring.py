@@ -12,7 +12,6 @@ Membership, churn and the entry points are the skeleton's.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable
 
 from repro import selection
 from repro.chord.node import ChordNode
@@ -183,12 +182,6 @@ class ChordRing(Overlay):
             return ()
         others.sort(key=lambda nid: self.space.gap(self.space.add(node_id, 1), nid))
         return tuple(others[: self.successor_list_size])
-
-    def hop_distances(self, path: Iterable[int], key: int) -> list[int]:
-        """The clockwise gap from each path node to ``key`` — the quantity
-        the paper's Chord distance metric (eq. 6) takes the bit-length of.
-        Strictly decreasing along any correctly routed path."""
-        return [self.space.gap(node_id, key) for node_id in path]
 
     def refresh_via(self, node_id: int) -> None:
         """Protocol-faithful fix-fingers: refresh one node's core entries

@@ -11,10 +11,9 @@ Commands
 ``sweep``
     Sweep one configuration parameter and print a table or CSV.
 ``bench``
-    Run the perf-regression benchmarks and emit a BENCH_v1 document;
-    ``--check BASELINE`` fails if any microbenchmark regressed. Also
-    fails when the disabled-tracing overhead gate
-    (``obs_overhead.passed``) does not hold.
+    Run the three disabled-observer overhead gates (tracing, telemetry,
+    cache attribution) and emit a BENCH_v1 document; fails when any
+    gate does not hold. Whole cells are timed by ``perfbench/``.
 ``faults``
     Run the fault-injection robustness grid (%-reduction vs message-loss
     rate and vs crash-burst size) and fail if the frequency-aware policy
@@ -194,21 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     _shared(sw, "seed", "jobs", "json", "engine", "workload")
 
-    bench = sub.add_parser("bench", help="run perf benchmarks, emit BENCH_v1 JSON")
+    bench = sub.add_parser("bench", help="disabled-observer overhead gates, emit BENCH_v1 JSON")
     bench.add_argument("--output", default=None, help="write the BENCH_v1 document here")
-    bench.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare micro medians against a baseline BENCH_v1.json; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=2.0,
-        help="regression threshold for --check (default 2.0x)",
-    )
-    _shared(bench, "smoke", "jobs")
+    _shared(bench, "smoke")
 
     faults = sub.add_parser("faults", help="fault-injection robustness grid")
     _shared(faults, "smoke", "seed", "json", "jobs", "workload")
@@ -411,61 +398,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.compare import find_regressions, load_bench
-    from repro.perf.runner import print_summary, run_bench, write_bench
+    from repro.perf.runner import failures, print_summary, run_bench, write_bench
 
-    # Load the baseline before the (minutes-long) bench run so a bad
-    # --check path fails immediately.
-    baseline = load_bench(args.check) if args.check else None
-    document = run_bench(smoke=args.smoke, jobs=args.jobs)
+    document = run_bench(smoke=args.smoke)
     print_summary(document)
     if args.output:
         path = write_bench(document, args.output)
         print(f"\nbench document written to {path}")
-    if not document["parallel"]["identical"]:
-        print("\nFAIL: parallel sweep output diverged from the serial run", file=sys.stderr)
-        return 1
-    for key, label in (
-        ("obs_overhead", "disabled-tracing"),
-        ("telemetry_overhead", "disabled-telemetry"),
-        ("cachestats_overhead", "disabled-cachestats"),
-    ):
-        overhead = document[key]
-        if not overhead["passed"]:
-            print(
-                f"\nFAIL: {label} overhead {overhead['worst_ratio']:.4f} exceeds "
-                f"the {overhead['threshold']:.2f} gate",
-                file=sys.stderr,
-            )
-            return 1
-    equivalence = document.get("engine_equivalence") or {}
-    if "skipped" not in equivalence and not equivalence.get("identical", True):
-        print(
-            "\nFAIL: columnar engine results diverged from the object engine",
-            file=sys.stderr,
-        )
-        return 1
-    for key, label, metric in (
-        ("engine_speedup", "engine routing speedup", "worst_routing_speedup"),
-        ("engine_memory", "engine bytes/node", "bytes_per_node"),
-    ):
-        section = document.get(key) or {}
-        if "skipped" not in section and not section.get("passed", True):
-            print(
-                f"\nFAIL: {label} {section[metric]} misses the "
-                f"{section['threshold']} gate",
-                file=sys.stderr,
-            )
-            return 1
-    if baseline is not None:
-        regressions = find_regressions(baseline, document, threshold=args.threshold)
-        if regressions:
-            print(f"\n{len(regressions)} regression(s) vs {args.check}:", file=sys.stderr)
-            for regression in regressions:
-                print(f"  {regression.describe()}", file=sys.stderr)
-            return 1
-        print(f"\nno regressions vs {args.check} (threshold {args.threshold:.1f}x)")
-    return 0
+    broken = failures(document)
+    for message in broken:
+        print(f"FAIL: {message}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def _fault_schedule(args: argparse.Namespace):

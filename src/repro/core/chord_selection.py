@@ -49,14 +49,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = ["select_chord", "select_chord_dp", "select_chord_fast"]
 
@@ -124,15 +121,15 @@ def _normalize_arrays(problem: SelectionProblem) -> _ChordInstance:
     gaps and core gaps, float64 weights, bool candidate flags, no bounds;
     ``ids`` stays a list."""
     space, source, frequencies = problem.space, problem.source, problem.frequencies
-    peers = _np.fromiter(frequencies, _np.int64, len(frequencies))
+    peers = np.fromiter(frequencies, np.int64, len(frequencies))
     gaps = (peers - source) & space.mask
     order = gaps.argsort()  # distinct peers have distinct gaps
     gaps = gaps[order]
-    cores = _np.sort((_np.fromiter(problem.core_neighbors, _np.int64) - source) & space.mask)
+    cores = np.sort((np.fromiter(problem.core_neighbors, np.int64) - source) & space.mask)
     at = gaps.searchsorted(cores)  # a core on a peer's gap makes it no candidate
-    flags = _np.ones(gaps.size, dtype=bool)
+    flags = np.ones(gaps.size, dtype=bool)
     flags[at[gaps.take(at, mode="clip") == cores]] = False
-    weights = _np.fromiter(frequencies.values(), _np.float64, gaps.size)[order]
+    weights = np.fromiter(frequencies.values(), np.float64, gaps.size)[order]
     return _ChordInstance(space.bits, gaps, weights, peers[order].tolist(), cores, flags, ())
 
 
@@ -149,7 +146,7 @@ def _serving_distance(inst: _ChordInstance, pointer_gap: int | None, peer_gap: i
 
 
 def _vectorizable(inst: _ChordInstance) -> bool:
-    return _np is not None and inst.bits <= _MAX_VECTOR_BITS and inst.n > 0
+    return inst.bits <= _MAX_VECTOR_BITS and inst.n > 0
 
 
 def _base_costs(inst: _ChordInstance) -> Sequence[float]:
@@ -161,18 +158,18 @@ def _base_costs(inst: _ChordInstance) -> Sequence[float]:
     keep the scalar loop, which must track per-peer infeasibility.
     """
     if _vectorizable(inst) and not any(bound is not None for bound in inst.bounds):
-        gaps = _np.asarray(inst.gaps, dtype=_np.int64)
-        weights = _np.asarray(inst.weights, dtype=_np.float64)
-        cores = _np.asarray(inst.core_gaps, dtype=_np.int64)
+        gaps = np.asarray(inst.gaps, dtype=np.int64)
+        weights = np.asarray(inst.weights, dtype=np.float64)
+        cores = np.asarray(inst.core_gaps, dtype=np.int64)
         if cores.size == 0:
-            distances = _np.full(inst.n, inst.bits, dtype=_np.int64)
+            distances = np.full(inst.n, inst.bits, dtype=np.int64)
         else:
-            index = _np.searchsorted(cores, gaps, side="right")
-            preceding = cores[_np.maximum(index - 1, 0)]
-            distances = _np.where(index > 0, _bit_lengths(gaps - preceding), inst.bits)
-        base = _np.empty(inst.n + 1, dtype=_np.float64)
+            index = np.searchsorted(cores, gaps, side="right")
+            preceding = cores[np.maximum(index - 1, 0)]
+            distances = np.where(index > 0, _bit_lengths(gaps - preceding), inst.bits)
+        base = np.empty(inst.n + 1, dtype=np.float64)
         base[0] = 0.0
-        _np.cumsum(weights * distances, out=base[1:])
+        np.cumsum(weights * distances, out=base[1:])
         return base
     base = [0.0]
     running = 0.0
@@ -269,8 +266,8 @@ def select_chord_dp(problem: SelectionProblem) -> SelectionResult:
 
 
 def _anchor_tables(
-    gaps: _np.ndarray, core_gaps: _np.ndarray, prefix: _np.ndarray, bits: int
-) -> tuple[_np.ndarray, _np.ndarray]:
+    gaps: np.ndarray, core_gaps: np.ndarray, prefix: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The eq. 9 tables of the anchors ``gaps ++ core_gaps`` (peer ``j``
     is column ``j``, core ``t`` column ``n + t``), one row per hop count
     ``d = 0 .. b`` of a span: ``inner[d, w]`` is ``sum_{r<d} r *
@@ -280,12 +277,12 @@ def _anchor_tables(
     resolves every anchor and radius; each anchor's sum runs left to
     right, as the scalar loop of :class:`_SpanOracle` does.
     """
-    anchors = _np.concatenate((gaps, core_gaps))
-    radii = _np.arange(bits, dtype=_np.int64)
+    anchors = np.concatenate((gaps, core_gaps))
+    radii = np.arange(bits, dtype=np.int64)
     reach = gaps.searchsorted(((1 << radii) - 1)[:, None] + anchors, "right")
-    inner, reached = _np.zeros((2, bits + 1, anchors.size))
+    inner, reached = np.zeros((2, bits + 1, anchors.size))
     reached[1:] = prefix[reach]
-    _np.cumsum(radii[1:, None] * (reached[2:] - reached[1:-1]), axis=0, out=inner[2:])
+    np.cumsum(radii[1:, None] * (reached[2:] - reached[1:-1]), axis=0, out=inner[2:])
     return inner, reached
 
 
@@ -315,10 +312,10 @@ class _SpanOracle:
         # by identity before it needs an ``==``.
         anchors = inst.gaps + inst.core_gaps
         if _vectorizable(inst):
-            prefix = _np.cumsum(_np.concatenate(([0.0], _np.asarray(inst.weights, dtype=_np.float64))))
+            prefix = np.cumsum(np.concatenate(([0.0], np.asarray(inst.weights, dtype=np.float64))))
             inner, reached = _anchor_tables(
-                _np.asarray(inst.gaps, dtype=_np.int64),
-                _np.asarray(inst.core_gaps, dtype=_np.int64),
+                np.asarray(inst.gaps, dtype=np.int64),
+                np.asarray(inst.core_gaps, dtype=np.int64),
                 prefix,
                 inst.bits,
             )
@@ -326,7 +323,7 @@ class _SpanOracle:
             self._inner = dict(zip(anchors, inner.T.tolist()))
             self._reached = dict(zip(anchors, reached.T.tolist()))
         else:
-            # Scalar reference for ids over 53 bits or without NumPy.
+            # Scalar reference for ids over 53 bits.
             # Cumulative peer frequencies: F[c] = total weight of first c peers.
             self.freq_prefix = [0.0]
             for weight in inst.weights:
@@ -376,7 +373,7 @@ class _SpanOracle:
 
 
 
-def _dense_spans(inst: _ChordInstance, rows: _np.ndarray) -> _np.ndarray:
+def _dense_spans(inst: _ChordInstance, rows: np.ndarray) -> np.ndarray:
     """``spans[m, c]`` is ``_SpanOracle(inst).span_cost(rows[c] + 1, m)``
     bit for bit where ``rows[c] < m``, else ``inf`` (``inst`` from
     :func:`_normalize_arrays`; ``m = 0 .. n``).
@@ -391,37 +388,37 @@ def _dense_spans(inst: _ChordInstance, rows: _np.ndarray) -> _np.ndarray:
     gaps, bits = inst.gaps, inst.bits
     n, c = gaps.size, rows.size
     # A sentinel core past every gap ends the last segment.
-    cores = _np.append(inst.core_gaps, 1 << bits)
+    cores = np.append(inst.core_gaps, 1 << bits)
     t = cores.size - 1
-    prefix = _np.cumsum(_np.concatenate(([0.0], inst.weights)))
+    prefix = np.cumsum(np.concatenate(([0.0], inst.weights)))
     inner, reached = (table.ravel() for table in _anchor_tables(gaps, cores, prefix, bits))
-    floats = gaps.astype(_np.float64)
+    floats = gaps.astype(np.float64)
     # span_cost's lo and hi: how many cores lie at or before the pointer
     # and the limit (none for m = 0). ``before[u]`` peers precede core u.
-    covered = _np.concatenate(([0], cores.searchsorted(gaps, "right")))
+    covered = np.concatenate(([0], cores.searchsorted(gaps, "right")))
     lo = covered[rows + 1]
-    last = _np.maximum(covered[1:], 1) - 1  # the tail's core
+    last = np.maximum(covered[1:], 1) - 1  # the tail's core
     before = gaps.searchsorted(cores)
     ends = cores - 1.0  # a head or a segment ends just before its core
     # The band: candidate c reaches the limits rows[c] .. stop[c] - 1.
     stop = before[lo]
     lengths = stop - rows
-    col = _np.repeat(_np.arange(c), lengths)
-    limit = _np.arange(col.size) + (rows + lengths - _np.cumsum(lengths)).take(col)
+    col = np.repeat(np.arange(c), lengths)
+    limit = np.arange(col.size) + (rows + lengths - np.cumsum(lengths)).take(col)
     # Band, heads, tails and segments in one eq. 9 call. Gaps are below
     # 2**53: a float span is exact, its frexp exponent its bit length.
-    anchor = _np.concatenate((rows.take(col), rows, n + last, _np.arange(n, n + t)))
-    limits = _np.concatenate((floats.take(limit), ends[lo], floats, ends[1:]))
-    d = _np.frexp(limits - _np.concatenate((floats, cores)).take(anchor))[1]
+    anchor = np.concatenate((rows.take(col), rows, n + last, np.arange(n, n + t)))
+    limits = np.concatenate((floats.take(limit), ends[lo], floats, ends[1:]))
+    d = np.frexp(limits - np.concatenate((floats, cores)).take(anchor))[1]
     cell = d * (n + t + 1) + anchor
-    upper = prefix[_np.concatenate((limit + 1, stop, _np.arange(1, n + 1), before[1:]))]
+    upper = prefix[np.concatenate((limit + 1, stop, np.arange(1, n + 1), before[1:]))]
     parts = inner.take(cell) + d * (upper - reached.take(cell))
     size = col.size
     head, tail = parts[size : size + c], parts[size + c : size + c + n]
-    segment = _np.cumsum(_np.concatenate(([0.0], parts[size + c + n :])))
+    segment = np.cumsum(np.concatenate(([0.0], parts[size + c + n :])))
     # middle[hi, lo] is inf unless a core lies strictly inside (hi > lo).
-    count = _np.arange(t + 1)
-    middle = _np.where(count[:, None] > count, segment[count - 1][:, None] - segment, _INF)
+    count = np.arange(t + 1)
+    middle = np.where(count[:, None] > count, segment[count - 1][:, None] - segment, _INF)
     spans = (head + middle.take(lo, axis=1)).take(covered, axis=0)
     spans[1:] += tail[:, None]
     spans.put((limit + 1) * c + col, parts[:size])
@@ -477,8 +474,8 @@ def _solve_layer_dc(
 
 
 def _solve_layer_dense(
-    spans: _np.ndarray, rows: _np.ndarray, offsets: _np.ndarray, previous: _np.ndarray
-) -> tuple[_np.ndarray, _np.ndarray] | None:
+    spans: np.ndarray, rows: np.ndarray, offsets: np.ndarray, previous: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
     """One DP layer's costs and parent row by a leftmost argmin per row
     ``m`` of :func:`_dense_spans` (row ``m`` starts at ``offsets[m]``), or
     ``None``. When the leftmost minima are non-decreasing in ``m``,
@@ -490,11 +487,11 @@ def _solve_layer_dense(
     """
     values = spans + previous.take(rows)
     picks = values.argmin(axis=1)
-    if _np.count_nonzero(picks[1:] < picks[:-1]):
+    if np.count_nonzero(picks[1:] < picks[:-1]):
         return None
     best = values.take(offsets + picks)
     improve = best < previous  # the `<` test of _solve_layer_dc
-    return _np.where(improve, best, previous), (rows.take(picks) + 1) * improve
+    return np.where(improve, best, previous), (rows.take(picks) + 1) * improve
 
 
 def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
@@ -508,17 +505,17 @@ def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
     if problem.delay_bounds:
         raise ConfigurationError("fast solver does not support delay bounds; use select_chord_dp")
     n = len(problem.frequencies)
-    dense = _np is not None and problem.space.bits <= _MAX_VECTOR_BITS and 0 < n <= _DENSE_MAX_PEERS
+    dense = problem.space.bits <= _MAX_VECTOR_BITS and 0 < n <= _DENSE_MAX_PEERS
     inst = _normalize_arrays(problem) if dense else _normalize(problem)
     current = _base_costs(inst)
     if dense:
-        rows = _np.flatnonzero(inst.candidate_flags)
+        rows = np.flatnonzero(inst.candidate_flags)
         candidates = (rows + 1).tolist()
     else:
         candidates = [index + 1 for index in range(n) if inst.candidate_flags[index]]
     k_eff = min(problem.k, len(candidates))
     spans = _dense_spans(inst, rows) if dense and k_eff else None
-    offsets = None if spans is None else _np.arange(0, spans.size, rows.size)
+    offsets = None if spans is None else np.arange(0, spans.size, rows.size)
     oracle = None
     parents: list = [[0] * (n + 1)]
     for _layer in range(k_eff):
@@ -530,7 +527,7 @@ def select_chord_fast(problem: SelectionProblem) -> SelectionResult:
             previous = [float(cost) for cost in current]
             current, parent_row = list(previous), [0] * (n + 1)
             _solve_layer_dc(oracle, previous, candidates, current, parent_row)
-            current = _np.array(current) if dense else current
+            current = np.array(current) if dense else current
         else:
             current, parent_row = layer
         parents.append(parent_row)

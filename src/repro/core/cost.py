@@ -15,8 +15,8 @@ overlay-specific hop-count estimate:
 Two implementations are provided for each evaluator:
 
 * a scalar pure-Python version (``*_scalar``) — the ground truth every
-  selection algorithm is tested against, and the only path on machines
-  without NumPy;
+  selection algorithm is tested against, and the only path for ids of
+  more than 53 bits;
 * a NumPy-batched version (``*_vectorized``) — frequency weights, peer
   ids and pointer offsets live in arrays; ``bit_length`` is computed via
   ``np.frexp`` exponents (exact for ids below ``2**53``) and the
@@ -34,14 +34,11 @@ from bisect import bisect_right, insort
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
 from repro.util.ids import IdSpace
-
-try:  # NumPy is a declared dependency but the scalar path keeps the
-    import numpy as _np  # library usable (and testable) without it.
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "VECTORIZE_THRESHOLD",
@@ -68,7 +65,7 @@ _MAX_VECTOR_BITS = 53
 
 
 def _vectorizable(space: IdSpace, entries: int) -> bool:
-    return _np is not None and entries >= VECTORIZE_THRESHOLD and space.bits <= _MAX_VECTOR_BITS
+    return entries >= VECTORIZE_THRESHOLD and space.bits <= _MAX_VECTOR_BITS
 
 
 def _bit_lengths(values):
@@ -77,7 +74,7 @@ def _bit_lengths(values):
     ``frexp(x) = (m, e)`` with ``x = m * 2**e`` and ``0.5 <= m < 1``, so
     ``e`` is exactly the bit length for positive integers (and 0 for 0).
     """
-    _, exponents = _np.frexp(values.astype(_np.float64))
+    _, exponents = np.frexp(values.astype(np.float64))
     return exponents
 
 
@@ -144,13 +141,13 @@ def pastry_cost_vectorized(
     array ops regardless of instance size.
     """
     count = len(frequencies)
-    peers = _np.fromiter(frequencies.keys(), dtype=_np.int64, count=count)
-    weights = _np.fromiter(frequencies.values(), dtype=_np.float64, count=count)
-    pointers = _np.array(list(core_neighbors) + list(auxiliary), dtype=_np.int64)
+    peers = np.fromiter(frequencies.keys(), dtype=np.int64, count=count)
+    weights = np.fromiter(frequencies.values(), dtype=np.float64, count=count)
+    pointers = np.array(list(core_neighbors) + list(auxiliary), dtype=np.int64)
     if pointers.size == 0:
         return float(weights.sum() * (1 + space.bits))
     distances = _bit_lengths(peers[:, None] ^ pointers[None, :]).min(axis=1)
-    return float(_np.dot(weights, 1.0 + distances))
+    return float(np.dot(weights, 1.0 + distances))
 
 
 def pastry_cost(
@@ -239,24 +236,24 @@ def chord_cost_vectorized(
     ``searchsorted`` over the sorted offsets; hop distances from the
     ``frexp``-exponent bit-length trick.
     """
-    mask = _np.int64(space.mask)
+    mask = np.int64(space.mask)
     if sorted_offsets is None:
-        pointers = _np.array(list(core_neighbors) + list(auxiliary), dtype=_np.int64)
-        offsets = _np.unique((pointers - source) & mask)
+        pointers = np.array(list(core_neighbors) + list(auxiliary), dtype=np.int64)
+        offsets = np.unique((pointers - source) & mask)
         if offsets.size and offsets[0] == 0:  # the source itself is not a pointer
             offsets = offsets[1:]
     else:
-        offsets = _np.asarray(sorted_offsets, dtype=_np.int64)
+        offsets = np.asarray(sorted_offsets, dtype=np.int64)
     count = len(frequencies)
-    peers = _np.fromiter(frequencies.keys(), dtype=_np.int64, count=count)
-    weights = _np.fromiter(frequencies.values(), dtype=_np.float64, count=count)
+    peers = np.fromiter(frequencies.keys(), dtype=np.int64, count=count)
+    weights = np.fromiter(frequencies.values(), dtype=np.float64, count=count)
     gaps = (peers - source) & mask
     if offsets.size == 0:
         return float(weights.sum() * (1 + space.bits))
-    index = _np.searchsorted(offsets, gaps, side="right")
-    preceding = offsets[_np.maximum(index - 1, 0)]
-    distances = _np.where(index > 0, _bit_lengths(gaps - preceding), space.bits)
-    return float(_np.dot(weights, 1.0 + distances))
+    index = np.searchsorted(offsets, gaps, side="right")
+    preceding = offsets[np.maximum(index - 1, 0)]
+    distances = np.where(index > 0, _bit_lengths(gaps - preceding), space.bits)
+    return float(np.dot(weights, 1.0 + distances))
 
 
 def chord_cost(

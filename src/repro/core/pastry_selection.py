@@ -38,16 +38,13 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.core.cost import _MAX_VECTOR_BITS, _bit_lengths
 from repro.core.trie import PeerTrie, TrieVertex
 from repro.core.types import SelectionProblem, SelectionResult
 from repro.util.errors import ConfigurationError, InfeasibleConstraintError
 from repro.util.ids import IdSpace
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "select_pastry",
@@ -131,7 +128,7 @@ def _merge_dp(vertex: TrieVertex, k: int) -> _CostTable:
     else:
         fc = _padded_costs(children[0])
         sc = _padded_costs(children[1])
-        if _np is not None and jmax >= _DP_VECTOR_MIN_BUDGET:
+        if jmax >= _DP_VECTOR_MIN_BUDGET:
             table = _merge_dp_vectorized(fc, sc, jmax)
         else:
             first_max = len(fc) - 1
@@ -159,18 +156,18 @@ def _merge_dp_vectorized(fc: list[float], sc: list[float], jmax: int) -> _CostTa
     ``fc[i] + sc[j-i]`` (a min-plus convolution) is built once and reduced
     with a row-wise argmin. Matches the scalar loop's leftmost-minimum tie
     break, so the reconstructed selections are identical."""
-    fc_arr = _np.asarray(fc, dtype=_np.float64)
-    sc_arr = _np.asarray(sc, dtype=_np.float64)
-    i_index = _np.arange(len(fc))[None, :]
-    remainder = _np.arange(jmax + 1)[:, None] - i_index
+    fc_arr = np.asarray(fc, dtype=np.float64)
+    sc_arr = np.asarray(sc, dtype=np.float64)
+    i_index = np.arange(len(fc))[None, :]
+    remainder = np.arange(jmax + 1)[:, None] - i_index
     valid = (remainder >= 0) & (remainder < len(sc))
-    matrix = _np.where(
+    matrix = np.where(
         valid,
-        fc_arr[i_index] + sc_arr[_np.clip(remainder, 0, len(sc) - 1)],
+        fc_arr[i_index] + sc_arr[np.clip(remainder, 0, len(sc) - 1)],
         _INF,
     )
-    splits = _np.argmin(matrix, axis=1)
-    costs = matrix[_np.arange(jmax + 1), splits]
+    splits = np.argmin(matrix, axis=1)
+    costs = matrix[np.arange(jmax + 1), splits]
     return _CostTable(costs.tolist(), splits.tolist())
 
 
@@ -293,9 +290,9 @@ def select_pastry_greedy(problem: SelectionProblem) -> SelectionResult:
 
 def dense_batchable(problem: SelectionProblem) -> bool:
     """Whether :func:`select_pastry_greedy_batch` takes ``problem``: no
-    delay bounds (those need the DP), ids of at most 53 bits (the exact
-    range of the float64 bit lengths) and NumPy present."""
-    return _np is not None and not problem.delay_bounds and problem.space.bits <= _MAX_VECTOR_BITS
+    delay bounds (those need the DP) and ids of at most 53 bits (the
+    exact range of the float64 bit lengths)."""
+    return not problem.delay_bounds and problem.space.bits <= _MAX_VECTOR_BITS
 
 
 def select_pastry_greedy_batch(problems: Sequence[SelectionProblem]) -> list[SelectionResult]:
@@ -318,13 +315,12 @@ def select_pastry_greedy_batch(problems: Sequence[SelectionProblem]) -> list[Sel
     for problem in problems:
         if not dense_batchable(problem):
             raise ConfigurationError(
-                "the dense greedy needs ids of at most 53 bits, NumPy and no delay bounds"
+                "the dense greedy needs ids of at most 53 bits and no delay bounds"
             )
     owner, id_array, frequency, has_core = _laid_out_leaves(problems)
     if not len(id_array):
         return [SelectionResult(frozenset(), 0.0, "pastry-greedy") for _ in problems]
 
-    np = _np
     leaf_count = len(id_array)
     sizes = np.bincount(owner, minlength=len(problems))
     offsets = np.cumsum(sizes) - sizes
@@ -460,7 +456,6 @@ def _laid_out_leaves(problems: Sequence[SelectionProblem]):
         ids += problem.core_neighbors
         weights += frequencies.values()
         entries += (len(frequencies), len(problem.core_neighbors))
-    np = _np
     kinds = np.arange(2 * len(problems))
     owner = np.repeat(kinds // 2, entries)
     core_entry = np.repeat(kinds % 2 == 1, entries)

@@ -11,15 +11,13 @@ vectorized step.
 Layout of the package:
 
 * :mod:`repro.engine.columnar` — the snapshot types
-  (:class:`ColumnarChord`, :class:`ColumnarPastry`) and the synthetic
-  :func:`build_direct_chord` used by the memory-footprint bench gate.
+  (:class:`ColumnarChord`, :class:`ColumnarPastry`) and the functions
+  that freeze a live overlay into them.
 * :mod:`repro.engine.router` — the batched frontier routers and the
   :class:`BatchRouteResult` fold into :class:`~repro.sim.metrics.
   HopStatistics`.
 * :mod:`repro.engine.dispatch` — engine selection (``auto`` /
-  ``objects`` / ``columnar``), NumPy gating and the supportability
-  rules. This module is import-safe without NumPy; the other two
-  require it and are only imported behind the dispatch gate.
+  ``objects`` / ``columnar``) and the supportability rules.
 
 The columnar path is *bit-identical* to the object path on the
 workloads it supports (stable mode, no faults, no telemetry): the
@@ -33,7 +31,6 @@ from repro.engine.dispatch import (
     COLUMNAR_MAX_BITS,
     ENGINES,
     columnar_support,
-    numpy_or_none,
     resolve_engine,
 )
 
@@ -42,6 +39,5 @@ __all__ = [
     "COLUMNAR_MAX_BITS",
     "ENGINES",
     "columnar_support",
-    "numpy_or_none",
     "resolve_engine",
 ]

@@ -33,17 +33,11 @@ now, including (in verification scenarios) stale pointers to dead
 nodes. The batched routers assume a fully-live frozen overlay — the
 dispatch layer guarantees that for experiment cells, and the verify
 integration only routes on all-alive scenarios.
-
-:func:`build_direct_chord` synthesizes a stabilized ring's columnar
-state *without* instantiating objects — fully vectorized — so the
-memory-footprint bench can gate bytes-per-node at n=10^5 in
-milliseconds.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +49,6 @@ __all__ = [
     "ColumnarPastry",
     "snapshot_chord",
     "snapshot_pastry",
-    "build_direct_chord",
 ]
 
 #: Pointer-class codes shared by both snapshots and the batch routers.
@@ -110,25 +103,6 @@ class ColumnarChord:
     def mask(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
-    def nbytes(self) -> int:
-        """Total snapshot footprint in bytes."""
-        keyed = 0
-        for extra in (self.hop_gaps, self.hop_pos, self.hop_class):
-            if extra is not None:
-                keyed += extra.nbytes
-        return int(
-            self.ids.nbytes
-            + self.table_offsets.nbytes
-            + self.table_ids.nbytes
-            + self.table_class.nbytes
-            + keyed
-        )
-
-    @property
-    def bytes_per_node(self) -> float:
-        return self.nbytes / max(1, self.n)
-
     def responsible(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized ring-predecessor oracle: ``ids[bisect_right(ids,
         key) - 1]`` with the same ``[-1]`` wrap as the object ring."""
@@ -164,26 +138,6 @@ class ColumnarPastry:
     @property
     def size(self) -> int:
         return 1 << self.bits
-
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.ids.nbytes
-            + self.row_ptr.nbytes
-            + self.nbr_ids.nbytes
-            + self.nbr_class.nbytes
-            + self.nbr_lat.nbytes
-            + self.leaf_mat.nbytes
-            + self.no_leaves.nbytes
-            + self.covers_all.nbytes
-            + self.arc_start.nbytes
-            + self.span.nbytes
-            + self.radius_max.nbytes
-        )
-
-    @property
-    def bytes_per_node(self) -> float:
-        return self.nbytes / max(1, self.n)
 
     def responsible(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized numerically-closest oracle, lower id on ties —
@@ -397,74 +351,3 @@ def snapshot_pastry(network) -> ColumnarPastry:
         radius_max=radius_max,
     )
 
-
-# ----------------------------------------------------------------------
-# Direct synthesis (memory-footprint gate)
-# ----------------------------------------------------------------------
-
-
-def build_direct_chord(
-    n: int,
-    bits: int = 32,
-    k: int | None = None,
-    seed: int = 0,
-    successor_list_size: int = 4,
-) -> ColumnarChord:
-    """Synthesize a stabilized ring's columnar state without objects.
-
-    Produces the same *shape* of state ``snapshot_chord`` would emit for
-    a fresh ``ChordRing.build(n)`` plus ``k`` random auxiliaries per
-    node: fingers are the true first-live-node-per-interval entries,
-    successor lists the next live nodes clockwise. Auxiliary ids are
-    uniform random (selection outputs depend on workload, which the
-    footprint does not). Entirely vectorized — n=10^5 takes
-    milliseconds — so the bench can gate bytes-per-node at scales the
-    object graph cannot reach.
-    """
-    if k is None:
-        k = max(1, n.bit_length() - 1)
-    mask = (1 << bits) - 1
-    rng = random.Random(seed)
-    ids = np.asarray(sorted(rng.sample(range(1 << bits), n)), dtype=np.int64)
-
-    columns: list[np.ndarray] = []
-    own = ids
-    # Fingers: first live id in [own + 2^i, own + 2^(i+1)).
-    for i in range(bits):
-        low = (own + (1 << i)) & mask
-        index = np.searchsorted(ids, low)
-        candidate = ids[index % n]
-        gap = (candidate - low) & mask
-        finger = np.where((gap < (1 << i)) & (candidate != own), candidate, own)
-        columns.append(finger)
-    # Successor list: the next live nodes clockwise.
-    order = np.arange(n, dtype=np.int64)
-    for step in range(1, successor_list_size + 1):
-        successor = ids[(order + step) % n]
-        columns.append(np.where(successor != own, successor, own))
-    # Auxiliaries: k uniform random other nodes per node.
-    aux_rng = np.random.default_rng(seed ^ 0x9E3779B9)
-    for __ in range(k):
-        pick = ids[aux_rng.integers(0, n, size=n)]
-        columns.append(np.where(pick != own, pick, own))
-
-    # Merge + dedupe per row (own id doubles as the "absent" sentinel).
-    matrix = np.sort(np.stack(columns, axis=1), axis=1)
-    keep = np.ones_like(matrix, dtype=bool)
-    keep[:, 1:] = matrix[:, 1:] != matrix[:, :-1]
-    keep &= matrix != own[:, None]
-    counts = keep.sum(axis=1)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    table_ids = matrix[keep]
-    # Class attribution is irrelevant for the footprint; mark unknown.
-    table_class = np.full(table_ids.size, 3, dtype=np.int8)
-    return _attach_hop_tables(
-        ColumnarChord(
-            bits=bits,
-            ids=ids,
-            table_offsets=offsets,
-            table_ids=table_ids,
-            table_class=table_class,
-        )
-    )

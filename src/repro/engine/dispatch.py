@@ -1,4 +1,4 @@
-"""Engine selection: objects vs columnar, with NumPy gating.
+"""Engine selection: objects vs columnar.
 
 The ``engine`` field on :class:`~repro.sim.runner.ExperimentConfig`
 accepts three values:
@@ -6,7 +6,7 @@ accepts three values:
 * ``"objects"`` — always route over the object-graph overlays.
 * ``"columnar"`` — demand the vectorized engine; raises
   :class:`~repro.util.errors.ConfigurationError` with the blocking
-  reason when the cell is unsupported (NumPy missing, faults active,
+  reason when the cell is unsupported (Kademlia, faults active,
   oversized id space, ...).
 * ``"auto"`` (default) — columnar when the cell is supported *and*
   large enough that the batch setup cost amortizes
@@ -20,7 +20,10 @@ freezes the overlay before routing, so anything that mutates routing
 state mid-stream — fault planes (evictions, message drops), churn,
 retry policies with observable backoff — stays on the object path.
 Telemetry/trace instrumentation also forces objects: the per-hop
-callback surface is exactly what the frontier batches away.
+callback surface is exactly what the frontier batches away. A global
+budget plan does not: ``stable_cell`` installs the plan's per-node
+quotas on the object overlay before it picks the engine, and the
+snapshot copies the installed tables verbatim.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "COLUMNAR_MAX_BITS",
     "ENGINES",
     "columnar_support",
-    "numpy_or_none",
     "resolve_engine",
 ]
 
@@ -49,32 +51,12 @@ COLUMNAR_AUTO_THRESHOLD = 512
 #: stay on the object path (``IdSpace`` itself allows up to 256 bits).
 COLUMNAR_MAX_BITS = 52
 
-_numpy_checked = False
-_numpy_module = None
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` when not installed."""
-    global _numpy_checked, _numpy_module
-    if not _numpy_checked:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised on numpy-less boxes
-            _numpy_module = None
-        else:
-            _numpy_module = numpy
-        _numpy_checked = True
-    return _numpy_module
-
-
 def columnar_support(config) -> tuple[bool, str]:
     """``(supported, reason)`` — can this stable cell run columnar?
 
     ``reason`` is empty when supported, else the first blocking rule
     (the message an explicit ``engine="columnar"`` request fails with).
     """
-    if numpy_or_none() is None:
-        return False, "numpy is not installed"
     if getattr(config, "overlay", None) == "kademlia":
         return False, "the columnar engine implements chord and pastry routing only"
     if getattr(config, "duration", None) is not None and hasattr(config, "queries_per_second"):
@@ -83,11 +65,6 @@ def columnar_support(config) -> tuple[bool, str]:
         return False, "fault injection mutates routing state mid-stream"
     if config.retry is not None:
         return False, "an explicit retry policy is only observable on the object path"
-    if getattr(config, "budget_plan_active", False):
-        return False, (
-            "global budget plans install heterogeneous per-node quotas, which "
-            "the uniform-k columnar install path does not model"
-        )
     if config.bits > COLUMNAR_MAX_BITS:
         return False, (
             f"bits={config.bits} exceeds the columnar engine's exact-arithmetic "

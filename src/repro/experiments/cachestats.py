@@ -127,14 +127,10 @@ class CachestatsPreset:
 def _columnar_attribution(bench, config, recorder, sources, keys) -> bool | None:
     """Route the identical query batch through the columnar engine and
     attribute the lanes; ``True``/``False`` = matches the object-graph
-    attribution, ``None`` = engine does not cover this overlay (or
-    NumPy is absent)."""
+    attribution, ``None`` = engine does not cover this overlay."""
     if config.overlay not in ("chord", "pastry"):
         return None
-    try:
-        batch = route_columnar(bench, sources, keys, record_paths=True)
-    except ImportError:  # pragma: no cover - NumPy-less environments
-        return None
+    batch = route_columnar(bench, sources, keys, record_paths=True)
     columnar = AttributionRecorder(config.overlay, bench.overlay, quotas=recorder.quotas)
     attribute_batch(columnar, batch, sources, keys)
     return columnar.to_dict() == recorder.to_dict()

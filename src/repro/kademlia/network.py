@@ -25,7 +25,6 @@ keeps the eq.-1 cost kernels on their NumPy fast path (exact only below
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
 
 from repro import selection
 from repro.core.kademlia_selection import select_kademlia, select_kademlia_greedy_batch
@@ -131,11 +130,6 @@ class KademliaNetwork(Overlay):
             if other != node_id:
                 table.insert(other)
         return frozenset(table.contacts())
-
-    def hop_distances(self, path: Iterable[int], key: int) -> list[int]:
-        """XOR distance from each path node to ``key`` — the quantity
-        Kademlia routing must strictly shrink on every hop."""
-        return [node_id ^ key for node_id in path]
 
     def find_node(
         self, source: int, key: int, alpha: int | None = None, count: int | None = None

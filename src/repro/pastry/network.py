@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import partial
-from typing import Iterable
 
 from repro import selection
 from repro.core.oblivious import select_pastry_oblivious
@@ -161,18 +160,6 @@ class PastryNetwork(Overlay):
         stabilization round installs. Verification compares per-node state
         against this independent derivation."""
         return frozenset(self._leaf_set(node_id))
-
-    def hop_distances(self, path: Iterable[int], key: int) -> list[tuple[int, int]]:
-        """``(shared_prefix_bits, circular_distance)`` from each path node
-        to ``key`` — the two quantities Pastry routing must improve on
-        every hop (longer prefix, or numerically closer)."""
-        return [
-            (
-                self.space.common_prefix_length(node_id, key),
-                circular_distance(self.space, node_id, key),
-            )
-            for node_id in path
-        ]
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,30 +1,17 @@
-"""Performance-regression harness.
+"""Disabled-observer overhead gates; back ``python -m repro bench``.
 
-Times the hot kernels (cost evaluation, selection solvers, routing loops)
-and runs the gates (process-pool identity, disabled-observer overhead,
-columnar engine), and emits a ``BENCH_v1.json`` document so every future
-change has a perf trajectory to compare against. Whole figure cells are
-timed by the benchmark in ``perfbench/``.
+Tracing, telemetry and cache attribution promise to cost nothing when
+disabled. ``repro bench`` measures each promise paired and in-process
+and emits a ``BENCH_v1`` document with one section per observer. Whole
+figure cells are timed by the benchmark in ``perfbench/``, the one
+timing benchmark.
 
-* :mod:`repro.perf.harness` — warmup + repeats timing with median/p95.
-* :mod:`repro.perf.micro` — kernel and routing-loop microbenchmarks.
-* :mod:`repro.perf.compare` — regression detection between two bench
-  documents (used by CI).
-* :mod:`repro.perf.runner` — assembles the full document, including the
-  serial-vs-parallel sweep identity check; backs ``python -m repro bench``.
+* :mod:`repro.perf.overhead` — the paired chunk-interleaved harness and
+  its 2% threshold.
+* :mod:`repro.perf.runner` — assembles and prints the document and
+  names the broken gates.
 """
 
-from repro.perf.compare import Regression, find_regressions, load_bench
-from repro.perf.harness import BenchTiming, measure
 from repro.perf.runner import BENCH_SCHEMA, run_bench, write_bench
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchTiming",
-    "Regression",
-    "find_regressions",
-    "load_bench",
-    "measure",
-    "run_bench",
-    "write_bench",
-]
+__all__ = ["BENCH_SCHEMA", "run_bench", "write_bench"]

@@ -4,9 +4,9 @@ The observability planes share one contract — *zero cost when
 disabled*: the lookup loop normalizes a disabled recorder to ``None`` at
 entry, and every instrumented layer is handed ``None`` for a disabled
 telemetry runtime (what ``Overlay.attach_telemetry`` returns). This
-bench certifies the claim the CI gate enforces, one BENCH_v1 section per
-disabled observer, each held to < 2% on the shared lookup loop of all
-three overlays:
+bench certifies the claim the CI gate enforces. The BENCH_v1 document
+is its three sections, one per disabled observer, each held to < 2% on
+the shared lookup loop of all three overlays:
 
 * ``obs_overhead`` — lookups with ``trace=NullRecorder()``;
 * ``telemetry_overhead`` — lookups on an overlay with a disabled
@@ -44,6 +44,7 @@ cannot slip past CI silently.
 from __future__ import annotations
 
 import gc
+import math
 import time
 
 from repro.chord.ring import ChordRing
@@ -51,15 +52,20 @@ from repro.kademlia.network import KademliaNetwork
 from repro.obs.attribution import AttributionRecorder
 from repro.obs.recorder import NullRecorder
 from repro.pastry.network import PastryNetwork
-from repro.perf.harness import percentile
 from repro.telemetry.runtime import RoundTelemetry
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.rng import SeedSequenceRegistry
 
-__all__ = ["OVERHEAD_THRESHOLD", "SECTIONS", "disabled_telemetry", "overhead_benchmark"]
+__all__ = [
+    "OVERHEAD_THRESHOLD",
+    "SECTIONS",
+    "disabled_telemetry",
+    "overhead_benchmark",
+    "percentile",
+]
 
-_BENCH_SEED = 20_240_701  # same workloads as repro.perf.micro
+_BENCH_SEED = 20_240_701
 
 #: Acceptance bar: a disabled observer may cost at most 2% extra.
 OVERHEAD_THRESHOLD = 1.02
@@ -77,6 +83,16 @@ _PLANS = {
     "pastry": {"trials": 11, "chunk": 5, "rounds": 8},
     "kademlia": {"trials": 11, "chunk": 5, "rounds": 8},
 }
+
+
+def percentile(sorted_samples: list[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 1]) of pre-sorted samples."""
+    if not 0.0 <= q <= 1.0:
+        raise ConfigurationError(f"quantile must be in [0, 1], got {q!r}")
+    if not sorted_samples:
+        return float("nan")
+    rank = min(len(sorted_samples) - 1, max(0, math.ceil(q * len(sorted_samples)) - 1))
+    return sorted_samples[rank]
 
 
 def disabled_telemetry() -> RoundTelemetry:

@@ -38,7 +38,7 @@ bit-identically — the property the shrinker and the replay CLI rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro import selection
 from repro.chord.ring import ChordRing
@@ -57,7 +57,6 @@ from repro.sim.metrics import HopStatistics
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdSpace
 from repro.util.rng import SeedSequenceRegistry, substream_seed
-from repro.engine.dispatch import numpy_or_none
 from repro.verify.invariants import (
     Violation,
     check_budget_feasibility,
@@ -583,8 +582,6 @@ class _Engine:
         responsible is only an obligation when the object routers would
         accept it without timeouts.
         """
-        if numpy_or_none() is None:
-            return
         if self.kind == "kademlia":
             return  # the columnar engine implements chord and pastry only
         if not self._snapshot_safe():
@@ -616,8 +613,3 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     contract the shrinker and the bit-identity acceptance test rely on.
     """
     return _Engine(scenario).run()
-
-
-def with_steps(scenario: Scenario, steps) -> Scenario:
-    """A copy of ``scenario`` with a different step list (shrinker hook)."""
-    return replace(scenario, steps=tuple(steps))

@@ -22,8 +22,6 @@ from repro.core.cost import (
 )
 from repro.util.ids import IdSpace
 
-np = pytest.importorskip("numpy")
-
 
 @st.composite
 def cost_instances(draw):

@@ -76,6 +76,11 @@ class TestColumnarSupport:
         supported, reason = columnar_support(config())
         assert supported and reason == ""
 
+    @pytest.mark.parametrize("budget", [{"budget_mode": "allocated"}, {"budget_total": 500}])
+    def test_budget_plans_are_supported(self, budget):
+        assert columnar_support(config(**budget)) == (True, "")
+        assert resolve_engine(config(**budget)) == "columnar"
+
     def test_reasons_name_the_blocking_rule(self):
         __, reason = columnar_support(config(faults=FaultSchedule(loss_rate=0.1)))
         assert "fault" in reason

@@ -9,11 +9,9 @@ auxiliaries.
 
 import random
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.chord.ring import ChordRing
 from repro.engine.columnar import snapshot_chord, snapshot_pastry

@@ -8,10 +8,6 @@ actually fire.
 
 import random
 
-import pytest
-
-pytest.importorskip("numpy")
-
 from repro.chord.ring import ChordRing
 from repro.engine import columnar, router
 from repro.pastry.network import PastryNetwork

@@ -12,8 +12,6 @@ from dataclasses import replace
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.experiments.driver import document
 from repro.experiments.figures import EXPERIMENT, FigurePreset, run_figure
 from repro.experiments.sweep import sweep
@@ -54,6 +52,25 @@ class TestRunStableCrossEngine:
             seed=5,
             learned_frequencies=True,
             warmup_queries=400,
+        )
+        objects = run_stable(replace(base, engine="objects"))
+        columnar = run_stable(replace(base, engine="columnar"))
+        assert objects == columnar
+
+    @pytest.mark.parametrize("overlay,n", [("chord", 64), ("pastry", 48)])
+    @pytest.mark.parametrize("budget_mode,budget_total", [("allocated", None), ("uniform", 150)])
+    def test_budget_plan_identical(self, overlay, n, budget_mode, budget_total):
+        """A budget plan's per-node quotas are installed on the object
+        overlay before the engine is picked, so the snapshot routes the
+        very tables the object path would."""
+        base = ExperimentConfig(
+            overlay=overlay,
+            n=n,
+            bits=20,
+            queries=500,
+            seed=9,
+            budget_mode=budget_mode,
+            budget_total=budget_total,
         )
         objects = run_stable(replace(base, engine="objects"))
         columnar = run_stable(replace(base, engine="columnar"))

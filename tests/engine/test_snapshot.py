@@ -1,17 +1,12 @@
-"""Columnar snapshot construction: shape, fallbacks, and direct synthesis."""
+"""Columnar snapshot construction: shape and fallbacks."""
 
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.chord.ring import ChordRing
-from repro.engine.columnar import (
-    build_direct_chord,
-    snapshot_chord,
-    snapshot_pastry,
-)
+from repro.engine.columnar import snapshot_chord, snapshot_pastry
 from repro.engine.router import batch_route_chord
 from repro.pastry.network import PastryNetwork
 from repro.util.ids import IdSpace
@@ -76,32 +71,3 @@ class TestPastrySnapshot:
         with pytest.raises(ValueError, match="digit_bits"):
             snapshot_pastry(network)
 
-
-class TestDirectSynthesis:
-    def test_direct_ring_is_routable_and_bounded(self):
-        """The memory-gate synthesizer builds a stabilized ring whose
-        batched lookups all terminate at the snapshot's own responsible
-        oracle within the O(log n) bound."""
-        snapshot = build_direct_chord(2048, bits=32, seed=1)
-        rng = random.Random(1)
-        ids = snapshot.ids
-        sources = np.asarray([int(ids[rng.randrange(ids.size)]) for __ in range(500)])
-        keys = np.asarray([rng.randrange(1 << 32) for __ in range(500)])
-        result = batch_route_chord(snapshot, sources, keys)
-        assert bool(result.succeeded.all())
-        assert np.array_equal(result.destinations, snapshot.responsible(keys))
-        assert int(result.hops.max()) <= 2 * 32
-
-    def test_bytes_per_node_counts_every_array(self):
-        snapshot = build_direct_chord(1024, bits=32, seed=0)
-        total = (
-            snapshot.ids.nbytes
-            + snapshot.table_offsets.nbytes
-            + snapshot.table_ids.nbytes
-            + snapshot.table_class.nbytes
-            + snapshot.hop_gaps.nbytes
-            + snapshot.hop_pos.nbytes
-            + snapshot.hop_class.nbytes
-        )
-        assert snapshot.nbytes == total
-        assert snapshot.bytes_per_node == pytest.approx(total / 1024)

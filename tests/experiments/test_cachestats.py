@@ -58,8 +58,6 @@ class TestCells:
             assert cell["classes"]["auxiliary"]["credited"] > 0
 
     def test_columnar_attribution_matches_object_graph(self, full_grid):
-        numpy = pytest.importorskip("numpy")
-        assert numpy is not None
         by_overlay = {cell["overlay"]: cell["columnar_match"] for cell in full_grid}
         assert by_overlay["chord"] is True
         assert by_overlay["pastry"] is True

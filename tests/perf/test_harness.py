@@ -1,8 +1,8 @@
-"""Unit tests for the timing harness and statistics."""
+"""Unit tests for the overhead harness's order statistic."""
 
 import pytest
 
-from repro.perf.harness import BenchTiming, measure, percentile
+from repro.perf.overhead import percentile
 from repro.util.errors import ConfigurationError
 
 
@@ -30,28 +30,3 @@ class TestPercentile:
         with pytest.raises(ConfigurationError):
             percentile([1.0], 1.5)
 
-
-class TestMeasure:
-    def test_counts_calls(self):
-        calls = []
-        timing = measure("t", lambda: calls.append(1), repeats=5, warmup=2)
-        assert len(calls) == 7
-        assert timing.repeats == 5
-        assert timing.warmup == 2
-
-    def test_ordering_invariants(self):
-        timing = measure("t", lambda: sum(range(500)), repeats=9, warmup=1)
-        assert 0 <= timing.min_s <= timing.median_s <= timing.p95_s <= timing.max_s
-        assert timing.min_s <= timing.mean_s <= timing.max_s
-        assert timing.ops_per_s > 0
-
-    def test_round_trips_through_dict(self):
-        timing = measure("t", lambda: None, repeats=3, warmup=0)
-        restored = BenchTiming.from_dict("t", timing.to_dict())
-        assert restored == timing
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            measure("t", lambda: None, repeats=0)
-        with pytest.raises(ConfigurationError):
-            measure("t", lambda: None, warmup=-1)

@@ -4,8 +4,8 @@ runs or is refused with a ``ConfigurationError`` that names its cause.
 
 A sweep of all 1,440 combinations (3 overlays × 3 engines × faults on or
 off × 2 budget modes × totals 0 and 10 × 5 synthetic scenarios × stable or
-churn × learned or converged frequencies) at n = 12 ran 720 cells and
-refused 720 configs, with no other exception; the property samples that
+churn × learned or converged frequencies) at n = 12 ran 800 cells and
+refused 640 configs, with no other exception; the property samples that
 space as a regression guard.
 """
 

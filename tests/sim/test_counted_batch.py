@@ -118,7 +118,6 @@ def test_object_batch_equals_per_query_loop(workload_for, overlay, scenario, bud
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("overlay", ["chord", "pastry"])
 def test_columnar_batch_equals_per_query_loop(workload_for, overlay, scenario, learned):
-    pytest.importorskip("numpy")
     config = _config(
         overlay,
         workload_for(overlay, scenario),
@@ -131,8 +130,6 @@ def test_columnar_batch_equals_per_query_loop(workload_for, overlay, scenario, l
 
 @pytest.mark.parametrize("engine", ["objects", "columnar"])
 def test_stream_with_no_live_source_routes_nothing(tmp_path, engine):
-    if engine == "columnar":
-        pytest.importorskip("numpy")
     universe = _config("chord", "static-zipf")
     live = set(_Bench(universe, SeedSequenceRegistry(universe.seed)).overlay.alive_ids())
     trace = QueryTrace()
